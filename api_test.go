@@ -21,7 +21,6 @@ import (
 var publicSurface = []string{
 	"Accumulators",
 	"Analyze",
-	"CampaignStats",
 	"Config",
 	"DefaultConfig",
 	"Event",
@@ -39,17 +38,13 @@ var publicSurface = []string{
 	"ParseSweepAxes",
 	"ReportOptions",
 	"RunPaperStudy",
-	"RunStudy",
 	"Session",
 	"Simulate",
 	"Source",
 	"SourceStats",
 	"Store",
 	"StoreHealth",
-	"StreamCampaign",
-	"StreamHandler",
 	"Study",
-	"StudyFromLogs",
 	"Sweep",
 	"SweepAxis",
 	"SweepOption",
@@ -136,7 +131,10 @@ func TestPublicAPI(t *testing.T) {
 	if cfg == nil || cfg.Profile == nil {
 		t.Fatal("default config incomplete")
 	}
-	s := unprotected.RunStudy(cfg)
+	s, err := unprotected.Analyze(context.Background(), unprotected.Simulate(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
 	if s.Dataset == nil || len(s.Dataset.Faults) == 0 {
 		t.Fatal("study produced no dataset")
 	}
@@ -147,17 +145,16 @@ func TestPublicAPI(t *testing.T) {
 	}
 }
 
-// TestPublicAnalyze drives the new unified entry point end to end through
-// the public surface: simulation source, log source, custom observers and
-// the raw iterator — all against the deprecated doors they replace.
+// TestPublicAnalyze drives the unified entry point end to end through the
+// public surface: simulation source, log source, custom observers and the
+// raw iterator, each against another spelling of the same study.
 func TestPublicAnalyze(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
 	}
 	ctx := context.Background()
-	legacy := unprotected.RunStudy(unprotected.DefaultConfig(6))
 	var want bytes.Buffer
-	legacy.FullReport(&want, unprotected.ReportOptions{Charts: true})
+	unprotected.RunPaperStudy(6).FullReport(&want, unprotected.ReportOptions{Charts: true})
 
 	var observed int
 	counter := unprotected.FuncObserver{Fault: func(unprotected.Fault) { observed++ }}
@@ -169,13 +166,14 @@ func TestPublicAnalyze(t *testing.T) {
 	var got bytes.Buffer
 	study.FullReport(&got, unprotected.ReportOptions{Charts: true})
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("Analyze(Simulate) report diverges from RunStudy")
+		t.Fatal("Analyze(Simulate) report diverges from RunPaperStudy")
 	}
 	if observed != len(study.Dataset.Faults) {
 		t.Fatalf("observer saw %d faults, dataset holds %d", observed, len(study.Dataset.Faults))
 	}
 
-	// Round-trip through the log source.
+	// Round-trip through the log source: options on the source and on
+	// Analyze are the same API.
 	dir := t.TempDir()
 	if err := logstore.Export(study.Dataset.Sessions, study.Dataset.Faults, dir); err != nil {
 		t.Fatal(err)
@@ -184,23 +182,19 @@ func TestPublicAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapper, err := unprotected.StudyFromLogs(dir, "02-04", 0)
+	viaAnalyze, err := unprotected.Analyze(ctx, unprotected.Logs(dir),
+		unprotected.WithController("02-04"), unprotected.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var a, b bytes.Buffer
 	fromLogs.FullReport(&a, unprotected.ReportOptions{Charts: true})
-	wrapper.FullReport(&b, unprotected.ReportOptions{Charts: true})
+	viaAnalyze.FullReport(&b, unprotected.ReportOptions{Charts: true})
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("Analyze(Logs) report diverges from StudyFromLogs")
+		t.Fatal("options on Logs and on Analyze render different reports")
 	}
 
-	// The raw iterator delivers the stream the deprecated callbacks did.
-	var faults, sessions int
-	cb := unprotected.StreamCampaign(unprotected.DefaultConfig(6), unprotected.StreamHandler{
-		Fault:   func(unprotected.Fault) { faults++ },
-		Session: func(unprotected.Session) { sessions++ },
-	})
+	// The raw iterator delivers exactly the dataset Analyze collects.
 	var itFaults, itSessions int
 	for ev, err := range unprotected.Simulate(unprotected.DefaultConfig(6)).Events(ctx) {
 		if err != nil {
@@ -213,9 +207,9 @@ func TestPublicAnalyze(t *testing.T) {
 			itSessions++
 		}
 	}
-	if itFaults != faults || itFaults != cb.Faults || itSessions != sessions || itSessions != cb.Sessions {
-		t.Fatalf("iterator delivered %d/%d, callbacks %d/%d (stats %d/%d)",
-			itFaults, itSessions, faults, sessions, cb.Faults, cb.Sessions)
+	if itFaults != len(study.Dataset.Faults) || itSessions != len(study.Dataset.Sessions) {
+		t.Fatalf("iterator delivered %d/%d, dataset holds %d/%d",
+			itFaults, itSessions, len(study.Dataset.Faults), len(study.Dataset.Sessions))
 	}
 }
 
@@ -273,12 +267,13 @@ func TestPublicStudyFromLogs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
 	}
-	s := unprotected.RunStudy(unprotected.DefaultConfig(3))
+	s := unprotected.RunPaperStudy(3)
 	dir := t.TempDir()
 	if err := logstore.Export(s.Dataset.Sessions, s.Dataset.Faults, dir); err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := unprotected.StudyFromLogs(dir, "02-04", 0)
+	replayed, err := unprotected.Analyze(context.Background(),
+		unprotected.Logs(dir, unprotected.WithController("02-04")))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -213,8 +213,7 @@ func streamCampaign(ctx context.Context, seed uint64, faultsPath, sessionsPath, 
 	}
 
 	// EventsFiltered skips the extraction/sorting of any half with no
-	// sink, like the old nil-callback handler did; the prologue's counts
-	// still cover the full campaign.
+	// sink; the prologue's counts still cover the full campaign.
 	var stats unprotected.SourceStats
 	events := campaign.EventsFiltered(ctx, unprotected.DefaultConfig(seed),
 		len(faultSinks) > 0, len(sessionSinks) > 0)

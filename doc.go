@@ -268,45 +268,3 @@ func ParseSweepAxes(specs []string) ([]SweepAxis, error) { return sweep.ParseAxe
 func Sweep(ctx context.Context, spec *SweepSpec, opts ...SweepOption) (*SweepResult, error) {
 	return sweep.Run(ctx, spec, opts...)
 }
-
-// RunStudy executes a custom configuration.
-//
-// Deprecated: use Analyze(ctx, Simulate(cfg)) — identical output, plus
-// cancellation, custom observers and pure-streaming runs.
-func RunStudy(cfg *Config) *Study { return core.RunStudy(cfg) }
-
-// StudyFromLogs rebuilds a study from a directory of per-node log files.
-// controller optionally names the permanently failing node excluded from
-// MTBF-style analyses ("" disables); workers bounds the loader pool
-// (0 means GOMAXPROCS, negative is an error).
-//
-// Deprecated: use Analyze(ctx, Logs(dir, WithController(controller),
-// WithWorkers(workers))) — identical output, plus cancellation, custom
-// observers and pure-streaming runs.
-func StudyFromLogs(dir, controller string, workers int) (*Study, error) {
-	return core.StudyFromLogs(dir, controller, workers)
-}
-
-// StreamHandler receives the merged campaign stream; see StreamCampaign.
-//
-// Deprecated: implement Observer (or use FuncObserver) and attach it via
-// WithObservers, or range over Simulate(cfg).Events(ctx); unlike the
-// callbacks, the iterator can stop the producers mid-stream.
-type StreamHandler = campaign.StreamHandler
-
-// CampaignStats are the scalar aggregates StreamCampaign returns.
-//
-// Deprecated: the equivalent SourceStats arrive as the stream's
-// EventStats prologue.
-type CampaignStats = campaign.Stats
-
-// StreamCampaign executes a campaign and delivers faults and sessions
-// incrementally in the canonical (time, node, ...) order, without
-// materializing the dataset.
-//
-// Deprecated: range over Simulate(cfg).Events(ctx) — the same sequence,
-// with cancellation and early break stopping the engine leak-free
-// (StreamCampaign callbacks cannot abort the stream).
-func StreamCampaign(cfg *Config, h StreamHandler) *CampaignStats {
-	return campaign.Stream(cfg, h)
-}

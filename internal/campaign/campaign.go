@@ -6,9 +6,9 @@
 // The engine is a streaming pipeline (see DESIGN.md): each worker
 // simulates a node, extracts and sorts that node's faults locally, and a
 // deterministic k-way heap merge interleaves the per-node streams into the
-// canonical global order. Stream delivers faults and sessions to the
-// caller one at a time without materializing the merged dataset; Run is a
-// thin collect-all wrapper over Stream for consumers that want slices.
+// canonical global order. Events yields faults and sessions to the caller
+// one at a time, as a stream.Source iterator, without materializing the
+// merged dataset.
 //
 // Determinism: each node draws from an independent RNG stream derived from
 // (campaign seed, node index); per-node streams are sorted by the total
@@ -28,7 +28,6 @@ import (
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
 	"unprotected/internal/faults"
-	"unprotected/internal/kway"
 	"unprotected/internal/radiation"
 	"unprotected/internal/rng"
 	"unprotected/internal/scanner"
@@ -118,44 +117,13 @@ type nodeOutput struct {
 	excluded   bool // pathological: runs are not characterized
 }
 
-// StreamHandler receives the merged campaign stream. Either callback may
-// be nil, in which case that merge is skipped entirely — a consumer
-// interested only in faults pays nothing for session ordering.
-type StreamHandler struct {
-	// Begin, when non-nil, observes the scalar Stats after simulation
-	// completes and before the first Fault/Session delivery — in time for
-	// a collecting consumer to preallocate from the exact counts.
-	Begin func(*Stats)
-	// Fault observes every characterized fault in the canonical
-	// extract.Compare order: (time, node, address, pattern, ...).
-	Fault func(extract.Fault)
-	// Session observes every scanner session in (start time, host) order.
-	Session func(eventlog.Session)
-}
-
-// Stats are the scalar campaign aggregates. Unlike faults and sessions
-// they are cheap to hold, so Stream returns them directly.
-type Stats struct {
-	// Faults and Sessions count what the handler observed (or would have
-	// observed, for nil callbacks).
-	Faults   int
-	Sessions int
-	// RawLogs counts every ERROR record the scanner would have written.
-	RawLogs int64
-	// RawLogsByNode splits the raw volume per node (nodes with zero raw
-	// logs have no entry).
-	RawLogsByNode map[cluster.NodeID]int64
-	// AllocFails counts sessions that could not allocate any memory.
-	AllocFails int
-}
-
 // nodeStream is one node's finalized, locally sorted contribution to the
 // campaign stream.
 type nodeStream struct {
 	faults []extract.Fault
 	// faultCount is the node's characterized-fault count even when faults
-	// itself was not built (no Fault callback — classification is 1:1 with
-	// runs, so the count is known without doing the work).
+	// itself was not built (a sessions-only stream — classification is 1:1
+	// with runs, so the count is known without doing the work).
 	faultCount int
 	sessions   []eventlog.Session
 	rawLogs    int64
@@ -163,39 +131,19 @@ type nodeStream struct {
 	node       cluster.NodeID
 }
 
-// Stream executes the campaign and delivers the dataset incrementally.
+// Events executes the campaign and yields the merged stream as an
+// iterator honouring the internal/stream contract: a stats prologue, then
+// every characterized fault in extract.Compare order, then every session
+// in eventlog.CompareSessions order.
 //
 // Each worker simulates a node end to end and finalizes it in place:
 // the node's raw runs are sorted and classified into faults on the worker
 // (so extraction parallelizes across the pool), and its sessions are
-// ordered by start time. Once every node has reported, two deterministic
-// k-way heap merges interleave the per-node streams into the canonical
-// global orders and feed the handler one element at a time — the merged
-// dataset is never materialized here, and a drained node's stream is
-// released mid-merge. The results channel is bounded by the worker count,
-// not the node count.
-func Stream(cfg *Config, h StreamHandler) *Stats {
-	stats, faultStreams, sessionStreams, _ := collect(context.Background(), cfg, h.Fault != nil, h.Session != nil)
-	if h.Begin != nil {
-		h.Begin(stats)
-	}
-	// The deterministic k-way merge lives in internal/kway so the
-	// log-replay loader (internal/logstore) shares the exact same code;
-	// see that package for the ordering and stability contract.
-	if h.Fault != nil {
-		kway.Merge(faultStreams, extract.Compare, h.Fault)
-	}
-	if h.Session != nil {
-		kway.Merge(sessionStreams, eventlog.CompareSessions, h.Session)
-	}
-	return stats
-}
-
-// Events executes the campaign and yields the merged stream as an
-// iterator honouring the internal/stream contract: a stats prologue, then
-// every characterized fault in extract.Compare order, then every session
-// in eventlog.CompareSessions order. The delivered sequence is identical
-// to what Stream hands its callbacks over the same Config.
+// ordered by start time. Once every node has reported, stream.Deliver's
+// deterministic k-way merges (internal/kway, shared with the log-replay
+// loader) interleave the per-node streams into the canonical global
+// orders — the merged dataset is never materialized here, and the results
+// channel is bounded by the worker count, not the node count.
 //
 // Cancelling ctx aborts the campaign: unsimulated nodes are skipped, the
 // worker pool drains and exits before the iterator yields its final
@@ -214,9 +162,8 @@ func Events(ctx context.Context, cfg *Config) iter.Seq2[stream.Event, error] {
 
 // EventsFiltered is Events restricted to the halves the consumer wants:
 // a false needFaults (or needSessions) omits those deliveries and skips
-// their per-node classification, sorting and buffering, exactly like a
-// nil StreamHandler callback. The prologue's counts still cover the full
-// campaign.
+// their per-node classification, sorting and buffering. The prologue's
+// counts still cover the full campaign.
 func EventsFiltered(ctx context.Context, cfg *Config, needFaults, needSessions bool) iter.Seq2[stream.Event, error] {
 	return func(yield func(stream.Event, error) bool) {
 		stats, faultStreams, sessionStreams, err := collect(ctx, cfg, needFaults, needSessions)
@@ -224,26 +171,19 @@ func EventsFiltered(ctx context.Context, cfg *Config, needFaults, needSessions b
 			yield(stream.Event{}, err)
 			return
 		}
-		stream.Deliver(ctx, yield, &stream.Stats{
-			Faults:        stats.Faults,
-			Sessions:      stats.Sessions,
-			RawLogs:       stats.RawLogs,
-			RawLogsByNode: stats.RawLogsByNode,
-			AllocFails:    stats.AllocFails,
-		}, faultStreams, sessionStreams)
+		stream.Deliver(ctx, yield, stats, faultStreams, sessionStreams)
 	}
 }
 
 // collect runs the simulation worker pool to completion (or cancellation)
-// and gathers the per-node sorted streams plus the scalar stats. It is
-// the shared engine under Stream and Events.
+// and gathers the per-node sorted streams plus the scalar stats.
 //
 // Cancellation: the feeder stops handing out nodes, workers skip
 // simulating whatever is still queued, and the collector keeps draining
 // until the results channel closes — so by the time the ctx.Err() is
 // returned every pool goroutine has exited. A nil error guarantees the
 // pool is equally gone (the channels closed normally).
-func collect(ctx context.Context, cfg *Config, needFaults, needSessions bool) (*Stats, [][]extract.Fault, [][]eventlog.Session, error) {
+func collect(ctx context.Context, cfg *Config, needFaults, needSessions bool) (*stream.Stats, [][]extract.Fault, [][]eventlog.Session, error) {
 	if cfg.Topo == nil {
 		cfg.Topo = cluster.PaperTopology()
 	}
@@ -306,7 +246,7 @@ func collect(ctx context.Context, cfg *Config, needFaults, needSessions bool) (*
 		close(results)
 	}()
 
-	stats := &Stats{RawLogsByNode: make(map[cluster.NodeID]int64)}
+	stats := &stream.Stats{RawLogsByNode: make(map[cluster.NodeID]int64)}
 	faultStreams := make([][]extract.Fault, 0, len(nodes))
 	sessionStreams := make([][]eventlog.Session, 0, len(nodes))
 	for out := range results {
@@ -320,7 +260,7 @@ func collect(ctx context.Context, cfg *Config, needFaults, needSessions bool) (*
 			stats.RawLogsByNode[out.node] += out.rawLogs
 		}
 		stats.AllocFails += out.allocFails
-		// A nil callback's streams are dropped here, node by node, so a
+		// An unwanted half's streams are dropped here, node by node, so a
 		// faults-only consumer never holds the session data (and vice
 		// versa) — the counts above are all that survives.
 		if len(out.faults) > 0 {
@@ -372,25 +312,6 @@ func finalizeNode(out nodeOutput, needFaults, needSessions bool) nodeStream {
 		})
 	}
 	return ns
-}
-
-// Run executes the campaign and collects the full dataset. It is a thin
-// wrapper over Stream for consumers that want slices; anything that can
-// process faults or sessions one at a time should use Stream instead.
-func Run(cfg *Config) *Result {
-	res := &Result{Cfg: cfg}
-	st := Stream(cfg, StreamHandler{
-		Begin: func(st *Stats) {
-			res.Faults = make([]extract.Fault, 0, st.Faults)
-			res.Sessions = make([]eventlog.Session, 0, st.Sessions)
-		},
-		Fault:   func(f extract.Fault) { res.Faults = append(res.Faults, f) },
-		Session: func(s eventlog.Session) { res.Sessions = append(res.Sessions, s) },
-	})
-	res.RawLogs = st.RawLogs
-	res.RawLogsByNode = st.RawLogsByNode
-	res.AllocFails = st.AllocFails
-	return res
 }
 
 // nodeScratch is the reusable per-worker simulation state: the window and

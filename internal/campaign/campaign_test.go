@@ -19,10 +19,10 @@ func TestRunDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
 	}
-	a := Run(smallConfig(7))
+	a := run(t, smallConfig(7))
 	cfgB := smallConfig(7)
 	cfgB.Workers = 2 // different parallelism must not change results
-	b := Run(cfgB)
+	b := run(t, cfgB)
 	if len(a.Faults) != len(b.Faults) {
 		t.Fatalf("fault counts differ: %d vs %d", len(a.Faults), len(b.Faults))
 	}
@@ -43,8 +43,8 @@ func TestRunSeedsDiffer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
 	}
-	a := Run(smallConfig(1))
-	b := Run(smallConfig(2))
+	a := run(t, smallConfig(1))
+	b := run(t, smallConfig(2))
 	if len(a.Faults) == len(b.Faults) && a.RawLogs == b.RawLogs {
 		t.Fatal("different seeds produced identical campaigns")
 	}
@@ -54,7 +54,7 @@ func TestPaperCampaignHeadlines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
 	}
-	res := Run(DefaultConfig(42))
+	res := run(t, DefaultConfig(42))
 
 	// §III-B magnitudes (generous windows; exact values in EXPERIMENTS.md).
 	if res.RawLogs < 20e6 || res.RawLogs > 32e6 {
@@ -128,7 +128,7 @@ func TestSessionsRespectRoster(t *testing.T) {
 		t.Skip("full campaign")
 	}
 	cfg := DefaultConfig(3)
-	res := Run(cfg)
+	res := run(t, cfg)
 	for _, s := range res.Sessions {
 		node := cfg.Topo.Node(s.Host)
 		if node.Role != cluster.Scanned {

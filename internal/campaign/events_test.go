@@ -12,20 +12,16 @@ import (
 	"unprotected/internal/stream"
 )
 
-// TestEventsMatchesStream: the iterator must deliver exactly the sequence
-// the callback API delivers — same stats prologue, same faults in the
-// same order, same sessions in the same order.
+// TestEventsMatchesStream: the iterator must deliver exactly the dataset
+// the sequential collect-all reference builds — stats prologue first,
+// then the same faults in the same order, then the same sessions in the
+// same order.
 func TestEventsMatchesStream(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
 	}
-	ref := DefaultConfig(6)
-	var wantFaults []extract.Fault
-	var wantSessions []eventlog.Session
-	wantStats := Stream(ref, StreamHandler{
-		Fault:   func(f extract.Fault) { wantFaults = append(wantFaults, f) },
-		Session: func(s eventlog.Session) { wantSessions = append(wantSessions, s) },
-	})
+	want := legacyCollectAll(DefaultConfig(6))
+	wantFaults, wantSessions := want.Faults, want.Sessions
 
 	var gotFaults []extract.Fault
 	var gotSessions []eventlog.Session
@@ -55,9 +51,10 @@ func TestEventsMatchesStream(t *testing.T) {
 	if !sawPrologueFirst || gotStats == nil {
 		t.Fatal("stats prologue missing or not first")
 	}
-	if gotStats.Faults != wantStats.Faults || gotStats.Sessions != wantStats.Sessions ||
-		gotStats.RawLogs != wantStats.RawLogs || gotStats.AllocFails != wantStats.AllocFails {
-		t.Fatalf("stats differ: %+v vs %+v", gotStats, wantStats)
+	if gotStats.Faults != len(wantFaults) || gotStats.Sessions != len(wantSessions) ||
+		gotStats.RawLogs != want.RawLogs || gotStats.AllocFails != want.AllocFails {
+		t.Fatalf("stats differ: %+v vs %d faults, %d sessions, %d raw logs, %d alloc fails",
+			gotStats, len(wantFaults), len(wantSessions), want.RawLogs, want.AllocFails)
 	}
 	if len(gotFaults) != len(wantFaults) {
 		t.Fatalf("faults %d, want %d", len(gotFaults), len(wantFaults))

@@ -12,7 +12,7 @@ func TestStressConfigKeepsSoC12Scanning(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
 	}
-	res := Run(StressConfig(11))
+	res := run(t, StressConfig(11))
 
 	// SoC-12 nodes scan the whole year (no power-off outage).
 	hours := make(map[cluster.NodeID]float64)
@@ -67,7 +67,7 @@ func TestSwapExperimentFaultFollowsComponent(t *testing.T) {
 	}
 	swapAt := timebase.FromTime(time.Date(2015, time.October, 15, 0, 0, 0, 0, time.UTC))
 	healthy := cluster.NodeID{Blade: 40, SoC: 6}
-	res := Run(SwapConfig(13, swapAt, healthy))
+	res := run(t, SwapConfig(13, swapAt, healthy))
 
 	controller := cluster.NodeID{Blade: 2, SoC: 4}
 	var beforeOnA, afterOnA, beforeOnB, afterOnB int

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"context"
 	"reflect"
 	"sort"
 	"testing"
@@ -8,6 +9,7 @@ import (
 	"unprotected/internal/cluster"
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
+	"unprotected/internal/stream"
 )
 
 // --- streaming campaign tests ---
@@ -81,6 +83,27 @@ func assertSameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
+// run drains a campaign through Events into the collect-all Result the
+// assertions read.
+func run(t testing.TB, cfg *Config) *Result {
+	t.Helper()
+	res := &Result{Cfg: cfg}
+	for ev, err := range Events(context.Background(), cfg) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch ev.Kind {
+		case stream.KindStats:
+			res.RawLogs, res.RawLogsByNode, res.AllocFails = ev.Stats.RawLogs, ev.Stats.RawLogsByNode, ev.Stats.AllocFails
+		case stream.KindFault:
+			res.Faults = append(res.Faults, ev.Fault)
+		case stream.KindSession:
+			res.Sessions = append(res.Sessions, ev.Session)
+		}
+	}
+	return res
+}
+
 func TestStreamMatchesCollectAllAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
@@ -91,8 +114,7 @@ func TestStreamMatchesCollectAllAcrossWorkers(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		cfg := DefaultConfig(seed)
 		cfg.Workers = workers
-		got := Run(cfg)
-		assertSameResult(t, "legacy vs streamed", legacy, got)
+		assertSameResult(t, "legacy vs streamed", legacy, run(t, cfg))
 	}
 }
 
@@ -107,25 +129,31 @@ func TestStreamEmitsCanonicalOrder(t *testing.T) {
 		prevSession *eventlog.Session
 		faults      int
 		sessions    int
+		st          *stream.Stats
 	)
-	st := Stream(cfg, StreamHandler{
-		Fault: func(f extract.Fault) {
+	for ev, err := range Events(context.Background(), cfg) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch ev.Kind {
+		case stream.KindStats:
+			st = ev.Stats
+		case stream.KindFault:
+			f := ev.Fault
 			if prevFault != nil && extract.Compare(prevFault, &f) >= 0 {
 				t.Fatalf("fault %d out of order: %+v then %+v", faults, *prevFault, f)
 			}
-			cp := f
-			prevFault = &cp
+			prevFault = &f
 			faults++
-		},
-		Session: func(s eventlog.Session) {
+		case stream.KindSession:
+			s := ev.Session
 			if prevSession != nil && eventlog.CompareSessions(prevSession, &s) >= 0 {
 				t.Fatalf("session %d out of order", sessions)
 			}
-			cp := s
-			prevSession = &cp
+			prevSession = &s
 			sessions++
-		},
-	})
+		}
+	}
 	if faults == 0 || sessions == 0 {
 		t.Fatal("stream delivered nothing")
 	}
@@ -138,32 +166,53 @@ func TestStreamEmitsCanonicalOrder(t *testing.T) {
 	}
 }
 
+// TestStreamBeginPrecedesDelivery: the stats prologue arrives before the
+// first delivery and announces exactly the faults that follow, also on a
+// faults-only stream.
 func TestStreamBeginPrecedesDelivery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
 	}
-	var announced *Stats
+	var announced *stream.Stats
 	delivered := 0
-	Stream(DefaultConfig(4), StreamHandler{
-		Begin: func(st *Stats) {
+	for ev, err := range EventsFiltered(context.Background(), DefaultConfig(4), true, false) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch ev.Kind {
+		case stream.KindStats:
 			if delivered != 0 {
-				t.Fatal("Begin after first delivery")
+				t.Fatal("prologue after first delivery")
 			}
-			announced = st
-		},
-		Fault: func(extract.Fault) { delivered++ },
-	})
-	if announced == nil || announced.Faults != delivered {
-		t.Fatalf("Begin announced %v, delivered %d", announced, delivered)
+			announced = ev.Stats
+		case stream.KindFault:
+			delivered++
+		case stream.KindSession:
+			t.Fatal("faults-only stream delivered a session")
+		}
+	}
+	if announced == nil || announced.Faults != delivered || announced.Sessions == 0 {
+		t.Fatalf("prologue announced %+v, delivered %d faults", announced, delivered)
 	}
 }
 
+// TestStreamNilCallbacks: a stream that wants neither half still carries
+// the full campaign's counts in its prologue and delivers nothing else.
 func TestStreamNilCallbacks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
 	}
-	st := Stream(DefaultConfig(4), StreamHandler{})
-	if st.Faults == 0 || st.Sessions == 0 || st.RawLogs == 0 {
-		t.Fatalf("stats empty with nil callbacks: %+v", st)
+	var st *stream.Stats
+	for ev, err := range EventsFiltered(context.Background(), DefaultConfig(4), false, false) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ev.Kind != stream.KindStats {
+			t.Fatalf("unwanted delivery of kind %v", ev.Kind)
+		}
+		st = ev.Stats
+	}
+	if st == nil || st.Faults == 0 || st.Sessions == 0 || st.RawLogs == 0 {
+		t.Fatalf("stats empty without deliveries: %+v", st)
 	}
 }

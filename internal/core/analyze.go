@@ -393,8 +393,8 @@ func Analyze(ctx context.Context, src stream.Source, opts ...Option) (*Study, er
 	}
 	study := sink.study(topo, st.RawLogs, st.RawLogsByNode)
 	if sim, ok := src.(*simSource); ok {
-		// Simulation studies keep carrying the campaign view, exactly as
-		// RunStudy always has — except under WithoutDataset, where a
+		// Simulation studies carry the campaign view — except under
+		// WithoutDataset, where a
 		// Result whose slices are deliberately empty but whose raw-log
 		// counters are full would be internally inconsistent; it stays
 		// nil, like a replayed study's.

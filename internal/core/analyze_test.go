@@ -18,21 +18,17 @@ import (
 	"unprotected/internal/stream"
 )
 
-// TestAnalyzeLogsMatchesStudyFromLogs: the acceptance criterion — the new
-// entry point over a log source must render a report byte-identical to
-// the deprecated wrapper's, for explicit and default worker counts.
+// TestAnalyzeLogsMatchesStudyFromLogs: every spelling of a log-replay
+// study — options on Analyze or on the source, explicit or default worker
+// counts — must render a report byte-identical to the reference replay.
 func TestAnalyzeLogsMatchesStudyFromLogs(t *testing.T) {
 	sessions, faults, controller := replayFixture()
 	dir := t.TempDir()
 	if err := logstore.Export(sessions, faults, dir); err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := StudyFromLogs(dir, controller, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var want bytes.Buffer
-	legacy.FullReport(&want, ReportOptions{Charts: true, Heatmaps: true})
+	logStudy(t, dir, controller, 3).FullReport(&want, ReportOptions{Charts: true, Heatmaps: true})
 
 	for _, opts := range [][]Option{
 		{WithController(controller), WithWorkers(3)},
@@ -45,7 +41,7 @@ func TestAnalyzeLogsMatchesStudyFromLogs(t *testing.T) {
 		var got bytes.Buffer
 		study.FullReport(&got, ReportOptions{Charts: true, Heatmaps: true})
 		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("Analyze(Logs) report diverges from StudyFromLogs (opts %d)", len(opts))
+			t.Fatalf("Analyze(Logs) report diverges from the reference replay (opts %d)", len(opts))
 		}
 	}
 
@@ -57,19 +53,20 @@ func TestAnalyzeLogsMatchesStudyFromLogs(t *testing.T) {
 	var got bytes.Buffer
 	study.FullReport(&got, ReportOptions{Charts: true, Heatmaps: true})
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("Analyze(Logs(WithController)) report diverges from StudyFromLogs")
+		t.Fatal("Analyze(Logs(WithController)) report diverges from the reference replay")
 	}
 }
 
-// TestAnalyzeSimulateMatchesRunStudy: same criterion for the simulation
-// source, including the campaign-result view the Study carries.
+// TestAnalyzeSimulateMatchesRunStudy: RunPaperStudy and Analyze(Simulate)
+// over the same seed render byte-identical reports, and a simulation
+// study carries its campaign-result view.
 func TestAnalyzeSimulateMatchesRunStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
 	}
-	legacy := RunStudy(campaign.DefaultConfig(8))
+	ref := RunPaperStudy(8)
 	var want bytes.Buffer
-	legacy.FullReport(&want, ReportOptions{Charts: true, Heatmaps: true})
+	ref.FullReport(&want, ReportOptions{Charts: true, Heatmaps: true})
 
 	study, err := Analyze(context.Background(), Simulate(campaign.DefaultConfig(8)))
 	if err != nil {
@@ -78,13 +75,13 @@ func TestAnalyzeSimulateMatchesRunStudy(t *testing.T) {
 	var got bytes.Buffer
 	study.FullReport(&got, ReportOptions{Charts: true, Heatmaps: true})
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
-		t.Fatal("Analyze(Simulate) report diverges from RunStudy")
+		t.Fatal("Analyze(Simulate) report diverges from RunPaperStudy")
 	}
 	if study.Config == nil || study.Result == nil {
 		t.Fatal("simulation study lost its campaign view")
 	}
-	if study.Result.AllocFails != legacy.Result.AllocFails {
-		t.Fatalf("AllocFails %d, want %d", study.Result.AllocFails, legacy.Result.AllocFails)
+	if study.Result.AllocFails != ref.Result.AllocFails {
+		t.Fatalf("AllocFails %d, want %d", study.Result.AllocFails, ref.Result.AllocFails)
 	}
 
 	// A pure-streaming simulation carries no Result: empty slices next to
@@ -122,8 +119,6 @@ func TestAnalyzeValidatesOptions(t *testing.T) {
 	}
 
 	s, err := Analyze(ctx, Logs(dir), WithWorkers(-3))
-	check("workers", s, err)
-	s, err = StudyFromLogs(dir, "", -1) // the old door validates too now
 	check("workers", s, err)
 	s, err = Analyze(ctx, Logs(dir), WithController("not-a-node"))
 	check("controller", s, err)

@@ -10,8 +10,7 @@
 // collects the analysis dataset, drives the incremental figure
 // accumulators and fans out to attached observers, so every
 // online-computable §III statistic is ready the moment the stream ends,
-// after exactly one pass over the source. RunStudy and StudyFromLogs
-// survive as deprecated wrappers with byte-identical output.
+// after exactly one pass over the source.
 package core
 
 import (
@@ -97,57 +96,15 @@ func (s *streamSink) study(topo *cluster.Topology, rawLogs int64, rawLogsByNode 
 }
 
 // RunPaperStudy executes the full-scale study (923 nodes, 13 months) with
-// the calibrated paper profile.
+// the calibrated paper profile: Analyze(ctx, Simulate(DefaultConfig(seed))).
 func RunPaperStudy(seed uint64) *Study {
-	cfg := campaign.DefaultConfig(seed)
-	return RunStudy(cfg)
-}
-
-// RunStudy executes an arbitrary configuration.
-//
-// Deprecated: RunStudy is the pre-iterator entry point, kept as a thin
-// wrapper over Analyze(ctx, Simulate(cfg)) — which it matches
-// byte-for-byte, and which adds cancellation, custom observers and
-// pure-streaming runs.
-func RunStudy(cfg *campaign.Config) *Study {
-	study, err := Analyze(context.Background(), Simulate(cfg))
+	study, err := Analyze(context.Background(), Simulate(campaign.DefaultConfig(seed)))
 	if err != nil {
 		// A simulation source under a background context with no options
 		// has no failure path.
-		panic("core: RunStudy: " + err.Error())
+		panic("core: RunPaperStudy: " + err.Error())
 	}
 	return study
-}
-
-// StudyFromLogs rebuilds a study from a directory of per-node log files —
-// the paper's actual workflow (§II-B kept one log file per node).
-// controller optionally names the permanently failing node excluded from
-// MTBF-style analyses (empty string disables the exclusion); workers
-// bounds the loader pool (0 means GOMAXPROCS, negative is an error).
-// Output is identical for every workers value.
-//
-// Deprecated: StudyFromLogs is the pre-iterator entry point, kept as a
-// thin wrapper over Analyze(ctx, Logs(dir, ...)) — which it matches
-// byte-for-byte, and which replaces the positional parameters with
-// options.
-func StudyFromLogs(dir, controller string, workers int) (*Study, error) {
-	return Analyze(context.Background(), Logs(dir, WithController(controller), WithWorkers(workers)))
-}
-
-// DatasetOf adapts a campaign result for the analysis layer.
-func DatasetOf(cfg *campaign.Config, res *campaign.Result) *analysis.Dataset {
-	d := &analysis.Dataset{
-		Faults:        res.Faults,
-		Sessions:      res.Sessions,
-		RawLogs:       res.RawLogs,
-		RawLogsByNode: res.RawLogsByNode,
-		Topo:          cfg.Topo,
-	}
-	if cfg.Profile != nil {
-		d.ControllerNode = cfg.Profile.ControllerNode
-		d.PathologicalNode = cfg.Profile.PathologicalNode
-	}
-	return d
 }
 
 // ExcludedNodes returns the nodes MTBF-style analyses drop (§III-I): the

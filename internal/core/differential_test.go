@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"unprotected/internal/campaign"
@@ -13,15 +15,18 @@ import (
 	"unprotected/internal/stream"
 )
 
-// --- differential harness: old vs new delivery ---
+// --- differential harness: batched delivery vs an independent reference ---
 //
 // The batched, pooled delivery path (stream.Deliver via Analyze) must be
-// observationally identical to the pre-batching architecture. The old
-// side here is not a re-spelling of the new one: campaign.Stream drives
-// the per-element kway.Merge directly into callbacks, with no block
-// layer, no pooled buffers and no iterator plumbing in between. Each
-// matrix cell renders the complete study — every figure, table, chart and
-// heatmap — from both paths and requires the bytes to be equal.
+// observationally identical to a reference that shares none of its
+// ordering machinery: referenceStudy collects the campaign's faults and
+// sessions, reverses them and re-sorts them with a plain stable sort under
+// the canonical comparators (both are total orders, so the sorted
+// sequence is unique), and feeds the sink Analyze uses element by element
+// — no k-way merge, no block layer, no pooled buffers and no iterator
+// plumbing in between. Each matrix cell renders the complete study —
+// every figure, table, chart and heatmap — from both paths and requires
+// the bytes to be equal.
 
 // diffConfig builds one matrix cell's campaign configuration.
 func diffConfig(seed uint64, blades int, counterFrac float64, workers int) *campaign.Config {
@@ -45,25 +50,44 @@ func topoWithBlades(n int) *cluster.Topology {
 	return topo
 }
 
-// streamStudy assembles a Study through the old delivery architecture:
-// campaign.Stream's per-element callbacks feed the same sink Analyze
-// uses, so any divergence in the rendered report is attributable to the
-// delivery layer alone.
-func streamStudy(cfg *campaign.Config) *Study {
+// referenceStudy assembles a Study from cfg's campaign through the
+// reference path described above, so any divergence in the rendered
+// report is attributable to the delivery layer alone.
+func referenceStudy(t *testing.T, cfg *campaign.Config) *Study {
+	t.Helper()
+	var faults []extract.Fault
+	var sessions []eventlog.Session
+	var stats *stream.Stats
+	for ev, err := range campaign.Events(context.Background(), cfg) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch ev.Kind {
+		case stream.KindStats:
+			stats = ev.Stats
+		case stream.KindFault:
+			faults = append(faults, ev.Fault)
+		case stream.KindSession:
+			sessions = append(sessions, ev.Session)
+		}
+	}
+	slices.Reverse(faults)
+	slices.Reverse(sessions)
+	sort.SliceStable(faults, func(i, j int) bool { return extract.Compare(&faults[i], &faults[j]) < 0 })
+	sort.SliceStable(sessions, func(i, j int) bool { return eventlog.CompareSessions(&sessions[i], &sessions[j]) < 0 })
+
 	var controller, pathological cluster.NodeID
 	if cfg.Profile != nil {
 		controller = cfg.Profile.ControllerNode
 		pathological = cfg.Profile.PathologicalNode
 	}
 	sink := newStreamSink(controller, pathological)
-	stats := campaign.Stream(cfg, campaign.StreamHandler{
-		Begin: func(s *campaign.Stats) {
-			sink.dataset.Faults = make([]extract.Fault, 0, s.Faults)
-			sink.dataset.Sessions = make([]eventlog.Session, 0, s.Sessions)
-		},
-		Fault:   sink.fault,
-		Session: sink.session,
-	})
+	for _, f := range faults {
+		sink.fault(f)
+	}
+	for _, s := range sessions {
+		sink.session(s)
+	}
 	study := sink.study(cfg.Topo, stats.RawLogs, stats.RawLogsByNode)
 	study.Config = cfg
 	study.Result = &campaign.Result{
@@ -81,8 +105,8 @@ func renderFull(t *testing.T, s *Study) []byte {
 	return buf.Bytes()
 }
 
-// TestDifferentialDeliveryMatrix: workers × blades × pattern, old vs new,
-// byte for byte.
+// TestDifferentialDeliveryMatrix: workers × blades × pattern, reference vs
+// batched delivery, byte for byte.
 func TestDifferentialDeliveryMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix of campaigns")
@@ -93,7 +117,7 @@ func TestDifferentialDeliveryMatrix(t *testing.T) {
 			for _, frac := range []float64{0, 0.15} {
 				name := fmt.Sprintf("workers=%d/blades=%d/counter=%v", workers, blades, frac)
 				t.Run(name, func(t *testing.T) {
-					want := renderFull(t, streamStudy(diffConfig(seed, blades, frac, workers)))
+					want := renderFull(t, referenceStudy(t, diffConfig(seed, blades, frac, workers)))
 					study, err := Analyze(context.Background(), Simulate(diffConfig(seed, blades, frac, workers)))
 					if err != nil {
 						t.Fatal(err)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"unprotected/internal/campaign"
@@ -60,6 +61,17 @@ func replayFixture() ([]eventlog.Session, []extract.Fault, string) {
 	return sessions, faults, controller
 }
 
+// logStudy replays dir through Analyze(Logs) with the given controller
+// and loader pool size.
+func logStudy(t *testing.T, dir, controller string, workers int) *Study {
+	t.Helper()
+	study, err := Analyze(context.Background(), Logs(dir, WithController(controller), WithWorkers(workers)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return study
+}
+
 // TestFullReportFiguresMatchSliceFallback: a stream-fed study (Figures
 // set) and the same dataset without accumulators must render byte-identical
 // reports — the accumulators are the same arithmetic in the same order.
@@ -69,10 +81,7 @@ func TestFullReportFiguresMatchSliceFallback(t *testing.T) {
 	if err := logstore.Export(sessions, faults, dir); err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := StudyFromLogs(dir, controller, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
+	streamed := logStudy(t, dir, controller, 4)
 	if streamed.Figures == nil {
 		t.Fatal("stream-built study carries no accumulators")
 	}
@@ -99,10 +108,7 @@ func TestStudyFromLogsDeterministicAcrossWorkers(t *testing.T) {
 	}
 	var ref []byte
 	for _, workers := range []int{1, 1, 2, 4, 16} {
-		study, err := StudyFromLogs(dir, controller, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
+		study := logStudy(t, dir, controller, workers)
 		var buf bytes.Buffer
 		study.FullReport(&buf, ReportOptions{Charts: true, Heatmaps: true})
 		if ref == nil {
@@ -125,15 +131,15 @@ func TestStudyFromLogsMatchesCampaignStudy(t *testing.T) {
 		t.Skip("full campaign")
 	}
 	cfg := campaign.DefaultConfig(11)
-	mem := RunStudy(cfg)
+	mem, err := Analyze(context.Background(), Simulate(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
 	if err := logstore.Export(mem.Dataset.Sessions, mem.Dataset.Faults, dir); err != nil {
 		t.Fatal(err)
 	}
-	replayed, err := StudyFromLogs(dir, cfg.Profile.ControllerNode.String(), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	replayed := logStudy(t, dir, cfg.Profile.ControllerNode.String(), 0)
 
 	if got, want := len(replayed.Dataset.Faults), len(mem.Dataset.Faults); got != want {
 		t.Fatalf("faults %d, want %d", got, want)

@@ -61,9 +61,12 @@ func TestStoreMatchesLogsReportCampaign(t *testing.T) {
 		t.Skip("full campaign")
 	}
 	ctx := context.Background()
-	res := campaign.Run(campaign.DefaultConfig(42))
+	sim, err := Analyze(ctx, Simulate(campaign.DefaultConfig(42)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	logDir := t.TempDir()
-	if err := logstore.Export(res.Sessions, res.Faults, logDir); err != nil {
+	if err := logstore.Export(sim.Dataset.Sessions, sim.Dataset.Faults, logDir); err != nil {
 		t.Fatal(err)
 	}
 	storeDir := t.TempDir()

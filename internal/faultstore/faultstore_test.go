@@ -92,9 +92,21 @@ func TestStoreRoundTripCampaign(t *testing.T) {
 		t.Skip("full campaign")
 	}
 	ctx := context.Background()
-	res := campaign.Run(campaign.DefaultConfig(42))
+	var faults []extract.Fault
+	var sessions []eventlog.Session
+	for ev, err := range campaign.Events(ctx, campaign.DefaultConfig(42)) {
+		if err != nil {
+			t.Fatal(err)
+		}
+		switch ev.Kind {
+		case stream.KindFault:
+			faults = append(faults, ev.Fault)
+		case stream.KindSession:
+			sessions = append(sessions, ev.Session)
+		}
+	}
 	src := t.TempDir()
-	if err := logstore.Export(res.Sessions, res.Faults, src); err != nil {
+	if err := logstore.Export(sessions, faults, src); err != nil {
 		t.Fatal(err)
 	}
 
@@ -103,9 +115,9 @@ func TestStoreRoundTripCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Faults != len(res.Faults) || stats.Sessions != len(res.Sessions) {
+	if stats.Faults != len(faults) || stats.Sessions != len(sessions) {
 		t.Fatalf("ingested %d faults / %d sessions, want %d / %d",
-			stats.Faults, stats.Sessions, len(res.Faults), len(res.Sessions))
+			stats.Faults, stats.Sessions, len(faults), len(sessions))
 	}
 	if stats.Segments < 2 {
 		t.Fatalf("campaign ingest produced %d segments, want a partitioned store", stats.Segments)

@@ -153,7 +153,7 @@ func Ingest(ctx context.Context, logDir, storeDir string, opts ...IngestOption) 
 		}
 		return b
 	}
-	for ev, err := range logstore.EventsFS(ctx, logDir, o.workers, o.fsys) {
+	for ev, err := range logstore.Events(ctx, logDir, o.workers, logstore.WithFS(o.fsys)) {
 		if err != nil {
 			return nil, err
 		}
@@ -344,7 +344,7 @@ func Export(ctx context.Context, storeDir, logDir string, workers int, opts ...S
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	return logstore.ExportFS(sessions, faults, logDir, s.fs)
+	return logstore.Export(sessions, faults, logDir, logstore.WithFS(s.fs))
 }
 
 // CompactStats summarizes one Compact.

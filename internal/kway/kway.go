@@ -1,30 +1,25 @@
 // Package kway implements a deterministic k-way merge of individually
 // sorted streams. It is the ordering backbone shared by the campaign
 // engine (merging per-node simulation streams) and the log-replay loader
-// (merging per-node log-file streams): per-node sequences arrive already
-// sorted from parallel workers, and Merge interleaves them into the
-// canonical global order in O(n log k) comparisons without ever
-// materializing the merged sequence.
+// (merging per-node log-file streams), plus fault-store compaction:
+// per-node sequences arrive already sorted from parallel workers, and the
+// merge interleaves them into the canonical global order in O(n log k)
+// comparisons without ever materializing the merged sequence. MergeSeq
+// yields element-wise; MergeBlocks, the delivery layer's form, fills
+// caller-owned blocks straight from its own copy of the heap loop, so the
+// hot path pays no per-element call.
 package kway
 
 import "iter"
 
-// Merge deterministically merges k individually sorted streams into one
-// ordered sequence, invoking emit once per element.
+// MergeSeq deterministically merges k individually sorted streams into one
+// ordered sequence, as a range-over-func iterator. The consumer may stop
+// early by breaking out of the range, releasing the heap immediately.
 //
 // cmp must be a total order consistent with each stream's internal order.
 // When two stream heads compare equal, the lower stream index wins, so the
 // merge is stable across runs even for equal elements. Exhausted streams
-// are released as soon as their last element is emitted.
-func Merge[T any](streams [][]T, cmp func(a, b *T) int, emit func(T)) {
-	for v := range MergeSeq(streams, cmp) {
-		emit(v)
-	}
-}
-
-// MergeSeq is Merge as a range-over-func iterator: the same deterministic
-// order and stability contract, but the consumer may stop early by
-// breaking out of the range, releasing the heap immediately. The iterator
+// are released as soon as their last element is emitted. The iterator
 // allocates only its heap of k cursors up front — emitting an element
 // performs no allocation, so a delivery layer built on it stays
 // zero-alloc per event.

@@ -18,6 +18,15 @@ func cmpInt(a, b *int) int {
 	}
 }
 
+// merge collects MergeSeq into a slice.
+func merge[T any](streams [][]T, cmp func(a, b *T) int) []T {
+	var out []T
+	for v := range MergeSeq(streams, cmp) {
+		out = append(out, v)
+	}
+	return out
+}
+
 func TestMergeOrders(t *testing.T) {
 	streams := [][]int{
 		{1, 4, 7, 10},
@@ -25,8 +34,7 @@ func TestMergeOrders(t *testing.T) {
 		{},
 		{3, 6, 9, 11, 12},
 	}
-	var got []int
-	Merge(streams, cmpInt, func(v int) { got = append(got, v) })
+	got := merge(streams, cmpInt)
 	want := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("merge order %v, want %v", got, want)
@@ -34,14 +42,11 @@ func TestMergeOrders(t *testing.T) {
 }
 
 func TestMergeEdgeCases(t *testing.T) {
-	var got []int
-	Merge(nil, cmpInt, func(v int) { got = append(got, v) })
-	Merge([][]int{{}, {}}, cmpInt, func(v int) { got = append(got, v) })
+	got := append(merge(nil, cmpInt), merge([][]int{{}, {}}, cmpInt)...)
 	if len(got) != 0 {
 		t.Fatalf("empty streams emitted %v", got)
 	}
-	Merge([][]int{{5, 6, 7}}, cmpInt, func(v int) { got = append(got, v) })
-	if !reflect.DeepEqual(got, []int{5, 6, 7}) {
+	if got := merge([][]int{{5, 6, 7}}, cmpInt); !reflect.DeepEqual(got, []int{5, 6, 7}) {
 		t.Fatalf("single stream %v", got)
 	}
 }
@@ -64,8 +69,7 @@ func TestMergeStableOnTies(t *testing.T) {
 			return 0
 		}
 	}
-	var got []kv
-	Merge(streams, cmp, func(v kv) { got = append(got, v) })
+	got := merge(streams, cmp)
 	want := []kv{{1, 0}, {1, 1}, {1, 2}, {2, 0}, {2, 1}, {2, 2}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tie order %v, want %v", got, want)
@@ -87,8 +91,7 @@ func TestMergeRandomizedAgainstSort(t *testing.T) {
 			all = append(all, streams[i]...)
 		}
 		sort.Ints(all)
-		var got []int
-		Merge(streams, cmpInt, func(v int) { got = append(got, v) })
+		got := merge(streams, cmpInt)
 		if len(got) == 0 && len(all) == 0 {
 			continue
 		}
@@ -155,13 +158,12 @@ func TestMergeSeqZeroAllocPerElement(t *testing.T) {
 }
 
 // TestMergeBlocksMatchesMerge: the block-granular merge must flatten to
-// exactly the element-wise sequence for every block size, deliver full
+// exactly MergeSeq's element-wise sequence for every block size, deliver full
 // blocks plus one final partial, honour an emit-false stop, and report
 // drained status accordingly.
 func TestMergeBlocksMatchesMerge(t *testing.T) {
 	streams := [][]int{{1, 4, 7, 10}, {2, 5, 8}, {}, {3, 6, 9, 11, 12}}
-	var want []int
-	Merge(streams, cmpInt, func(v int) { want = append(want, v) })
+	want := merge(streams, cmpInt)
 
 	ident := func(v int) int { return v }
 	for _, size := range []int{1, 2, 3, 5, 12, 13, 64} {

@@ -28,7 +28,7 @@ func TestAppendRetriesTransientOpen(t *testing.T) {
 
 	inj := iofault.NewInjector(nil)
 	inj.FailPath(FileName(node), 2, syscall.EMFILE)
-	st, err := NewStoreFS(dir, inj)
+	st, err := NewStore(dir, WithFS(inj))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestAppendSurfacesPersistentOpenFailure(t *testing.T) {
 
 	inj := iofault.NewInjector(nil)
 	inj.FailPath(FileName(bad), -1, syscall.EMFILE)
-	st, err := NewStoreFS(dir, inj)
+	st, err := NewStore(dir, WithFS(inj))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestEventsFSReplaySurfacesReadFailure(t *testing.T) {
 	inj := iofault.NewInjector(nil)
 	inj.FailPath(FileName(node), -1, nil)
 	var streamErr error
-	for _, err := range EventsFS(context.Background(), dir, 1, inj) {
+	for _, err := range Events(context.Background(), dir, 1, WithFS(inj)) {
 		if err != nil {
 			streamErr = err
 			break
@@ -107,7 +107,7 @@ func TestEventsFSReplaySurfacesReadFailure(t *testing.T) {
 
 	// And with no faults scheduled the same seam replays cleanly.
 	events := 0
-	for ev, err := range EventsFS(context.Background(), dir, 1, iofault.NewInjector(nil)) {
+	for ev, err := range Events(context.Background(), dir, 1, WithFS(iofault.NewInjector(nil))) {
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,7 +7,6 @@ import (
 	"unprotected/internal/dram"
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
-	"unprotected/internal/iofault"
 	"unprotected/internal/thermal"
 	"unprotected/internal/timebase"
 )
@@ -17,15 +16,11 @@ import (
 // independent faults (one line per fault — the raw multi-million-record
 // stream would be gigabytes and adds nothing the extraction keeps). Each
 // line's last=/logs= fields record the collapsed run's extent and raw
-// volume, so Stream and Load reconstruct the exact fault set, including
-// per-fault raw-log weights.
-func Export(sessions []eventlog.Session, faults []extract.Fault, dir string) error {
-	return ExportFS(sessions, faults, dir, iofault.OS)
-}
-
-// ExportFS is Export with every file operation routed through fsys.
-func ExportFS(sessions []eventlog.Session, faults []extract.Fault, dir string, fsys iofault.FS) error {
-	store, err := NewStoreFS(dir, fsys)
+// volume, so Events reconstructs the exact fault set, including per-fault
+// raw-log weights. WithFS routes every file operation through an
+// iofault.FS.
+func Export(sessions []eventlog.Session, faults []extract.Fault, dir string, opts ...Option) error {
+	store, err := NewStore(dir, opts...)
 	if err != nil {
 		return err
 	}

@@ -35,19 +35,14 @@ func TestExportLoadRoundTrip(t *testing.T) {
 	if err := Export(sessions, faults, dir); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
+	back, sessionsBack, _ := collectStream(t, dir, 0)
 
-	if len(res.Nodes) != 2 {
-		t.Fatalf("nodes %v", res.Nodes)
+	if files, err := ListNodeFiles(dir); err != nil || len(files) != 2 {
+		t.Fatalf("node files %v (%v)", files, err)
 	}
-	if len(res.Runs) != len(faults) {
-		t.Fatalf("runs %d, want %d", len(res.Runs), len(faults))
+	if len(back) != len(faults) {
+		t.Fatalf("faults %d, want %d", len(back), len(faults))
 	}
-	back := extract.Faults(res.Runs)
-	extract.SortFaults(back)
 	for i := range back {
 		want := faults[i]
 		got := back[i]
@@ -64,7 +59,7 @@ func TestExportLoadRoundTrip(t *testing.T) {
 	// Session accounting round-trips with the truncation rule intact.
 	var hours float64
 	truncated := 0
-	for _, s := range res.Sessions {
+	for _, s := range sessionsBack {
 		hours += s.Duration().Hours()
 		if s.Truncated {
 			truncated++
@@ -78,8 +73,8 @@ func TestExportLoadRoundTrip(t *testing.T) {
 	}
 
 	// Addresses survive the virtual-address encoding.
-	if dram.VirtAddr(res.Runs[0].Addr) != dram.VirtAddr(100) &&
-		dram.VirtAddr(res.Runs[0].Addr) != dram.VirtAddr(2000) {
+	if dram.VirtAddr(back[0].Addr) != dram.VirtAddr(100) &&
+		dram.VirtAddr(back[0].Addr) != dram.VirtAddr(2000) {
 		t.Fatal("address mapping broken")
 	}
 }
@@ -89,11 +84,8 @@ func TestExportEmptyDataset(t *testing.T) {
 	if err := Export(nil, nil, dir); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Runs) != 0 || len(res.Sessions) != 0 {
+	faults, sessions, _ := collectStream(t, dir, 0)
+	if len(faults) != 0 || len(sessions) != 0 {
 		t.Fatal("phantom data from empty export")
 	}
 }

@@ -48,15 +48,11 @@ func TestFDCapEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
+	if files, err := ListNodeFiles(dir); err != nil || len(files) != nodes {
+		t.Fatalf("files on disk for %d nodes, want %d (%v)", len(files), nodes, err)
 	}
-	if len(res.Nodes) != nodes {
-		t.Fatalf("files on disk for %d nodes, want %d", len(res.Nodes), nodes)
-	}
-	if len(res.Sessions) != nodes*rounds {
-		t.Fatalf("sessions %d, want %d (eviction lost records)", len(res.Sessions), nodes*rounds)
+	if _, sessions, _ := collectStream(t, dir, 0); len(sessions) != nodes*rounds {
+		t.Fatalf("sessions %d, want %d (eviction lost records)", len(sessions), nodes*rounds)
 	}
 }
 
@@ -135,12 +131,8 @@ func TestReopenCountUnderRoundRobin(t *testing.T) {
 	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Sessions) != nodes*rounds {
-		t.Fatalf("sessions %d, want %d (eviction lost records)", len(res.Sessions), nodes*rounds)
+	if _, sessions, _ := collectStream(t, dir, 0); len(sessions) != nodes*rounds {
+		t.Fatalf("sessions %d, want %d (eviction lost records)", len(sessions), nodes*rounds)
 	}
 }
 
@@ -231,14 +223,11 @@ func TestStoreConcurrentAppendCounters(t *testing.T) {
 		t.Fatalf("NodeCount %d, want %d", got, writers)
 	}
 	// Every record must survive the concurrent eviction churn intact.
-	res, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(res.Sessions); got != writers*perWriter {
+	_, sessions, _ := collectStream(t, dir, 0)
+	if got := len(sessions); got != writers*perWriter {
 		t.Fatalf("sessions %d, want %d", got, writers*perWriter)
 	}
-	for _, s := range res.Sessions {
+	for _, s := range sessions {
 		if s.Truncated {
 			t.Fatalf("truncated session %+v: interleaved write corrupted a file", s)
 		}

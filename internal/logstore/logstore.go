@@ -8,6 +8,7 @@ package logstore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"sort"
@@ -16,7 +17,6 @@ import (
 
 	"unprotected/internal/cluster"
 	"unprotected/internal/eventlog"
-	"unprotected/internal/extract"
 	"unprotected/internal/fdlimit"
 	"unprotected/internal/iofault"
 )
@@ -85,23 +85,53 @@ type nodeFile struct {
 	lastUse uint64
 }
 
-// NewStore creates (or reuses) the directory.
-func NewStore(dir string) (*Store, error) {
-	return NewStoreFS(dir, iofault.OS)
+// Option configures the file I/O of NewStore, Export and Events.
+type Option func(*options) error
+
+// options is the resolved Option set.
+type options struct {
+	fsys iofault.FS
 }
 
-// NewStoreFS is NewStore with every file operation routed through fsys —
-// the seam the chaos tests inject faults through.
-func NewStoreFS(dir string, fsys iofault.FS) (*Store, error) {
-	if fsys == nil {
-		return nil, fmt.Errorf("logstore: nil FS")
+// WithFS routes every file operation through fsys instead of the OS
+// passthrough — the seam the chaos tests inject faults through.
+func WithFS(fsys iofault.FS) Option {
+	return func(o *options) error {
+		if fsys == nil {
+			return errors.New("nil FS")
+		}
+		o.fsys = fsys
+		return nil
 	}
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
+}
+
+// resolve applies opts over the defaults.
+func resolve(opts []Option) (options, error) {
+	o := options{fsys: iofault.OS}
+	for _, opt := range opts {
+		if opt == nil {
+			return o, errors.New("nil Option")
+		}
+		if err := opt(&o); err != nil {
+			return o, err
+		}
+	}
+	return o, nil
+}
+
+// NewStore creates (or reuses) the directory. WithFS routes every file
+// operation of the store through an iofault.FS.
+func NewStore(dir string, opts ...Option) (*Store, error) {
+	o, err := resolve(opts)
+	if err != nil {
+		return nil, fmt.Errorf("logstore: %w", err)
+	}
+	if err := o.fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("logstore: %w", err)
 	}
 	return &Store{
 		dir:     dir,
-		fsys:    fsys,
+		fsys:    o.fsys,
 		retry:   iofault.DefaultRetry,
 		budget:  fdlimit.Shared,
 		writers: make(map[cluster.NodeID]*nodeFile),
@@ -300,45 +330,4 @@ func listNodeFiles(fsys iofault.FS, dir string) ([]string, error) {
 	}
 	sort.Strings(out)
 	return out, nil
-}
-
-// LoadResult is a directory read back through the §II-C pipeline.
-type LoadResult struct {
-	// Runs are the collapsed error runs of every node, in the canonical
-	// extract.Compare order — exactly the order the campaign path uses.
-	Runs []extract.RawRun
-	// RawLogs counts the ERROR records consumed (pre-collapsed lines
-	// count their logs= weight).
-	RawLogs int64
-	// RawLogsByNode splits the raw volume per node.
-	RawLogsByNode map[cluster.NodeID]int64
-	// Sessions reconstructed from START/END records, with the
-	// conservative truncation rule applied, in eventlog.CompareSessions
-	// order.
-	Sessions []eventlog.Session
-	// Nodes lists the nodes found, sorted.
-	Nodes []cluster.NodeID
-}
-
-// Load reads every node file under dir, collapses consecutive ERROR
-// records into runs and reconstructs sessions. It is a thin collect-all
-// wrapper over Stream: anything that can process faults or sessions one at
-// a time should use Stream instead.
-func Load(dir string) (*LoadResult, error) {
-	res := &LoadResult{}
-	st, err := Stream(dir, StreamHandler{
-		Begin: func(st *Stats) {
-			res.Runs = make([]extract.RawRun, 0, st.Faults)
-			res.Sessions = make([]eventlog.Session, 0, st.Sessions)
-		},
-		Fault:   func(f extract.Fault) { res.Runs = append(res.Runs, f.RawRun) },
-		Session: func(s eventlog.Session) { res.Sessions = append(res.Sessions, s) },
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.RawLogs = st.RawLogs
-	res.RawLogsByNode = st.RawLogsByNode
-	res.Nodes = st.Nodes
-	return res, nil
 }

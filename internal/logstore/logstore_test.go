@@ -1,6 +1,7 @@
 package logstore
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -59,23 +60,20 @@ func TestStoreWriteLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.RawLogs != 2 {
-		t.Fatalf("raw logs %d", res.RawLogs)
+	faults, sessions, st := collectStream(t, dir, 0)
+	if st.RawLogs != 2 {
+		t.Fatalf("raw logs %d", st.RawLogs)
 	}
 	// The two consecutive ERROR records collapse into one run.
-	if len(res.Runs) != 1 || res.Runs[0].Logs != 2 {
-		t.Fatalf("runs %+v", res.Runs)
+	if len(faults) != 1 || faults[0].Logs != 2 {
+		t.Fatalf("faults %+v", faults)
 	}
-	if len(res.Nodes) != 2 {
-		t.Fatalf("nodes %v", res.Nodes)
+	if files, err := ListNodeFiles(dir); err != nil || len(files) != 2 {
+		t.Fatalf("node files %v (%v)", files, err)
 	}
 	// Session accounting: hostA 1h, hostB truncated (0h).
 	var hours float64
-	for _, s := range res.Sessions {
+	for _, s := range sessions {
 		hours += s.Duration().Hours()
 	}
 	if hours != 1 {
@@ -89,14 +87,14 @@ func TestLoadRejectsCorruptFile(t *testing.T) {
 	if err := os.WriteFile(path, []byte("GARBAGE LINE\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Load(dir); err == nil {
+	if _, _, _, err := collectEvents(Events(context.Background(), dir, 0)); err == nil {
 		t.Fatal("corrupt log accepted")
 	}
 }
 
 func TestEndToEndScannerToStoreToExtraction(t *testing.T) {
-	// The real scanner writes a node log file; Load reproduces the exact
-	// fault the injector planted.
+	// The real scanner writes a node log file; the replay reproduces the
+	// exact fault the injector planted.
 	dir := t.TempDir()
 	store, err := NewStore(dir)
 	if err != nil {
@@ -122,14 +120,11 @@ func TestEndToEndScannerToStoreToExtraction(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	res, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Runs) == 0 {
+	faults, _, st := collectStream(t, dir, 0)
+	if len(faults) == 0 {
 		t.Fatal("no faults recovered from disk")
 	}
-	for _, run := range res.Runs {
+	for _, run := range faults {
 		if run.Addr != 123 {
 			t.Fatalf("fault at %d, want 123", run.Addr)
 		}
@@ -137,7 +132,7 @@ func TestEndToEndScannerToStoreToExtraction(t *testing.T) {
 			t.Fatalf("pattern %08x->%08x", run.Expected, run.Actual)
 		}
 	}
-	if res.RawLogs != 4 { // observable on the 4 FF-phase checks of 8 passes
-		t.Fatalf("raw logs %d, want 4", res.RawLogs)
+	if st.RawLogs != 4 { // observable on the 4 FF-phase checks of 8 passes
+		t.Fatalf("raw logs %d, want 4", st.RawLogs)
 	}
 }

@@ -13,101 +13,39 @@ import (
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
 	"unprotected/internal/iofault"
-	"unprotected/internal/kway"
 	"unprotected/internal/stream"
 )
-
-// StreamHandler receives the merged replay stream, mirroring the campaign
-// engine's handler: either callback may be nil, in which case that merge is
-// skipped entirely and only its count survives.
-type StreamHandler struct {
-	// Begin, when non-nil, observes the Stats after every file has been
-	// collapsed and before the first Fault/Session delivery — in time for
-	// a collecting consumer to preallocate from the exact counts.
-	Begin func(*Stats)
-	// Fault observes every extracted fault in the canonical
-	// extract.Compare order: (time, node, address, pattern, ...).
-	Fault func(extract.Fault)
-	// Session observes every reconstructed session in
-	// eventlog.CompareSessions order.
-	Session func(eventlog.Session)
-}
-
-// Stats are the scalar aggregates of a replayed log directory.
-type Stats struct {
-	// Faults and Sessions count what the handler observed (or would have
-	// observed, for nil callbacks).
-	Faults   int
-	Sessions int
-	// RawLogs counts the ERROR records consumed; pre-collapsed lines
-	// (logs= field) count their full weight, so a faithful export
-	// round-trips the original raw volume of its faults.
-	RawLogs int64
-	// RawLogsByNode splits the raw volume per node (nodes with zero raw
-	// logs have no entry).
-	RawLogsByNode map[cluster.NodeID]int64
-	// Nodes lists the nodes found, in sorted file order.
-	Nodes []cluster.NodeID
-}
 
 // nodeStream is one log file's finalized, locally sorted contribution to
 // the replay stream.
 type nodeStream struct {
-	faults     []extract.Fault
-	faultCount int
-	sessions   []eventlog.Session
-	rawLogs    int64
+	faults   []extract.Fault
+	sessions []eventlog.Session
+	rawLogs  int64
 	// rawByNode attributes raw volume by each run's host= field, not by
 	// the file name — a file holding records of a foreign host (renamed or
 	// concatenated logs) must credit the true host, matching fault
 	// attribution.
 	rawByNode map[cluster.NodeID]int64
-	node      cluster.NodeID
 	order     int // file index: the deterministic merge tiebreak
 	err       error
 }
 
-// Stream reads every node file under dir with a bounded worker pool and
-// delivers the extracted dataset incrementally, mirroring the campaign
-// engine: each worker collapses and classifies one file (so §II-C
-// extraction parallelizes across files), sorts that node's faults and
-// sessions locally, and two deterministic k-way merges interleave the
-// per-node streams into the canonical global orders. The merged dataset is
-// never materialized here; Load is the collect-all wrapper.
+// Events reads every node file under dir with a bounded worker pool and
+// yields the extracted dataset as an iterator honouring the
+// internal/stream contract, mirroring the campaign engine: each worker
+// collapses and classifies one file (so §II-C extraction parallelizes
+// across files) and sorts that node's faults and sessions locally, then
+// stream.Deliver's k-way merges interleave the per-node streams into a
+// stats prologue, faults in extract.Compare order and sessions in
+// eventlog.CompareSessions order. The merged dataset is never
+// materialized here.
 //
-// The default worker count is GOMAXPROCS; see StreamWorkers. Output is
+// workers bounds the pool (0 or negative means GOMAXPROCS). Output is
 // byte-identical for any worker count: per-file work is independent, both
 // comparators are total orders, and the merge consumes streams sorted by
-// file index, so scheduling can not reorder anything.
-func Stream(dir string, h StreamHandler) (*Stats, error) {
-	return StreamWorkers(dir, 0, h)
-}
-
-// StreamWorkers is Stream with an explicit worker-pool size (0 or negative
-// means GOMAXPROCS).
-func StreamWorkers(dir string, workers int, h StreamHandler) (*Stats, error) {
-	stats, streams, err := collect(context.Background(), dir, workers, iofault.OS, h.Fault != nil, h.Session != nil)
-	if err != nil {
-		return nil, err
-	}
-	if h.Begin != nil {
-		h.Begin(stats)
-	}
-	if h.Fault != nil {
-		kway.Merge(faultStreams(streams), extract.Compare, h.Fault)
-	}
-	if h.Session != nil {
-		kway.Merge(sessionStreams(streams), eventlog.CompareSessions, h.Session)
-	}
-	return stats, nil
-}
-
-// Events replays the directory and yields the merged stream as an
-// iterator honouring the internal/stream contract, mirroring the campaign
-// engine's Events: a stats prologue, faults in extract.Compare order,
-// then sessions in eventlog.CompareSessions order — exactly the sequence
-// StreamWorkers hands its callbacks over the same directory, for any
-// worker count (0 means GOMAXPROCS).
+// file index, so scheduling can not reorder anything. WithFS routes every
+// file operation through an iofault.FS.
 //
 // Cancelling ctx aborts the replay: unread files are skipped, the loader
 // pool drains and exits before the iterator yields its final (zero Event,
@@ -115,25 +53,19 @@ func StreamWorkers(dir string, workers int, h StreamHandler) (*Stats, error) {
 // first yield the pool has already wound down, so breaking out of the
 // range releases everything immediately. Delivery itself performs no
 // per-event allocation.
-func Events(ctx context.Context, dir string, workers int) iter.Seq2[stream.Event, error] {
-	return EventsFS(ctx, dir, workers, iofault.OS)
-}
-
-// EventsFS is Events with every file operation routed through fsys — the
-// seam the chaos tests use to fail or tear the replay's reads.
-func EventsFS(ctx context.Context, dir string, workers int, fsys iofault.FS) iter.Seq2[stream.Event, error] {
+func Events(ctx context.Context, dir string, workers int, opts ...Option) iter.Seq2[stream.Event, error] {
 	return func(yield func(stream.Event, error) bool) {
-		stats, streams, err := collect(ctx, dir, workers, fsys, true, true)
+		o, err := resolve(opts)
+		if err != nil {
+			yield(stream.Event{}, fmt.Errorf("logstore: %w", err))
+			return
+		}
+		stats, streams, err := collect(ctx, dir, workers, o.fsys)
 		if err != nil {
 			yield(stream.Event{}, err)
 			return
 		}
-		stream.Deliver(ctx, yield, &stream.Stats{
-			Faults:        stats.Faults,
-			Sessions:      stats.Sessions,
-			RawLogs:       stats.RawLogs,
-			RawLogsByNode: stats.RawLogsByNode,
-		}, faultStreams(streams), sessionStreams(streams))
+		stream.Deliver(ctx, yield, stats, faultStreams(streams), sessionStreams(streams))
 	}
 }
 
@@ -162,13 +94,13 @@ func sessionStreams(streams []nodeStream) [][]eventlog.Session {
 
 // collect runs the loader pool to completion (or cancellation) and
 // gathers the per-file sorted streams, restored to file order, plus the
-// scalar stats. It is the shared engine under StreamWorkers and Events.
+// scalar stats.
 //
 // Cancellation: the feeder stops handing out files, workers skip loading
 // whatever is still queued, and the collector keeps draining until the
 // results channel closes — so by the time ctx.Err() is returned every
 // pool goroutine has exited.
-func collect(ctx context.Context, dir string, workers int, fsys iofault.FS, needFaults, needSessions bool) (*Stats, []nodeStream, error) {
+func collect(ctx context.Context, dir string, workers int, fsys iofault.FS) (*stream.Stats, []nodeStream, error) {
 	files, err := listNodeFiles(fsys, dir)
 	if err != nil {
 		return nil, nil, err
@@ -182,7 +114,6 @@ func collect(ctx context.Context, dir string, workers int, fsys iofault.FS, need
 
 	type job struct {
 		path  string
-		node  cluster.NodeID
 		order int
 	}
 	jobs := make(chan job)
@@ -197,7 +128,7 @@ func collect(ctx context.Context, dir string, workers int, fsys iofault.FS, need
 				if ctx.Err() != nil {
 					continue // cancelled: drain the queue without loading
 				}
-				ns := loadNodeFile(fsys, j.path, j.node, needFaults, needSessions)
+				ns := loadNodeFile(fsys, j.path)
 				ns.order = j.order
 				select {
 				case results <- ns:
@@ -206,13 +137,11 @@ func collect(ctx context.Context, dir string, workers int, fsys iofault.FS, need
 			}
 		}()
 	}
-	stats := &Stats{RawLogsByNode: make(map[cluster.NodeID]int64)}
 	go func() {
 	feed:
 		for i, path := range files {
-			node, _ := nodeOfFile(path)
 			select {
-			case jobs <- job{path: path, node: node, order: i}:
+			case jobs <- job{path: path, order: i}:
 			case <-done:
 				break feed
 			}
@@ -221,11 +150,7 @@ func collect(ctx context.Context, dir string, workers int, fsys iofault.FS, need
 		wg.Wait()
 		close(results)
 	}()
-	for _, path := range files {
-		node, _ := nodeOfFile(path)
-		stats.Nodes = append(stats.Nodes, node)
-	}
-
+	stats := &stream.Stats{RawLogsByNode: make(map[cluster.NodeID]int64)}
 	var streams []nodeStream
 	var firstErr *nodeStream
 	for ns := range results {
@@ -242,7 +167,7 @@ func collect(ctx context.Context, dir string, workers int, fsys iofault.FS, need
 			}
 			continue
 		}
-		stats.Faults += ns.faultCount
+		stats.Faults += len(ns.faults)
 		stats.Sessions += len(ns.sessions)
 		stats.RawLogs += ns.rawLogs
 		for id, n := range ns.rawByNode {
@@ -274,8 +199,8 @@ var collapserPool = sync.Pool{New: func() any { return extract.NewCollapser() }}
 // records are collapsed into runs and sessions as they are read, then the
 // node's faults and sessions are classified and sorted locally so the
 // collector only merges.
-func loadNodeFile(fsys iofault.FS, path string, node cluster.NodeID, needFaults, needSessions bool) nodeStream {
-	ns := nodeStream{node: node}
+func loadNodeFile(fsys iofault.FS, path string) nodeStream {
+	var ns nodeStream
 	f, err := fsys.Open(path)
 	if err != nil {
 		ns.err = fmt.Errorf("logstore: %w", err)
@@ -305,7 +230,6 @@ func loadNodeFile(fsys iofault.FS, path string, node cluster.NodeID, needFaults,
 	}
 	runs, raw := collapser.Close()
 	ns.rawLogs = raw
-	ns.faultCount = len(runs)
 	if len(runs) > 0 {
 		// Every ERROR record lands in exactly one run, so Σ run.Logs == raw
 		// and grouping by run.Node splits the volume by true host.
@@ -314,15 +238,11 @@ func loadNodeFile(fsys iofault.FS, path string, node cluster.NodeID, needFaults,
 			ns.rawByNode[r.Node] += int64(r.Logs)
 		}
 	}
-	if needFaults {
-		ns.faults = extract.Faults(runs)
-		extract.SortFaults(ns.faults)
-	}
+	ns.faults = extract.Faults(runs)
+	extract.SortFaults(ns.faults)
 	ns.sessions = acct.Finish()
-	if needSessions {
-		sort.Slice(ns.sessions, func(i, j int) bool {
-			return eventlog.CompareSessions(&ns.sessions[i], &ns.sessions[j]) < 0
-		})
-	}
+	sort.Slice(ns.sessions, func(i, j int) bool {
+		return eventlog.CompareSessions(&ns.sessions[i], &ns.sessions[j]) < 0
+	})
 	return ns
 }

@@ -1,7 +1,9 @@
 package logstore
 
 import (
+	"context"
 	"fmt"
+	"iter"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +15,7 @@ import (
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
 	"unprotected/internal/rng"
+	"unprotected/internal/stream"
 	"unprotected/internal/thermal"
 	"unprotected/internal/timebase"
 )
@@ -61,19 +64,33 @@ func synthDir(t testing.TB, dir string, nodes, sessionsPer, faultsPer int) ([]ev
 	return sessions, faults
 }
 
-// collectStream drains a full StreamWorkers run into slices.
-func collectStream(t testing.TB, dir string, workers int) ([]extract.Fault, []eventlog.Session, *Stats) {
-	t.Helper()
+// collectEvents drains a batch stream into its delivered faults and
+// sessions and its stats prologue.
+func collectEvents(seq iter.Seq2[stream.Event, error]) ([]extract.Fault, []eventlog.Session, *stream.Stats, error) {
 	var faults []extract.Fault
 	var sessions []eventlog.Session
-	st, err := StreamWorkers(dir, workers, StreamHandler{
-		Begin: func(st *Stats) {
-			faults = make([]extract.Fault, 0, st.Faults)
-			sessions = make([]eventlog.Session, 0, st.Sessions)
-		},
-		Fault:   func(f extract.Fault) { faults = append(faults, f) },
-		Session: func(s eventlog.Session) { sessions = append(sessions, s) },
-	})
+	var st *stream.Stats
+	for ev, err := range seq {
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		switch ev.Kind {
+		case stream.KindStats:
+			st = ev.Stats
+		case stream.KindFault:
+			faults = append(faults, ev.Fault)
+		case stream.KindSession:
+			sessions = append(sessions, ev.Session)
+		}
+	}
+	return faults, sessions, st, nil
+}
+
+// collectStream replays dir through Events, failing the test on a replay
+// error.
+func collectStream(t testing.TB, dir string, workers int) ([]extract.Fault, []eventlog.Session, *stream.Stats) {
+	t.Helper()
+	faults, sessions, st, err := collectEvents(Events(context.Background(), dir, workers))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,49 +136,6 @@ func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestLoadIsStreamCollectAll: Load must return exactly the streamed
-// sequences, now in canonical order (it used to hand-roll a partial sort
-// and leave sessions unsorted).
-func TestLoadIsStreamCollectAll(t *testing.T) {
-	dir := t.TempDir()
-	synthDir(t, dir, 12, 5, 9)
-	faults, sessions, st := collectStream(t, dir, 4)
-	res, err := Load(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Runs) != len(faults) {
-		t.Fatalf("runs %d vs streamed faults %d", len(res.Runs), len(faults))
-	}
-	for i := range faults {
-		if res.Runs[i] != faults[i].RawRun {
-			t.Fatalf("run %d differs from streamed fault", i)
-		}
-	}
-	if !reflect.DeepEqual(res.Sessions, sessions) {
-		t.Fatal("Load sessions differ from streamed sessions")
-	}
-	if res.RawLogs != st.RawLogs || !reflect.DeepEqual(res.RawLogsByNode, st.RawLogsByNode) {
-		t.Fatal("Load raw-log accounting differs from streamed stats")
-	}
-	if !reflect.DeepEqual(res.Nodes, st.Nodes) {
-		t.Fatal("Load node list differs from streamed stats")
-	}
-}
-
-// TestStreamNilCallbacks: counts survive without either merge running.
-func TestStreamNilCallbacks(t *testing.T) {
-	dir := t.TempDir()
-	_, faults := synthDir(t, dir, 6, 4, 3)
-	st, err := Stream(dir, StreamHandler{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Faults != len(faults) || st.Sessions == 0 || st.RawLogs == 0 {
-		t.Fatalf("implausible stats with nil callbacks: %+v", st)
-	}
-}
-
 // TestStreamPropagatesWorkerErrors: a corrupt file must fail the whole
 // stream deterministically, whichever worker hits it.
 func TestStreamPropagatesWorkerErrors(t *testing.T) {
@@ -172,7 +146,7 @@ func TestStreamPropagatesWorkerErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		if _, err := StreamWorkers(dir, workers, StreamHandler{}); err == nil {
+		if _, _, _, err := collectEvents(Events(context.Background(), dir, workers)); err == nil {
 			t.Fatalf("workers=%d: corrupt file accepted", workers)
 		}
 	}
@@ -194,11 +168,7 @@ func TestStreamAttributesRawVolumeByRecordHost(t *testing.T) {
 	if err := os.WriteFile(misnamed, []byte(rec.String()+"\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	var faults []extract.Fault
-	st, err := Stream(dir, StreamHandler{Fault: func(f extract.Fault) { faults = append(faults, f) }})
-	if err != nil {
-		t.Fatal(err)
-	}
+	faults, _, st := collectStream(t, dir, 0)
 	if len(faults) != 1 || faults[0].Node != trueHost {
 		t.Fatalf("fault attribution: %+v", faults)
 	}
@@ -218,15 +188,17 @@ func TestStreamCampaignEquivalence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
 	}
-	cfg := campaign.DefaultConfig(7)
-	res := campaign.Run(cfg)
+	simFaults, simSessions, simStats, err := collectEvents(campaign.Events(context.Background(), campaign.DefaultConfig(7)))
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	if err := Export(res.Sessions, res.Faults, dir); err != nil {
+	if err := Export(simSessions, simFaults, dir); err != nil {
 		t.Fatal(err)
 	}
 
-	wantSessions := make([]eventlog.Session, len(res.Sessions))
-	copy(wantSessions, res.Sessions)
+	wantSessions := make([]eventlog.Session, len(simSessions))
+	copy(wantSessions, simSessions)
 	for i := range wantSessions {
 		if wantSessions[i].Truncated {
 			wantSessions[i].To = 0
@@ -236,13 +208,13 @@ func TestStreamCampaignEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 8} {
 		faults, sessions, st := collectStream(t, dir, workers)
 
-		if len(faults) != len(res.Faults) {
-			t.Fatalf("workers=%d: faults %d, want %d", workers, len(faults), len(res.Faults))
+		if len(faults) != len(simFaults) {
+			t.Fatalf("workers=%d: faults %d, want %d", workers, len(faults), len(simFaults))
 		}
 		for i := range faults {
-			if faults[i] != res.Faults[i] {
+			if faults[i] != simFaults[i] {
 				t.Fatalf("workers=%d: fault %d differs:\n got %+v\nwant %+v",
-					workers, i, faults[i], res.Faults[i])
+					workers, i, faults[i], simFaults[i])
 			}
 		}
 		if len(sessions) != len(wantSessions) {
@@ -262,7 +234,7 @@ func TestStreamCampaignEquivalence(t *testing.T) {
 		// therefore from the extracted export.
 		var sumLogs int64
 		perNode := make(map[cluster.NodeID]int64)
-		for _, f := range res.Faults {
+		for _, f := range simFaults {
 			sumLogs += int64(f.Logs)
 			perNode[f.Node] += int64(f.Logs)
 		}
@@ -273,9 +245,9 @@ func TestStreamCampaignEquivalence(t *testing.T) {
 			t.Fatalf("workers=%d: per-node raw logs diverge from campaign", workers)
 		}
 		for id, n := range perNode {
-			if res.RawLogsByNode[id] != n {
+			if simStats.RawLogsByNode[id] != n {
 				t.Fatalf("workers=%d: node %v raw logs %d, want campaign's %d",
-					workers, id, n, res.RawLogsByNode[id])
+					workers, id, n, simStats.RawLogsByNode[id])
 			}
 		}
 		// Σ run.Logs == RawLogs: what studyFromLogs silently assumed.
@@ -303,14 +275,16 @@ func BenchmarkLogstoreStream(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				st, err := StreamWorkers(dir, workers, StreamHandler{
-					Fault:   func(extract.Fault) {},
-					Session: func(eventlog.Session) {},
-				})
-				if err != nil {
-					b.Fatal(err)
+				faults := 0
+				for ev, err := range Events(context.Background(), dir, workers) {
+					if err != nil {
+						b.Fatal(err)
+					}
+					if ev.Kind == stream.KindFault {
+						faults++
+					}
 				}
-				if st.Faults == 0 {
+				if faults == 0 {
 					b.Fatal("empty stream")
 				}
 			}

@@ -174,9 +174,9 @@ func LiveBatches() int64 { return liveBatches.Load() }
 // Internally delivery is batched: the k-way merges move pooled []Event
 // blocks (kway.MergeBlocks) and the yield loop walks each block
 // element-wise. The observable sequence is the unbatched one — block
-// boundaries are invisible to consumers, every delivery still gets its
-// own cancellation check, and deliverUnbatched remains in-tree as the
-// executable reference the differential and fuzz gates compare against.
+// boundaries are invisible to consumers, and every delivery still gets
+// its own cancellation check; the tests hold Deliver against an
+// element-wise reference that shares none of its merge code.
 // Cancellation between deliveries yields a final (zero Event, ctx.Err())
 // pair; a false yield stops everything immediately. Either way the block
 // returns to the pool before Deliver does.
@@ -219,41 +219,6 @@ func yieldBlock(ctx context.Context, yield func(Event, error) bool, block []Even
 		}
 	}
 	return true
-}
-
-// deliverUnbatched is the reference delivery implementation: the merges
-// yield element-wise with no block layer in between. It encodes the
-// observable contract Deliver must match exactly — the differential
-// harness (internal/core) and FuzzEventBatchRoundTrip diff batched
-// delivery against it — and is not used on any production path.
-func deliverUnbatched(ctx context.Context, yield func(Event, error) bool,
-	st *Stats, faultStreams [][]extract.Fault, sessionStreams [][]eventlog.Session) {
-	if !yield(StatsEvent(st), nil) {
-		return
-	}
-	done := ctx.Done()
-	for f := range kway.MergeSeq(faultStreams, extract.Compare) {
-		select {
-		case <-done:
-			yield(Event{}, ctx.Err())
-			return
-		default:
-		}
-		if !yield(FaultEvent(f), nil) {
-			return
-		}
-	}
-	for s := range kway.MergeSeq(sessionStreams, eventlog.CompareSessions) {
-		select {
-		case <-done:
-			yield(Event{}, ctx.Err())
-			return
-		default:
-		}
-		if !yield(SessionEvent(s), nil) {
-			return
-		}
-	}
 }
 
 // Source yields the merged campaign stream. The built-in implementations

@@ -2,6 +2,8 @@ package stream
 
 import (
 	"context"
+	"slices"
+	"sort"
 	"testing"
 
 	"unprotected/internal/cluster"
@@ -72,6 +74,42 @@ func sortSessions(ss []eventlog.Session) {
 	for i := 1; i < len(ss); i++ {
 		for j := i; j > 0 && eventlog.CompareSessions(&ss[j-1], &ss[j]) > 0; j-- {
 			ss[j-1], ss[j] = ss[j], ss[j-1]
+		}
+	}
+}
+
+// deliverUnbatched is the reference delivery Deliver must match exactly:
+// it flattens the streams in stream order and stable-sorts them under the
+// canonical comparators — no merge heap, no block layer; stability keeps
+// equal elements in stream-index order, the merge's tiebreak — then
+// yields one event at a time with the same per-delivery cancellation
+// check and yield-false handling.
+func deliverUnbatched(ctx context.Context, yield func(Event, error) bool,
+	st *Stats, faultStreams [][]extract.Fault, sessionStreams [][]eventlog.Session) {
+	if !yield(StatsEvent(st), nil) {
+		return
+	}
+	faults := slices.Concat(faultStreams...)
+	sort.SliceStable(faults, func(i, j int) bool { return extract.Compare(&faults[i], &faults[j]) < 0 })
+	sessions := slices.Concat(sessionStreams...)
+	sort.SliceStable(sessions, func(i, j int) bool { return eventlog.CompareSessions(&sessions[i], &sessions[j]) < 0 })
+	emit := func(ev Event) bool {
+		select {
+		case <-ctx.Done():
+			yield(Event{}, ctx.Err())
+			return false
+		default:
+		}
+		return yield(ev, nil)
+	}
+	for _, f := range faults {
+		if !emit(FaultEvent(f)) {
+			return
+		}
+	}
+	for _, s := range sessions {
+		if !emit(SessionEvent(s)) {
+			return
 		}
 	}
 }

@@ -5,10 +5,10 @@
 #
 #   1. gofmt -l over the whole tree (both modules and the analyzer
 #      golden corpora under tools/lint/*/testdata);
-#   2. stock `go vet` on the root module;
+#   2. stock `go vet` on the root module (copylocks among its passes);
 #   3. the unprotectedlint invariant suite (tools/lint) over the root
 #      module via `go vet -vettool`: directio, maporder, wallclock,
-#      poolreturn, ctxsend, plus the stock-pass ports copylock, shadow,
+#      poolreturn, ctxsend, plus the stock-pass ports shadow,
 #      unusedwrite and nilness. See DESIGN.md §12 for the catalogue.
 #
 # Any finding fails the script. Deliberate exceptions are annotated in

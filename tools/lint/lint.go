@@ -12,7 +12,6 @@ package lint
 
 import (
 	"unprotectedlint/analysis"
-	"unprotectedlint/copylock"
 	"unprotectedlint/ctxsend"
 	"unprotectedlint/directio"
 	"unprotectedlint/maporder"
@@ -33,8 +32,8 @@ var Suite = []*analysis.Analyzer{
 	poolreturn.Analyzer,
 	ctxsend.Analyzer,
 	// Stock passes (native ports; see each package's doc for the subset
-	// covered and why x/tools itself is not imported here).
-	copylock.Analyzer,
+	// covered and why x/tools itself is not imported here). copylocks is
+	// not ported: stock go vet already runs it.
 	shadow.Analyzer,
 	unusedwrite.Analyzer,
 	nilness.Analyzer,
