@@ -19,7 +19,6 @@ package campaign
 import (
 	"context"
 	"iter"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -62,13 +61,12 @@ type Config struct {
 	Workers int
 	// Gate, when non-nil, is a shared counting semaphore (a buffered
 	// channel) bounding concurrent node simulations across every campaign
-	// carrying the same channel: each worker acquires a token before
-	// simulating a node and releases it immediately after, so N
-	// concurrent campaigns with per-campaign pools never run more than
-	// cap(Gate) simulations at once. The sweep engine (internal/sweep)
-	// uses this to keep a whole scenario fleet inside one worker budget.
-	// Scheduling never affects the merged stream, so output is identical
-	// with or without a Gate.
+	// carrying the same channel: a token is acquired before simulating a
+	// node and released immediately after, so N concurrent campaigns with
+	// per-campaign pools never run more than cap(Gate) simulations at
+	// once. The sweep engine (internal/sweep) uses this to keep a whole
+	// scenario fleet inside one worker budget. Scheduling never affects
+	// the merged stream, so output is identical with or without a Gate.
 	Gate chan struct{}
 
 	// StressSoC12 enables the paper's §VI stress-test proposal: the
@@ -120,15 +118,16 @@ type nodeOutput struct {
 // nodeStream is one node's finalized, locally sorted contribution to the
 // campaign stream.
 type nodeStream struct {
-	faults []extract.Fault
-	// faultCount is the node's characterized-fault count even when faults
-	// itself was not built (a sessions-only stream — classification is 1:1
-	// with runs, so the count is known without doing the work).
-	faultCount int
-	sessions   []eventlog.Session
-	rawLogs    int64
-	allocFails int
-	node       cluster.NodeID
+	faults   []extract.Fault
+	sessions []eventlog.Session
+	// faultCount and sessionCount are the node's counts even when the
+	// slices were not kept (a single-sided stream — classification is 1:1
+	// with runs, so the fault count is known without doing the work).
+	faultCount   int
+	sessionCount int
+	rawLogs      int64
+	allocFails   int
+	node         cluster.NodeID
 }
 
 // Events executes the campaign and yields the merged stream as an
@@ -136,21 +135,21 @@ type nodeStream struct {
 // every characterized fault in extract.Compare order, then every session
 // in eventlog.CompareSessions order.
 //
-// Each worker simulates a node end to end and finalizes it in place:
-// the node's raw runs are sorted and classified into faults on the worker
-// (so extraction parallelizes across the pool), and its sessions are
-// ordered by start time. Once every node has reported, stream.Deliver's
-// deterministic k-way merges (internal/kway, shared with the log-replay
-// loader) interleave the per-node streams into the canonical global
-// orders — the merged dataset is never materialized here, and the results
-// channel is bounded by the worker count, not the node count.
+// Each node is simulated end to end and finalized in place on a
+// stream.Collect worker: the node's raw runs are sorted and classified
+// into faults there (so extraction parallelizes across the pool), and its
+// sessions are ordered by start time. Once every node has reported,
+// stream.Deliver's deterministic k-way merges (internal/kway, shared with
+// the log-replay loader) interleave the per-node streams into the
+// canonical global orders — the merged dataset is never materialized
+// here.
 //
-// Cancelling ctx aborts the campaign: unsimulated nodes are skipped, the
-// worker pool drains and exits before the iterator yields its final
-// (zero Event, ctx.Err()) pair, so an abandoned run leaks no goroutines.
-// Breaking out of the range mid-merge releases everything immediately —
-// by the first yield the pool has already wound down. Delivery itself
-// performs no per-event allocation.
+// Cancelling ctx aborts the campaign: unsimulated nodes are skipped, and
+// the pool exits before the iterator yields its final (zero Event,
+// ctx.Err()) pair, so an abandoned run leaks no goroutines. Breaking out
+// of the range mid-merge releases everything immediately — by the first
+// yield the pool has already wound down. Delivery itself performs no
+// per-event allocation.
 //
 // Events always produces the complete stream; a single-sided consumer
 // should use EventsFiltered, which skips the unwanted half's extraction
@@ -175,125 +174,74 @@ func EventsFiltered(ctx context.Context, cfg *Config, needFaults, needSessions b
 	}
 }
 
-// collect runs the simulation worker pool to completion (or cancellation)
-// and gathers the per-node sorted streams plus the scalar stats.
-//
-// Cancellation: the feeder stops handing out nodes, workers skip
-// simulating whatever is still queued, and the collector keeps draining
-// until the results channel closes — so by the time the ctx.Err() is
-// returned every pool goroutine has exited. A nil error guarantees the
-// pool is equally gone (the channels closed normally).
+// collect simulates and finalizes every scanned node on stream.Collect
+// and gathers the per-node sorted streams, in node order, plus the scalar
+// stats.
 func collect(ctx context.Context, cfg *Config, needFaults, needSessions bool) (*stream.Stats, [][]extract.Fault, [][]eventlog.Session, error) {
 	if cfg.Topo == nil {
 		cfg.Topo = cluster.PaperTopology()
 	}
-	if cfg.Workers <= 0 {
-		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
 	plans := cfg.Profile.build(cfg)
 	nodes := cfg.Topo.ScannedNodes()
-
-	jobs := make(chan *cluster.Node)
-	results := make(chan nodeStream, cfg.Workers)
-	done := ctx.Done()
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// One scratch per worker, recycled node to node and — via the
-			// package pool — across campaigns: a sweep's scenario fleet
-			// resimulates with the buffers its predecessors grew.
-			sc := scratchPool.Get().(*nodeScratch)
-			defer scratchPool.Put(sc)
-			for n := range jobs {
-				if ctx.Err() != nil {
-					continue // cancelled: drain the queue without simulating
-				}
-				if cfg.Gate != nil {
-					select {
-					case cfg.Gate <- struct{}{}:
-					case <-done:
-						continue
-					}
-				}
-				out := finalizeNode(simulateNode(cfg, n, plans[n.ID], sc), needFaults, needSessions)
-				if cfg.Gate != nil {
-					// Release before the results send: the token covers the
-					// CPU-heavy simulation only, never a wait on the
-					// collector, so sibling campaigns sharing the gate can
-					// proceed while this one drains.
-					<-cfg.Gate
-				}
-				select {
-				case results <- out:
-				case <-done:
-				}
-			}
-		}()
-	}
-	go func() {
-	feed:
-		for _, n := range nodes {
+	outs, err := stream.Collect(ctx, len(nodes), cfg.Workers, func(i int) (nodeStream, error) {
+		if cfg.Gate != nil {
 			select {
-			case jobs <- n:
-			case <-done:
-				break feed
+			case cfg.Gate <- struct{}{}:
+			case <-ctx.Done():
+				return nodeStream{}, ctx.Err()
 			}
+			// The token covers the CPU-heavy simulation only, so sibling
+			// campaigns sharing the gate proceed while this one merges.
+			defer func() { <-cfg.Gate }()
 		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
+		// The package pool hands the scratch from node to node and across
+		// campaigns: a sweep's scenario fleet resimulates with the buffers
+		// its predecessors grew.
+		sc := scratchPool.Get().(*nodeScratch)
+		defer scratchPool.Put(sc)
+		n := nodes[i]
+		return finalizeNode(simulateNode(cfg, n, plans[n.ID], sc), needFaults, needSessions), nil
+	})
+	if err != nil {
+		return nil, nil, nil, err
+	}
 
 	stats := &stream.Stats{RawLogsByNode: make(map[cluster.NodeID]int64)}
-	faultStreams := make([][]extract.Fault, 0, len(nodes))
-	sessionStreams := make([][]eventlog.Session, 0, len(nodes))
-	for out := range results {
-		if ctx.Err() != nil {
-			continue // cancelled: keep draining so the pool exits
-		}
+	faultStreams := make([][]extract.Fault, 0, len(outs))
+	sessionStreams := make([][]eventlog.Session, 0, len(outs))
+	for _, out := range outs {
 		stats.Faults += out.faultCount
-		stats.Sessions += len(out.sessions)
+		stats.Sessions += out.sessionCount
 		stats.RawLogs += out.rawLogs
 		if out.rawLogs > 0 {
 			stats.RawLogsByNode[out.node] += out.rawLogs
 		}
 		stats.AllocFails += out.allocFails
-		// An unwanted half's streams are dropped here, node by node, so a
-		// faults-only consumer never holds the session data (and vice
-		// versa) — the counts above are all that survives.
 		if len(out.faults) > 0 {
 			faultStreams = append(faultStreams, out.faults)
 		}
-		if needSessions && len(out.sessions) > 0 {
+		if len(out.sessions) > 0 {
 			sessionStreams = append(sessionStreams, out.sessions)
 		}
 	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, nil, err
-	}
-	// Streams arrive in worker-completion order, but that cannot affect
-	// the output: each stream holds a single node and both comparators
-	// include the node key, so no two stream heads ever compare equal and
-	// the merge's emitted sequence is independent of stream order.
 	return stats, faultStreams, sessionStreams, nil
 }
 
 // finalizeNode turns a simulated node's raw output into its sorted stream
 // contribution. This runs on the worker, so per-node extraction and
-// sorting parallelize across the pool instead of serializing on the
-// collector. The pathological node's runs are not characterized (§III-B),
-// so an excluded node contributes sessions and raw-log counts only. When
-// no consumer wants faults (or sessions), that side's classification and
-// sorting are skipped — the count is all that survives, and for faults it
-// equals the run count.
+// sorting parallelize across the pool instead of serializing after it.
+// The pathological node's runs are not characterized (§III-B), so an
+// excluded node contributes sessions and raw-log counts only. When no
+// consumer wants faults (or sessions), that side's classification and
+// sorting are skipped and its slice is dropped here, node by node — the
+// count is all that survives, so a single-sided stream never holds the
+// other half of the dataset.
 func finalizeNode(out nodeOutput, needFaults, needSessions bool) nodeStream {
 	ns := nodeStream{
-		sessions:   out.sessions,
-		rawLogs:    out.rawLogs,
-		allocFails: out.allocFails,
-		node:       out.node,
+		sessionCount: len(out.sessions),
+		rawLogs:      out.rawLogs,
+		allocFails:   out.allocFails,
+		node:         out.node,
 	}
 	if !out.excluded {
 		ns.faultCount = len(out.runs)
@@ -307,6 +255,7 @@ func finalizeNode(out nodeOutput, needFaults, needSessions bool) nodeStream {
 	// continuous window splice preserves it too. Sorting is a near-no-op
 	// pass that turns that invariant into a guarantee.
 	if needSessions {
+		ns.sessions = out.sessions
 		sort.Slice(ns.sessions, func(i, j int) bool {
 			return eventlog.CompareSessions(&ns.sessions[i], &ns.sessions[j]) < 0
 		})
@@ -314,13 +263,14 @@ func finalizeNode(out nodeOutput, needFaults, needSessions bool) nodeStream {
 	return ns
 }
 
-// nodeScratch is the reusable per-worker simulation state: the window and
-// raw-run buffers a node simulation fills and its finalization drains.
-// Nothing in a finished nodeStream aliases the scratch (faults are
-// classified into a fresh slice, sessions are node-owned), so one scratch
-// serves every node a worker simulates, and the package-level pool carries
-// the grown buffers across campaigns — the sweep engine's scenarios
-// resimulate million-session fleets without regrowing them.
+// nodeScratch is the reusable simulation state: the window and raw-run
+// buffers a node simulation fills and its finalization drains. Nothing in
+// a finished nodeStream aliases the scratch (faults are classified into a
+// fresh slice, sessions are node-owned), so each node borrows one from the
+// package-level pool for its simulation alone, and the pool carries the
+// grown buffers from node to node and across campaigns — the sweep
+// engine's scenarios resimulate million-session fleets without regrowing
+// them.
 type nodeScratch struct {
 	windows []sched.Window
 	runs    []extract.RawRun
@@ -409,7 +359,7 @@ func simulateNode(cfg *Config, node *cluster.Node, plan *faults.Plan, sc *nodeSc
 			AllocBytes: alloc, Truncated: w.HardReboot,
 		})
 	}
-	// Keep the grown runs buffer for the worker's next node.
+	// Keep the grown runs buffer for the scratch's next node.
 	sc.runs = out.runs
 	return out
 }

@@ -1,14 +1,11 @@
 package faultstore
 
 import (
-	"fmt"
-	"path/filepath"
-	"runtime"
-	"sync"
-	"sync/atomic"
-
 	"context"
+	"fmt"
 	"iter"
+	"path/filepath"
+	"sync/atomic"
 
 	"unprotected/internal/cluster"
 	"unprotected/internal/eventlog"
@@ -106,7 +103,8 @@ type Query struct {
 	// index bounds fall outside are never opened.
 	HasRange bool
 	From, To timebase.T
-	// Workers bounds the segment decode pool (0 selects GOMAXPROCS).
+	// Workers bounds the segment decode pool, a stream.Collect (0 selects
+	// GOMAXPROCS).
 	Workers int
 	// Degraded turns per-segment read and decode failures from hard
 	// errors into skips: the query delivers everything that survives,
@@ -178,12 +176,13 @@ func readSegmentFile(ctx context.Context, fsys iofault.FS, path string, budget *
 // Events reads the store as the standard stream contract: a stats
 // prologue sized to exactly what the query delivers, every matching
 // fault in extract.Compare order, then every matching session in
-// eventlog.CompareSessions order. Matching segments are decoded by a
-// bounded worker pool (descriptors metered by the store's budget) and
-// k-way merged through the shared block delivery layer; segments the
-// index rules out are never opened. Cancelling ctx drains the pool and
-// yields a final (zero Event, ctx.Err()) pair, leak-free, exactly like
-// the other sources.
+// eventlog.CompareSessions order. Matching segments are decoded on
+// stream.Collect (descriptors metered by the store's budget) and k-way
+// merged through the shared block delivery layer; segments the index
+// rules out are never opened, and once a segment fails a strict query
+// starts no later one. Cancelling ctx winds the pool down and yields a
+// final (zero Event, ctx.Err()) pair, leak-free, exactly like the other
+// sources.
 func (s *Store) Events(ctx context.Context, q Query) iter.Seq2[stream.Event, error] {
 	return func(yield func(stream.Event, error) bool) {
 		faultStreams, sessionStreams, stats, err := s.collect(ctx, q)
@@ -195,13 +194,10 @@ func (s *Store) Events(ctx context.Context, q Query) iter.Seq2[stream.Event, err
 	}
 }
 
-// decoded is one segment's filtered payload, tagged with its manifest
-// position so the merge's stream order is deterministic.
+// decoded is one segment's filtered payload.
 type decoded struct {
-	pos      int
 	faults   []extract.Fault
 	sessions []eventlog.Session
-	err      error
 }
 
 // collect prunes, decodes and filters the matching segments, returning
@@ -209,97 +205,38 @@ type decoded struct {
 // of what survived the predicates.
 func (s *Store) collect(ctx context.Context, q Query) ([][]extract.Fault, [][]eventlog.Session, *stream.Stats, error) {
 	set := q.nodeSet()
-	var matched []int
+	var matched []*segMeta
 	for i := range s.man.segs {
 		if q.matchSeg(&s.man.segs[i], set) {
-			matched = append(matched, i)
+			matched = append(matched, &s.man.segs[i])
 		} else {
 			s.pruned.Add(1)
 		}
 	}
 
-	workers := q.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = min(workers, len(matched))
-
-	jobs := make(chan int) // index into matched
-	results := make(chan decoded, max(workers, 1))
-	done := ctx.Done()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for pos := range jobs {
-				if ctx.Err() != nil {
-					continue // cancelled: drain the queue without reading
-				}
-				e := &s.man.segs[matched[pos]]
-				d := decoded{pos: pos}
-				p, err := readSegmentFile(ctx, s.fs, filepath.Join(s.dir, e.name), s.budget, s.retry)
-				s.opened.Add(1)
-				switch {
-				case err == nil:
-					d.faults = filterFaults(p.faults, &q, set)
-					d.sessions = filterSessions(p.sessions, &q, set)
-				case q.Degraded && ctx.Err() == nil:
-					// Degraded read: the segment is skipped, not fatal.
-					// Its diagnostics — and the index's account of what
-					// was lost — go to the health report.
-					q.Health.record(SegmentError{
-						Segment:  e.name,
-						Err:      err,
-						Faults:   e.nFaults,
-						Sessions: e.nSessions,
-					})
-				default:
-					d.err = fmt.Errorf("%s: %w", e.name, err)
-				}
-				select {
-				case results <- d:
-				case <-done:
-				}
-			}
-		}()
-	}
-	go func() {
-	feed:
-		for pos := range matched {
-			select {
-			case jobs <- pos:
-			case <-done:
-				break feed
-			}
+	parts, err := stream.Collect(ctx, len(matched), q.Workers, func(i int) (decoded, error) {
+		e := matched[i]
+		p, err := readSegmentFile(ctx, s.fs, filepath.Join(s.dir, e.name), s.budget, s.retry)
+		s.opened.Add(1)
+		switch {
+		case err == nil:
+			return decoded{faults: filterFaults(p.faults, &q, set), sessions: filterSessions(p.sessions, &q, set)}, nil
+		case q.Degraded && ctx.Err() == nil:
+			// Degraded read: the segment is skipped, not fatal. Its
+			// diagnostics — and the index's account of what was lost —
+			// go to the health report.
+			q.Health.record(SegmentError{
+				Segment:  e.name,
+				Err:      err,
+				Faults:   e.nFaults,
+				Sessions: e.nSessions,
+			})
+			return decoded{}, nil
 		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-
-	parts := make([]decoded, len(matched))
-	firstErr := -1
-	for d := range results {
-		if ctx.Err() != nil {
-			continue // cancelled: keep draining so the pool exits
-		}
-		if d.err != nil {
-			// Deterministic failure: remember the lowest-positioned
-			// segment's error no matter which worker tripped first.
-			if firstErr == -1 || d.pos < firstErr {
-				firstErr = d.pos
-				parts[d.pos] = d
-			}
-			continue
-		}
-		parts[d.pos] = d
-	}
-	if err := ctx.Err(); err != nil {
+		return decoded{}, fmt.Errorf("%s: %w", e.name, err)
+	})
+	if err != nil {
 		return nil, nil, nil, err
-	}
-	if firstErr != -1 {
-		return nil, nil, nil, parts[firstErr].err
 	}
 
 	stats := &stream.Stats{RawLogsByNode: make(map[cluster.NodeID]int64)}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"iter"
-	"runtime"
 	"sort"
 	"sync"
 
@@ -16,178 +15,113 @@ import (
 	"unprotected/internal/stream"
 )
 
-// nodeStream is one log file's finalized, locally sorted contribution to
-// the replay stream.
-type nodeStream struct {
+// Part is one node log's finalized, locally sorted contribution to a
+// replay stream: its faults in extract.Compare order, its sessions in
+// eventlog.CompareSessions order and its raw ERROR record count.
+type Part struct {
 	faults   []extract.Fault
 	sessions []eventlog.Session
 	rawLogs  int64
-	// rawByNode attributes raw volume by each run's host= field, not by
-	// the file name — a file holding records of a foreign host (renamed or
-	// concatenated logs) must credit the true host, matching fault
-	// attribution.
-	rawByNode map[cluster.NodeID]int64
-	order     int // file index: the deterministic merge tiebreak
-	err       error
 }
 
-// Events reads every node file under dir with a bounded worker pool and
+// Finalize is the per-node tail of the §II-C replay pipeline: it
+// classifies runs into sorted faults and sorts sessions in place. The
+// one-shot loader calls it on each file's Collapser.Close and
+// Accounting.Finish; the live monitor calls it on the non-destructive
+// Snapshot of the same two, which is what makes a quiescent monitor
+// byte-identical to a replay (DESIGN.md §13.3).
+func Finalize(runs []extract.RawRun, raw int64, sessions []eventlog.Session) Part {
+	p := Part{faults: extract.Faults(runs), sessions: sessions, rawLogs: raw}
+	extract.SortFaults(p.faults)
+	sort.Slice(p.sessions, func(i, j int) bool {
+		return eventlog.CompareSessions(&p.sessions[i], &p.sessions[j]) < 0
+	})
+	return p
+}
+
+// Parts is a replay's per-node contributions in merge order — file order
+// for a directory, node order for the live monitor; under the store's
+// FileName layout the two coincide. As a stream.Source it folds the
+// parts' stats into the prologue and k-way merges them through
+// stream.Deliver.
+type Parts []Part
+
+// Events implements stream.Source.
+func (ps Parts) Events(ctx context.Context) iter.Seq2[stream.Event, error] {
+	return func(yield func(stream.Event, error) bool) {
+		st := &stream.Stats{RawLogsByNode: make(map[cluster.NodeID]int64)}
+		faults := make([][]extract.Fault, 0, len(ps))
+		sessions := make([][]eventlog.Session, 0, len(ps))
+		for _, p := range ps {
+			st.Faults += len(p.faults)
+			st.Sessions += len(p.sessions)
+			st.RawLogs += p.rawLogs
+			// Every ERROR record lands in exactly one run, so Σ Logs over a
+			// part's faults is its raw volume, split by the true host= of
+			// each run rather than by the file name — a file holding a
+			// foreign host's records credits that host, matching faults.
+			for i := range p.faults {
+				st.RawLogsByNode[p.faults[i].Node] += int64(p.faults[i].Logs)
+			}
+			if len(p.faults) > 0 {
+				faults = append(faults, p.faults)
+			}
+			if len(p.sessions) > 0 {
+				sessions = append(sessions, p.sessions)
+			}
+		}
+		stream.Deliver(ctx, yield, st, faults, sessions)
+	}
+}
+
+// Events reads every node file under dir on a stream.Collect pool and
 // yields the extracted dataset as an iterator honouring the
 // internal/stream contract, mirroring the campaign engine: each worker
-// collapses and classifies one file (so §II-C extraction parallelizes
-// across files) and sorts that node's faults and sessions locally, then
-// stream.Deliver's k-way merges interleave the per-node streams into a
-// stats prologue, faults in extract.Compare order and sessions in
+// collapses one file and Finalizes it (so §II-C extraction parallelizes
+// across files), then Parts.Events interleaves the per-node streams into
+// a stats prologue, faults in extract.Compare order and sessions in
 // eventlog.CompareSessions order. The merged dataset is never
 // materialized here.
 //
 // workers bounds the pool (0 or negative means GOMAXPROCS). Output is
 // byte-identical for any worker count: per-file work is independent, both
-// comparators are total orders, and the merge consumes streams sorted by
-// file index, so scheduling can not reorder anything. WithFS routes every
-// file operation through an iofault.FS.
+// comparators are total orders, and the merge consumes streams in file
+// order, so scheduling can not reorder anything. A corrupt or unreadable
+// file fails the replay with the lowest-indexed failing file's error, and
+// once it fails the pool starts no later file. WithFS routes every file
+// operation through an iofault.FS.
 //
-// Cancelling ctx aborts the replay: unread files are skipped, the loader
-// pool drains and exits before the iterator yields its final (zero Event,
-// ctx.Err()) pair, so an abandoned replay leaks no goroutines. By the
-// first yield the pool has already wound down, so breaking out of the
-// range releases everything immediately. Delivery itself performs no
-// per-event allocation.
+// Cancelling ctx aborts the replay: unread files are skipped, and the pool
+// exits before the iterator yields its final (zero Event, ctx.Err())
+// pair, so an abandoned replay leaks no goroutines. By the first yield
+// the pool has already wound down, so breaking out of the range releases
+// everything immediately. Delivery itself performs no per-event
+// allocation.
 func Events(ctx context.Context, dir string, workers int, opts ...Option) iter.Seq2[stream.Event, error] {
 	return func(yield func(stream.Event, error) bool) {
-		o, err := resolve(opts)
-		if err != nil {
-			yield(stream.Event{}, fmt.Errorf("logstore: %w", err))
-			return
-		}
-		stats, streams, err := collect(ctx, dir, workers, o.fsys)
+		parts, err := load(ctx, dir, workers, opts)
 		if err != nil {
 			yield(stream.Event{}, err)
 			return
 		}
-		stream.Deliver(ctx, yield, stats, faultStreams(streams), sessionStreams(streams))
+		parts.Events(ctx)(yield)
 	}
 }
 
-// faultStreams projects the non-empty per-node fault slices in file order.
-func faultStreams(streams []nodeStream) [][]extract.Fault {
-	out := make([][]extract.Fault, 0, len(streams))
-	for _, ns := range streams {
-		if len(ns.faults) > 0 {
-			out = append(out, ns.faults)
-		}
-	}
-	return out
-}
-
-// sessionStreams projects the non-empty per-node session slices in file
-// order.
-func sessionStreams(streams []nodeStream) [][]eventlog.Session {
-	out := make([][]eventlog.Session, 0, len(streams))
-	for _, ns := range streams {
-		if len(ns.sessions) > 0 {
-			out = append(out, ns.sessions)
-		}
-	}
-	return out
-}
-
-// collect runs the loader pool to completion (or cancellation) and
-// gathers the per-file sorted streams, restored to file order, plus the
-// scalar stats.
-//
-// Cancellation: the feeder stops handing out files, workers skip loading
-// whatever is still queued, and the collector keeps draining until the
-// results channel closes — so by the time ctx.Err() is returned every
-// pool goroutine has exited.
-func collect(ctx context.Context, dir string, workers int, fsys iofault.FS) (*stream.Stats, []nodeStream, error) {
-	files, err := listNodeFiles(fsys, dir)
+// load lists the node files under dir and Finalizes each on the pool, in
+// file order.
+func load(ctx context.Context, dir string, workers int, opts []Option) (Parts, error) {
+	o, err := resolve(opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("logstore: %w", err)
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	files, err := listNodeFiles(o.fsys, dir)
+	if err != nil {
+		return nil, err
 	}
-	if workers > len(files) {
-		workers = len(files)
-	}
-
-	type job struct {
-		path  string
-		order int
-	}
-	jobs := make(chan job)
-	results := make(chan nodeStream, workers)
-	done := ctx.Done()
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				if ctx.Err() != nil {
-					continue // cancelled: drain the queue without loading
-				}
-				ns := loadNodeFile(fsys, j.path)
-				ns.order = j.order
-				select {
-				case results <- ns:
-				case <-done:
-				}
-			}
-		}()
-	}
-	go func() {
-	feed:
-		for i, path := range files {
-			select {
-			case jobs <- job{path: path, order: i}:
-			case <-done:
-				break feed
-			}
-		}
-		close(jobs)
-		wg.Wait()
-		close(results)
-	}()
-	stats := &stream.Stats{RawLogsByNode: make(map[cluster.NodeID]int64)}
-	var streams []nodeStream
-	var firstErr *nodeStream
-	for ns := range results {
-		if ctx.Err() != nil {
-			continue // cancelled: keep draining so the pool exits
-		}
-		if ns.err != nil {
-			// Keep draining so the pool exits, but remember the failure of
-			// the lowest-indexed file — deterministic no matter which
-			// worker tripped first.
-			if firstErr == nil || ns.order < firstErr.order {
-				cp := ns
-				firstErr = &cp
-			}
-			continue
-		}
-		stats.Faults += len(ns.faults)
-		stats.Sessions += len(ns.sessions)
-		stats.RawLogs += ns.rawLogs
-		for id, n := range ns.rawByNode {
-			stats.RawLogsByNode[id] += n
-		}
-		if len(ns.faults) > 0 || len(ns.sessions) > 0 {
-			streams = append(streams, ns)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, nil, err
-	}
-	if firstErr != nil {
-		return nil, nil, firstErr.err
-	}
-	// Streams arrive in worker-completion order; restore file order so the
-	// merge's equal-key tiebreak (stream index) is deterministic even if a
-	// directory holds two files for one node.
-	sort.Slice(streams, func(i, j int) bool { return streams[i].order < streams[j].order })
-	return stats, streams, nil
+	return stream.Collect(ctx, len(files), workers, func(i int) (Part, error) {
+		return loadNodeFile(o.fsys, files[i])
+	})
 }
 
 // collapserPool recycles per-file collapsers — and with them the
@@ -196,15 +130,13 @@ func collect(ctx context.Context, dir string, workers int, fsys iofault.FS) (*st
 var collapserPool = sync.Pool{New: func() any { return extract.NewCollapser() }}
 
 // loadNodeFile runs one file through the §II-C pipeline on the worker:
-// records are collapsed into runs and sessions as they are read, then the
-// node's faults and sessions are classified and sorted locally so the
-// collector only merges.
-func loadNodeFile(fsys iofault.FS, path string) nodeStream {
-	var ns nodeStream
+// records are collapsed into runs and sessions as they are read, then
+// Finalize classifies and sorts the node locally so the caller only
+// merges.
+func loadNodeFile(fsys iofault.FS, path string) (Part, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
-		ns.err = fmt.Errorf("logstore: %w", err)
-		return ns
+		return Part{}, fmt.Errorf("logstore: %w", err)
 	}
 	defer f.Close()
 	collapser := collapserPool.Get().(*extract.Collapser)
@@ -222,27 +154,11 @@ func loadNodeFile(fsys iofault.FS, path string) nodeStream {
 			break
 		}
 		if err != nil {
-			ns.err = fmt.Errorf("logstore: %s: %w", path, err)
-			return ns
+			return Part{}, fmt.Errorf("logstore: %s: %w", path, err)
 		}
 		acct.Observe(rec)
 		collapser.Observe(rec)
 	}
 	runs, raw := collapser.Close()
-	ns.rawLogs = raw
-	if len(runs) > 0 {
-		// Every ERROR record lands in exactly one run, so Σ run.Logs == raw
-		// and grouping by run.Node splits the volume by true host.
-		ns.rawByNode = make(map[cluster.NodeID]int64, 1)
-		for _, r := range runs {
-			ns.rawByNode[r.Node] += int64(r.Logs)
-		}
-	}
-	ns.faults = extract.Faults(runs)
-	extract.SortFaults(ns.faults)
-	ns.sessions = acct.Finish()
-	sort.Slice(ns.sessions, func(i, j int) bool {
-		return eventlog.CompareSessions(&ns.sessions[i], &ns.sessions[j]) < 0
-	})
-	return ns
+	return Finalize(runs, raw, acct.Finish()), nil
 }

@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
+	"sync"
 	"testing"
 
 	"unprotected/internal/campaign"
@@ -14,6 +16,7 @@ import (
 	"unprotected/internal/dram"
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
+	"unprotected/internal/iofault"
 	"unprotected/internal/rng"
 	"unprotected/internal/stream"
 	"unprotected/internal/thermal"
@@ -136,20 +139,56 @@ func TestStreamDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestStreamPropagatesWorkerErrors: a corrupt file must fail the whole
-// stream deterministically, whichever worker hits it.
+// TestStreamPropagatesWorkerErrors: corrupt files must fail the whole
+// stream deterministically, whichever worker hits one: the error names
+// the lowest-indexed corrupt file, and a serial replay opens no file
+// after it.
 func TestStreamPropagatesWorkerErrors(t *testing.T) {
 	dir := t.TempDir()
 	synthDir(t, dir, 10, 2, 2)
 	bad := filepath.Join(dir, FileName(cluster.NodeID{Blade: 1, SoC: 3}))
-	if err := os.WriteFile(bad, []byte("GARBAGE LINE\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{1, 4} {
-		if _, _, _, err := collectEvents(Events(context.Background(), dir, workers)); err == nil {
-			t.Fatalf("workers=%d: corrupt file accepted", workers)
+	worse := filepath.Join(dir, FileName(cluster.NodeID{Blade: 1, SoC: 7}))
+	for _, path := range []string{bad, worse} {
+		if err := os.WriteFile(path, []byte("GARBAGE LINE\n"), 0o644); err != nil {
+			t.Fatal(err)
 		}
 	}
+	for _, workers := range []int{1, 2, 4, 8} {
+		_, _, _, err := collectEvents(Events(context.Background(), dir, workers))
+		if err == nil {
+			t.Fatalf("workers=%d: corrupt file accepted", workers)
+		}
+		if !strings.Contains(err.Error(), bad) {
+			t.Fatalf("workers=%d: error %q does not name the first corrupt file %s", workers, err, bad)
+		}
+	}
+
+	fsys := &openCounter{FS: iofault.OS}
+	if _, _, _, err := collectEvents(Events(context.Background(), dir, 1, WithFS(fsys))); err == nil {
+		t.Fatal("corrupt file accepted through WithFS")
+	}
+	for _, path := range fsys.opened {
+		if path > bad {
+			t.Fatalf("opened %s after the corrupt %s failed", path, bad)
+		}
+	}
+	if len(fsys.opened) == 0 || fsys.opened[len(fsys.opened)-1] != bad {
+		t.Fatalf("opened %v, want the files up to %s", fsys.opened, bad)
+	}
+}
+
+// openCounter records every path opened through it.
+type openCounter struct {
+	iofault.FS
+	mu     sync.Mutex
+	opened []string
+}
+
+func (c *openCounter) Open(name string) (iofault.File, error) {
+	c.mu.Lock()
+	c.opened = append(c.opened, name)
+	c.mu.Unlock()
+	return c.FS.Open(name)
 }
 
 // TestStreamAttributesRawVolumeByRecordHost: a file holding records of a

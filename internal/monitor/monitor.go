@@ -26,7 +26,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"iter"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -253,54 +252,21 @@ func (m *Monitor) publish(ctx context.Context) error {
 	return nil
 }
 
-// rebuild re-establishes the canonical global order — per-node snapshots,
-// locally sorted, k-way merged in node order via stream.Deliver — and
-// streams it through core.Analyze, mirroring the one-shot loader's
-// pipeline stage for stage. Both per-node snapshot calls are
-// non-destructive, so ingest resumes untouched afterwards.
+// rebuild re-establishes the canonical global order and streams it
+// through core.Analyze on the one-shot loader's own code: each node's
+// non-destructive snapshots go through logstore.Finalize, in node order,
+// and the resulting logstore.Parts is the Source — so ingest resumes
+// untouched afterwards.
 func (m *Monitor) rebuild(ctx context.Context) (*core.Study, error) {
-	stats := stream.Stats{RawLogsByNode: make(map[cluster.NodeID]int64)}
-	src := &memSource{stats: &stats}
+	parts := make(logstore.Parts, 0, len(m.order))
 	for _, id := range m.order {
 		ns := m.nodes[id]
 		runs, raw := ns.col.Snapshot()
-		stats.RawLogs += raw
-		stats.Faults += len(runs)
-		for _, r := range runs {
-			stats.RawLogsByNode[r.Node] += int64(r.Logs)
-		}
-		if len(runs) > 0 {
-			faults := extract.Faults(runs)
-			extract.SortFaults(faults)
-			src.faults = append(src.faults, faults)
-		}
-		sessions := ns.acct.Snapshot(nil)
-		sort.Slice(sessions, func(i, j int) bool {
-			return eventlog.CompareSessions(&sessions[i], &sessions[j]) < 0
-		})
-		stats.Sessions += len(sessions)
-		if len(sessions) > 0 {
-			src.sessions = append(src.sessions, sessions)
-		}
+		parts = append(parts, logstore.Finalize(runs, raw, ns.acct.Snapshot(nil)))
 	}
 	var opts []core.Option
 	if m.controller != "" {
 		opts = append(opts, core.WithController(m.controller))
 	}
-	return core.Analyze(ctx, src, opts...)
-}
-
-// memSource replays the rebuilt per-node streams through the standard
-// delivery contract — the same stream.Deliver call the one-shot log
-// replay ends in, which is what makes the two paths byte-identical.
-type memSource struct {
-	stats    *stream.Stats
-	faults   [][]extract.Fault
-	sessions [][]eventlog.Session
-}
-
-func (s *memSource) Events(ctx context.Context) iter.Seq2[stream.Event, error] {
-	return func(yield func(stream.Event, error) bool) {
-		stream.Deliver(ctx, yield, s.stats, s.faults, s.sessions)
-	}
+	return core.Analyze(ctx, parts, opts...)
 }
