@@ -333,7 +333,7 @@ func BenchmarkSubstrateCampaign(b *testing.B) {
 // the dataset is never materialized. ~56k faults plus ~1M sessions flow
 // per op; CI's alloc gate holds its allocs/op to the committed baseline,
 // which proves the delivery stack adds no per-event allocations
-// (kway.MergeSeq's zero-alloc gate covers the merge itself).
+// (kway.MergeBlocks' zero-alloc gate covers the merge itself).
 func BenchmarkAnalyzeIterator(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

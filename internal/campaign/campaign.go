@@ -118,16 +118,11 @@ type nodeOutput struct {
 // nodeStream is one node's finalized, locally sorted contribution to the
 // campaign stream.
 type nodeStream struct {
-	faults   []extract.Fault
-	sessions []eventlog.Session
-	// faultCount and sessionCount are the node's counts even when the
-	// slices were not kept (a single-sided stream — classification is 1:1
-	// with runs, so the fault count is known without doing the work).
-	faultCount   int
-	sessionCount int
-	rawLogs      int64
-	allocFails   int
-	node         cluster.NodeID
+	faults     []extract.Fault
+	sessions   []eventlog.Session
+	rawLogs    int64
+	allocFails int
+	node       cluster.NodeID
 }
 
 // Events executes the campaign and yields the merged stream as an
@@ -150,22 +145,9 @@ type nodeStream struct {
 // of the range mid-merge releases everything immediately — by the first
 // yield the pool has already wound down. Delivery itself performs no
 // per-event allocation.
-//
-// Events always produces the complete stream; a single-sided consumer
-// should use EventsFiltered, which skips the unwanted half's extraction
-// and sorting entirely (the counts in the prologue stay exact either
-// way).
 func Events(ctx context.Context, cfg *Config) iter.Seq2[stream.Event, error] {
-	return EventsFiltered(ctx, cfg, true, true)
-}
-
-// EventsFiltered is Events restricted to the halves the consumer wants:
-// a false needFaults (or needSessions) omits those deliveries and skips
-// their per-node classification, sorting and buffering. The prologue's
-// counts still cover the full campaign.
-func EventsFiltered(ctx context.Context, cfg *Config, needFaults, needSessions bool) iter.Seq2[stream.Event, error] {
 	return func(yield func(stream.Event, error) bool) {
-		stats, faultStreams, sessionStreams, err := collect(ctx, cfg, needFaults, needSessions)
+		stats, faultStreams, sessionStreams, err := collect(ctx, cfg)
 		if err != nil {
 			yield(stream.Event{}, err)
 			return
@@ -177,7 +159,7 @@ func EventsFiltered(ctx context.Context, cfg *Config, needFaults, needSessions b
 // collect simulates and finalizes every scanned node on stream.Collect
 // and gathers the per-node sorted streams, in node order, plus the scalar
 // stats.
-func collect(ctx context.Context, cfg *Config, needFaults, needSessions bool) (*stream.Stats, [][]extract.Fault, [][]eventlog.Session, error) {
+func collect(ctx context.Context, cfg *Config) (*stream.Stats, [][]extract.Fault, [][]eventlog.Session, error) {
 	if cfg.Topo == nil {
 		cfg.Topo = cluster.PaperTopology()
 	}
@@ -200,7 +182,7 @@ func collect(ctx context.Context, cfg *Config, needFaults, needSessions bool) (*
 		sc := scratchPool.Get().(*nodeScratch)
 		defer scratchPool.Put(sc)
 		n := nodes[i]
-		return finalizeNode(simulateNode(cfg, n, plans[n.ID], sc), needFaults, needSessions), nil
+		return finalizeNode(simulateNode(cfg, n, plans[n.ID], sc)), nil
 	})
 	if err != nil {
 		return nil, nil, nil, err
@@ -210,8 +192,8 @@ func collect(ctx context.Context, cfg *Config, needFaults, needSessions bool) (*
 	faultStreams := make([][]extract.Fault, 0, len(outs))
 	sessionStreams := make([][]eventlog.Session, 0, len(outs))
 	for _, out := range outs {
-		stats.Faults += out.faultCount
-		stats.Sessions += out.sessionCount
+		stats.Faults += len(out.faults)
+		stats.Sessions += len(out.sessions)
 		stats.RawLogs += out.rawLogs
 		if out.rawLogs > 0 {
 			stats.RawLogsByNode[out.node] += out.rawLogs
@@ -231,35 +213,25 @@ func collect(ctx context.Context, cfg *Config, needFaults, needSessions bool) (*
 // contribution. This runs on the worker, so per-node extraction and
 // sorting parallelize across the pool instead of serializing after it.
 // The pathological node's runs are not characterized (§III-B), so an
-// excluded node contributes sessions and raw-log counts only. When no
-// consumer wants faults (or sessions), that side's classification and
-// sorting are skipped and its slice is dropped here, node by node — the
-// count is all that survives, so a single-sided stream never holds the
-// other half of the dataset.
-func finalizeNode(out nodeOutput, needFaults, needSessions bool) nodeStream {
+// excluded node contributes sessions and raw-log counts only.
+func finalizeNode(out nodeOutput) nodeStream {
 	ns := nodeStream{
-		sessionCount: len(out.sessions),
-		rawLogs:      out.rawLogs,
-		allocFails:   out.allocFails,
-		node:         out.node,
+		sessions:   out.sessions,
+		rawLogs:    out.rawLogs,
+		allocFails: out.allocFails,
+		node:       out.node,
 	}
 	if !out.excluded {
-		ns.faultCount = len(out.runs)
-		if needFaults {
-			ns.faults = extract.Faults(out.runs)
-			extract.SortFaults(ns.faults)
-		}
+		ns.faults = extract.Faults(out.runs)
+		extract.SortFaults(ns.faults)
 	}
 	// Sessions are generated in window order, which is already start-time
 	// order for scheduler windows; the pathological node's trimmed +
 	// continuous window splice preserves it too. Sorting is a near-no-op
 	// pass that turns that invariant into a guarantee.
-	if needSessions {
-		ns.sessions = out.sessions
-		sort.Slice(ns.sessions, func(i, j int) bool {
-			return eventlog.CompareSessions(&ns.sessions[i], &ns.sessions[j]) < 0
-		})
-	}
+	sort.Slice(ns.sessions, func(i, j int) bool {
+		return eventlog.CompareSessions(&ns.sessions[i], &ns.sessions[j]) < 0
+	})
 	return ns
 }
 

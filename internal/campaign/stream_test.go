@@ -167,52 +167,31 @@ func TestStreamEmitsCanonicalOrder(t *testing.T) {
 }
 
 // TestStreamBeginPrecedesDelivery: the stats prologue arrives before the
-// first delivery and announces exactly the faults that follow, also on a
-// faults-only stream.
+// first delivery and announces exactly the faults and sessions that
+// follow.
 func TestStreamBeginPrecedesDelivery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
 	}
 	var announced *stream.Stats
-	delivered := 0
-	for ev, err := range EventsFiltered(context.Background(), DefaultConfig(4), true, false) {
+	faults, sessions := 0, 0
+	for ev, err := range Events(context.Background(), DefaultConfig(4)) {
 		if err != nil {
 			t.Fatal(err)
 		}
 		switch ev.Kind {
 		case stream.KindStats:
-			if delivered != 0 {
+			if faults+sessions != 0 {
 				t.Fatal("prologue after first delivery")
 			}
 			announced = ev.Stats
 		case stream.KindFault:
-			delivered++
+			faults++
 		case stream.KindSession:
-			t.Fatal("faults-only stream delivered a session")
+			sessions++
 		}
 	}
-	if announced == nil || announced.Faults != delivered || announced.Sessions == 0 {
-		t.Fatalf("prologue announced %+v, delivered %d faults", announced, delivered)
-	}
-}
-
-// TestStreamNilCallbacks: a stream that wants neither half still carries
-// the full campaign's counts in its prologue and delivers nothing else.
-func TestStreamNilCallbacks(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full campaign")
-	}
-	var st *stream.Stats
-	for ev, err := range EventsFiltered(context.Background(), DefaultConfig(4), false, false) {
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ev.Kind != stream.KindStats {
-			t.Fatalf("unwanted delivery of kind %v", ev.Kind)
-		}
-		st = ev.Stats
-	}
-	if st == nil || st.Faults == 0 || st.Sessions == 0 || st.RawLogs == 0 {
-		t.Fatalf("stats empty without deliveries: %+v", st)
+	if announced == nil || announced.Faults != faults || announced.Sessions != sessions || sessions == 0 {
+		t.Fatalf("prologue announced %+v, delivered %d faults and %d sessions", announced, faults, sessions)
 	}
 }

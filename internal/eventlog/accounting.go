@@ -100,18 +100,14 @@ func (a *Accounting) Observe(r Record) {
 }
 
 // Finish closes still-open sessions as truncated and returns all sessions.
-// The appended tail is sorted by CompareSessions: the open set is a map, and
-// letting map-iteration order leak into the returned slice would make every
-// replay of the same logs order its truncated sessions differently.
+// It is Snapshot plus clearing the open set, the way Collapser.Close is
+// Snapshot plus Reset, so a replay closing its files and a quiescent live
+// monitor snapshotting its tails truncate open sessions through one rule.
 func (a *Accounting) Finish() []Session {
-	closed := len(a.Sessions)
-	for _, s := range a.open {
-		s.Truncated = true
-		a.Sessions = append(a.Sessions, *s)
-	}
-	tail := a.Sessions[closed:]
-	sort.Slice(tail, func(i, j int) bool { return CompareSessions(&tail[i], &tail[j]) < 0 })
-	a.open = make(map[cluster.NodeID]*Session)
+	// dst aliases a.Sessions from offset zero: Snapshot copies the closed
+	// sessions onto themselves and appends the truncated open set.
+	a.Sessions = a.Snapshot(a.Sessions[:0])
+	clear(a.open)
 	return a.Sessions
 }
 
@@ -119,9 +115,11 @@ func (a *Accounting) Finish() []Session {
 // the still-open set closed as-if-truncated — to dst, without mutating
 // the accumulator: a later END still closes its session normally. It is
 // the follow-mode serving core's conservative view of a node mid-tail
-// (§II-B: an unfinished session contributes zero monitored time), and at
-// quiescence it matches Finish exactly. Like Finish, the open-set tail is
-// sorted so map iteration order never leaks into the result.
+// (§II-B: an unfinished session contributes zero monitored time), and
+// Finish is this view made final. The open-set tail is sorted by
+// CompareSessions: the open set is a map, and letting map-iteration order
+// leak into the result would make every replay of the same logs order its
+// truncated sessions differently.
 func (a *Accounting) Snapshot(dst []Session) []Session {
 	dst = append(dst, a.Sessions...)
 	open := make([]Session, 0, len(a.open))

@@ -482,32 +482,25 @@ func TestStoreWindowPersistence(t *testing.T) {
 }
 
 // TestStoreQuerySurvivesIdleWriterCache is the shared-budget liveness
-// regression: a logstore writer cache holds descriptors indefinitely, so
-// when it sits idle on a full budget a store query must still find
-// tokens — the reserve withheld from cache-style holders — instead of
-// blocking forever on a release that never comes.
+// regression: a cached-class holder (a tailing logstore follower, the one
+// such holder) keeps descriptors indefinitely, so when it sits idle on a
+// full budget a store query must still find tokens — the reserve withheld
+// from cached holds — instead of blocking forever on a release that never
+// comes.
 func TestStoreQuerySurvivesIdleWriterCache(t *testing.T) {
 	budget := fdlimit.NewReservedBudget(8, 2)
 
-	// Fill the writer cache to its ceiling (cap - reserve) and leave it
-	// idle, holding every token a cache-style holder may claim.
-	ws, err := logstore.NewStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
+	// Claim every token a cached-class holder may (cap - reserve) and
+	// leave the holds idle.
+	const cached = 6
+	for i := 0; i < cached; i++ {
+		budget.AcquireCached()
 	}
-	ws.SetBudget(budget)
-	for n := 0; n < 10; n++ {
-		rec := eventlog.Record{
-			Kind: eventlog.KindStart, At: timebase.T(n),
-			Host: cluster.NodeID{Blade: n + 1, SoC: 1}, AllocBytes: 1 << 30,
-			TempC: thermal.NoReading,
-		}
-		if err := ws.Append(rec); err != nil {
-			t.Fatal(err)
-		}
+	if budget.TryAcquire() {
+		t.Fatal("cached holds claimed past cap - reserve")
 	}
-	if got := budget.InUse(); got != 6 {
-		t.Fatalf("writer cache holds %d descriptors, want cap-reserve = 6", got)
+	if got := budget.InUse(); got != cached {
+		t.Fatalf("cached holds %d descriptors, want cap-reserve = %d", got, cached)
 	}
 
 	faults := []extract.Fault{synthFault(1, 2, 7, 100, 200, 3, 0xffffffff, 0xfffffffe)}
@@ -548,10 +541,10 @@ func TestStoreQuerySurvivesIdleWriterCache(t *testing.T) {
 			t.Fatalf("query returned %d faults, want 1", r.faults)
 		}
 	case <-time.After(30 * time.Second):
-		t.Fatal("store query deadlocked against an idle writer cache holding the budget")
+		t.Fatal("store query deadlocked against idle cached holds on the budget")
 	}
-	if err := ws.Close(); err != nil {
-		t.Fatal(err)
+	for i := 0; i < cached; i++ {
+		budget.Release()
 	}
 }
 

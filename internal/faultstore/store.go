@@ -462,8 +462,8 @@ func Compact(dir string, opts ...CompactOption) (*CompactStats, error) {
 			}
 			obsolete = append(obsolete, e.name)
 		}
-		faults := collapseRuns(mergeFaults(faultStreams))
-		sessions := mergeSessions(sessionStreams)
+		faults := collapseRuns(mergeSorted(faultStreams, compareGenFaults))
+		sessions := mergeSorted(sessionStreams, eventlog.CompareSessions)
 		stats.FaultsAfter += len(faults)
 
 		buckets := make(map[int64]*bucket)
@@ -525,32 +525,23 @@ func compareGenFaults(a, b *genFault) int {
 	return extract.Compare(&a.Fault, &b.Fault)
 }
 
-// mergeFaults k-way merges per-segment sorted fault streams into one
-// canonical sequence, keeping each fault's source generation.
-func mergeFaults(streams [][]genFault) []genFault {
+// mergeSorted k-way merges per-segment sorted streams into one canonical
+// sequence.
+func mergeSorted[T any](streams [][]T, cmp func(a, b *T) int) []T {
 	total := 0
 	for _, s := range streams {
 		total += len(s)
 	}
-	out := make([]genFault, 0, total)
-	for f := range kway.MergeSeq(streams, compareGenFaults) {
-		out = append(out, f)
-	}
+	out := make([]T, 0, total)
+	kway.MergeBlocks(streams, cmp, make([]T, mergeBlock), func(v T) T { return v }, func(b []T) bool {
+		out = append(out, b...)
+		return true
+	})
 	return out
 }
 
-// mergeSessions k-way merges per-segment sorted session streams.
-func mergeSessions(streams [][]eventlog.Session) []eventlog.Session {
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	out := make([]eventlog.Session, 0, total)
-	for s := range kway.MergeSeq(streams, eventlog.CompareSessions) {
-		out = append(out, s)
-	}
-	return out
-}
+// mergeBlock is the block size compaction drains its merges in.
+const mergeBlock = 512
 
 // collapseRuns re-applies the §II-C run adjacency across batch
 // boundaries only: walking the canonical order, a fault whose (node,

@@ -1,36 +1,37 @@
 // Package fdlimit meters open file descriptors across the module's
-// storage layers. The log writer (logstore.Store) keeps per-node files
-// open in an LRU cache and the binary fault store (internal/faultstore)
-// opens segment files while answering queries; both draw their
-// descriptors from one Budget, so a process that writes logs while
-// serving store queries stays under a single configurable ceiling instead
-// of two independent ones that can add up past the OS limit.
+// storage layers. The log layer (internal/logstore: Export's per-node
+// writes and Follow's tails) and the binary fault store
+// (internal/faultstore, which opens segment files while answering
+// queries) draw their descriptors from one Budget, so a process that
+// exports or tails logs while serving store queries stays under a single
+// configurable ceiling instead of independent ones that can add up past
+// the OS limit.
 //
 // A Budget is a counting limiter, not a cache: callers Acquire before
 // opening a file and Release after closing it. The two holder classes
-// acquire differently. Components that cache open files indefinitely
-// (the log writer) call TryAcquire — or its blocking form AcquireCached —
-// and evict their own least-recently-used entry when the budget is
-// exhausted; components with transient opens (segment readers) block in
-// Acquire until a descriptor frees up. Cached holds never release on
-// their own, so a budget can reserve headroom for the transient class:
-// TryAcquire/AcquireCached stop at cap minus the reserve, while Acquire
-// may use the full cap. Without a reserve, an idle cache holding every
-// token would block transient acquirers forever. MaxInUse records the
-// high-water mark, which is what the regression tests pin.
+// acquire differently. A component that caches open files indefinitely
+// (the follow-mode tailer, the one such holder) calls TryAcquire — or
+// its blocking form AcquireCached — and evicts its own least-recently-used
+// entry when the budget is exhausted; components with transient opens
+// (the log exporter, segment readers) block in Acquire until a descriptor
+// frees up. Cached holds never release on their own, so a budget can
+// reserve headroom for the transient class: TryAcquire/AcquireCached stop
+// at cap minus the reserve, while Acquire may use the full cap. Without a
+// reserve, an idle cache holding every token would block transient
+// acquirers forever. MaxInUse records the high-water mark, which is what
+// the regression tests pin.
 package fdlimit
 
 import "sync"
 
-// DefaultCap is the default descriptor ceiling of the shared budget. It
-// matches the log writer's historical private cap: a full campaign has
-// 923 nodes, which would flirt with common descriptor limits if every
-// per-node file stayed open.
+// DefaultCap is the default descriptor ceiling of the shared budget: a
+// full campaign has 923 nodes, which would flirt with common descriptor
+// limits if every per-node file stayed open.
 const DefaultCap = 128
 
 // DefaultReserve is the shared budget's headroom withheld from
-// cache-style holders, so transient opens (segment readers) always find
-// descriptors that are guaranteed to cycle back.
+// cache-style holders, so transient opens (log export, segment readers)
+// always find descriptors that are guaranteed to cycle back.
 const DefaultReserve = 8
 
 // Budget meters a fixed number of concurrently open file descriptors.
@@ -59,10 +60,10 @@ func NewReservedBudget(cap, reserve int) *Budget {
 	return b
 }
 
-// Shared is the process-wide default budget, drawn on by logstore writers
-// and faultstore segment readers unless a caller installs a private one.
-// The reserve keeps segment readers live even when writer caches are full
-// and idle.
+// Shared is the process-wide default budget, drawn on by logstore's
+// exporter and follower and by faultstore segment readers unless a caller
+// installs a private one. The reserve keeps the transient holders live
+// even when a follower's cached tails fill their share and sit idle.
 var Shared = NewReservedBudget(DefaultCap, DefaultReserve)
 
 // SetCap adjusts the ceiling (minimum 1). Lowering it below the current
@@ -93,7 +94,7 @@ func (b *Budget) SetReserve(n int) {
 
 // cachedCapLocked is the ceiling cache-style holders may claim up to:
 // the cap minus the transient reserve, but never below one so a lone
-// writer can always make progress.
+// cached holder can always make progress.
 func (b *Budget) cachedCapLocked() int {
 	return max(b.cap-b.reserve, 1)
 }

@@ -4,73 +4,27 @@
 // (merging per-node log-file streams), plus fault-store compaction:
 // per-node sequences arrive already sorted from parallel workers, and the
 // merge interleaves them into the canonical global order in O(n log k)
-// comparisons without ever materializing the merged sequence. MergeSeq
-// yields element-wise; MergeBlocks, the delivery layer's form, fills
-// caller-owned blocks straight from its own copy of the heap loop, so the
-// hot path pays no per-element call.
+// comparisons without ever materializing the merged sequence. MergeBlocks
+// is the one heap loop: it fills caller-owned blocks, so the hot path pays
+// no per-element yield.
 package kway
 
-import "iter"
-
-// MergeSeq deterministically merges k individually sorted streams into one
-// ordered sequence, as a range-over-func iterator. The consumer may stop
-// early by breaking out of the range, releasing the heap immediately.
+// MergeBlocks deterministically merges k individually sorted streams into
+// one ordered sequence, moved in caller-owned blocks. Each merged element
+// is converted by conv (the delivery layer maps faults and sessions into
+// its Event sum type here, so blocks are built in one pass over the heap)
+// and appended to buf; emit is invoked once per full block and once for
+// the final partial one, and must consume the block before returning —
+// buf is recycled for the next block. An emit returning false stops the
+// merge immediately; MergeBlocks reports whether the sequence was fully
+// drained.
 //
 // cmp must be a total order consistent with each stream's internal order.
 // When two stream heads compare equal, the lower stream index wins, so the
-// merge is stable across runs even for equal elements. Exhausted streams
-// are released as soon as their last element is emitted. The iterator
-// allocates only its heap of k cursors up front — emitting an element
-// performs no allocation, so a delivery layer built on it stays
-// zero-alloc per event.
-func MergeSeq[T any](streams [][]T, cmp func(a, b *T) int) iter.Seq[T] {
-	return func(yield func(T) bool) {
-		h := make([]cursor[T], 0, len(streams))
-		for i, s := range streams {
-			if len(s) > 0 {
-				h = append(h, cursor[T]{items: s, idx: i})
-			}
-		}
-		less := func(a, b *cursor[T]) bool {
-			if c := cmp(&a.items[a.pos], &b.items[b.pos]); c != 0 {
-				return c < 0
-			}
-			return a.idx < b.idx
-		}
-		for i := len(h)/2 - 1; i >= 0; i-- {
-			siftDown(h, i, less)
-		}
-		for len(h) > 0 {
-			top := &h[0]
-			if !yield(top.items[top.pos]) {
-				return
-			}
-			top.pos++
-			if top.pos == len(top.items) {
-				h[0] = h[len(h)-1]
-				h[len(h)-1] = cursor[T]{} // drop the stale copy's reference
-				h = h[:len(h)-1]
-			}
-			siftDown(h, 0, less)
-		}
-	}
-}
-
-// MergeBlocks is the block-granular form of the merge: it drains the same
-// deterministic sequence as MergeSeq, but moves it in caller-owned blocks
-// instead of element-wise yields. Each merged element is converted by conv
-// (the delivery layer maps faults and sessions into its Event sum type
-// here, so blocks are built in one pass over the heap) and appended to
-// buf; emit is invoked once per full block and once for the final partial
-// one, and must consume the block before returning — buf is recycled for
-// the next block. An emit returning false stops the merge immediately;
-// MergeBlocks reports whether the sequence was fully drained.
-//
-// Ordering, stability and the allocation contract are exactly MergeSeq's:
-// block boundaries carry no meaning, cmp ties break on stream index, and
-// beyond the k-cursor heap nothing is allocated — with a pooled buf,
-// block delivery is allocation-free in steady state. len(buf) is the
-// block size and must be at least 1.
+// merge is stable across runs even for equal elements; block boundaries
+// carry no meaning. Beyond the k-cursor heap nothing is allocated — with a
+// pooled buf, block delivery is allocation-free in steady state. len(buf)
+// is the block size and must be at least 1.
 func MergeBlocks[S, T any](streams [][]S, cmp func(a, b *S) int, buf []T, conv func(S) T, emit func([]T) bool) bool {
 	if len(buf) == 0 {
 		panic("kway: MergeBlocks: empty block buffer")

@@ -18,12 +18,14 @@ func cmpInt(a, b *int) int {
 	}
 }
 
-// merge collects MergeSeq into a slice.
+// merge drains MergeBlocks into a slice through an identity conversion
+// and a small block, so multi-block draining is exercised everywhere.
 func merge[T any](streams [][]T, cmp func(a, b *T) int) []T {
 	var out []T
-	for v := range MergeSeq(streams, cmp) {
-		out = append(out, v)
-	}
+	MergeBlocks(streams, cmp, make([]T, 3), func(v T) T { return v }, func(b []T) bool {
+		out = append(out, b...)
+		return true
+	})
 	return out
 }
 
@@ -101,34 +103,30 @@ func TestMergeRandomizedAgainstSort(t *testing.T) {
 	}
 }
 
-// TestMergeSeqEarlyBreak: breaking out of the range stops the merge; a
-// fresh iterator over the same streams still delivers everything.
-func TestMergeSeqEarlyBreak(t *testing.T) {
+// TestMergeBlocksEarlyStop: an emit returning false stops the merge
+// mid-way and reports it undrained; the streams are untouched, so a fresh
+// merge over them still delivers everything.
+func TestMergeBlocksEarlyStop(t *testing.T) {
 	streams := [][]int{{1, 4, 7}, {2, 5, 8}, {3, 6, 9}}
 	var got []int
-	for v := range MergeSeq(streams, cmpInt) {
-		got = append(got, v)
-		if len(got) == 4 {
-			break
-		}
+	drained := MergeBlocks(streams, cmpInt, make([]int, 4), func(v int) int { return v }, func(b []int) bool {
+		got = append(got, b...)
+		return false
+	})
+	if drained || !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
+		t.Fatalf("stopped merge: drained=%v got=%v", drained, got)
 	}
-	if !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
-		t.Fatalf("early break delivered %v", got)
-	}
-	var all []int
-	for v := range MergeSeq(streams, cmpInt) {
-		all = append(all, v)
-	}
-	if !reflect.DeepEqual(all, []int{1, 2, 3, 4, 5, 6, 7, 8, 9}) {
-		t.Fatalf("re-iteration delivered %v", all)
+	if all := merge(streams, cmpInt); !reflect.DeepEqual(all, []int{1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+		t.Fatalf("re-merge delivered %v", all)
 	}
 }
 
-// TestMergeSeqZeroAllocPerElement is the hard gate behind the stream
-// contract's "delivery is allocation-free per event": the merge allocates
-// only its cursor heap up front, so total allocations are identical for a
-// 10-element and a 100k-element merge — per element, zero.
-func TestMergeSeqZeroAllocPerElement(t *testing.T) {
+// TestMergeBlocksZeroAllocPerElement is the hard gate behind the stream
+// contract's "delivery is allocation-free per event": with a preallocated
+// block the merge allocates only its cursor heap up front, so total
+// allocations are identical for a 10-element and a 100k-element merge —
+// per element, zero.
+func TestMergeBlocksZeroAllocPerElement(t *testing.T) {
 	build := func(perStream int) [][]int {
 		streams := make([][]int, 8)
 		for i := range streams {
@@ -138,46 +136,70 @@ func TestMergeSeqZeroAllocPerElement(t *testing.T) {
 		}
 		return streams
 	}
+	block := make([]int, 64)
+	ident := func(v int) int { return v }
+	var sink int
+	emit := func(b []int) bool {
+		for _, v := range b {
+			sink += v
+		}
+		return true
+	}
 	measure := func(streams [][]int) float64 {
-		var sink int
 		return testing.AllocsPerRun(10, func() {
-			for v := range MergeSeq(streams, cmpInt) {
-				sink += v
-			}
+			MergeBlocks(streams, cmpInt, block, ident, emit)
 		})
 	}
 	small, large := measure(build(10)), measure(build(100_000))
 	if small != large {
 		t.Fatalf("allocations scale with element count: %v for 80 elements, %v for 800k", small, large)
 	}
-	// The constant is the setup: cursor heap, comparator closure, and the
-	// iterator/yield closures of the range-over-func machinery.
+	// The constant is the setup: the cursor heap and the comparator
+	// closure.
 	if large > 5 {
 		t.Fatalf("merge setup allocates %v times, want <= 5", large)
 	}
 }
 
 // TestMergeBlocksMatchesMerge: the block-granular merge must flatten to
-// exactly MergeSeq's element-wise sequence for every block size, deliver full
-// blocks plus one final partial, honour an emit-false stop, and report
-// drained status accordingly.
+// the oracle's sequence — every stream concatenated, then stable-sorted on
+// (cmp, stream index) — for every block size, and deliver full blocks plus
+// one final partial.
 func TestMergeBlocksMatchesMerge(t *testing.T) {
-	streams := [][]int{{1, 4, 7, 10}, {2, 5, 8}, {}, {3, 6, 9, 11, 12}}
-	want := merge(streams, cmpInt)
+	type kv struct{ key, stream int }
+	cmp := func(a, b *kv) int { return cmpInt(&a.key, &b.key) }
+	r := rand.New(rand.NewSource(11))
+	streams := make([][]kv, 6)
+	for i := range streams {
+		n := r.Intn(12)
+		for j := 0; j < n; j++ {
+			streams[i] = append(streams[i], kv{r.Intn(10), i})
+		}
+		sort.SliceStable(streams[i], func(a, b int) bool { return streams[i][a].key < streams[i][b].key })
+	}
+	var want []kv
+	for _, s := range streams {
+		want = append(want, s...)
+	}
+	sort.SliceStable(want, func(i, j int) bool {
+		if want[i].key != want[j].key {
+			return want[i].key < want[j].key
+		}
+		return want[i].stream < want[j].stream
+	})
 
-	ident := func(v int) int { return v }
+	ident := func(v kv) kv { return v }
 	for _, size := range []int{1, 2, 3, 5, 12, 13, 64} {
-		var got []int
-		blocks := 0
-		drained := MergeBlocks(streams, cmpInt, make([]int, size), ident, func(b []int) bool {
+		var got []kv
+		partial := false
+		drained := MergeBlocks(streams, cmp, make([]kv, size), ident, func(b []kv) bool {
 			if len(b) > size {
 				t.Fatalf("size %d: oversized block of %d", size, len(b))
 			}
-			if len(b) < size && blocks >= 0 {
-				blocks = -1 // only the final block may be partial
-			} else if blocks == -1 {
+			if partial {
 				t.Fatalf("size %d: block after the partial one", size)
 			}
+			partial = len(b) < size // only the final block may be partial
 			got = append(got, b...)
 			return true
 		})
@@ -189,19 +211,9 @@ func TestMergeBlocksMatchesMerge(t *testing.T) {
 		}
 	}
 
-	// emit-false stops the merge mid-way and reports undrained.
-	var got []int
-	drained := MergeBlocks(streams, cmpInt, make([]int, 4), ident, func(b []int) bool {
-		got = append(got, b...)
-		return false
-	})
-	if drained || !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
-		t.Fatalf("stopped merge: drained=%v got=%v", drained, got)
-	}
-
 	// Empty input: no emit at all, trivially drained.
 	calls := 0
-	if !MergeBlocks(nil, cmpInt, make([]int, 4), ident, func([]int) bool { calls++; return true }) || calls != 0 {
+	if !MergeBlocks(nil, cmpInt, make([]int, 4), func(v int) int { return v }, func([]int) bool { calls++; return true }) || calls != 0 {
 		t.Fatalf("empty merge: %d emits", calls)
 	}
 }

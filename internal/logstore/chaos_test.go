@@ -1,77 +1,82 @@
 package logstore
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
 	"path/filepath"
 	"syscall"
 	"testing"
-	"time"
 
 	"unprotected/internal/cluster"
 	"unprotected/internal/eventlog"
+	"unprotected/internal/fdlimit"
 	"unprotected/internal/iofault"
 	"unprotected/internal/stream"
-	"unprotected/internal/thermal"
 )
 
-var chaosRetry = iofault.RetryPolicy{Attempts: 4, Base: 50 * time.Microsecond, Max: time.Millisecond}
+// chaosDataset is a one-session-per-node dataset over the given nodes.
+func chaosDataset(nodes ...cluster.NodeID) []eventlog.Session {
+	sessions := make([]eventlog.Session, len(nodes))
+	for i, n := range nodes {
+		sessions[i] = eventlog.Session{Host: n, From: 1000, To: 4600, AllocBytes: 1 << 20}
+	}
+	return sessions
+}
 
 // TestAppendRetriesTransientOpen pins the writer's liveness under
-// descriptor pressure: an EMFILE blip on the node-file open — two
-// failures, then air — must be absorbed by the retry policy instead of
-// killing the replay.
+// descriptor pressure: an EMFILE blip on one node file's append-open —
+// two failures, then air — must be absorbed by the retry policy instead
+// of killing the export, and the output must equal an export that never
+// saw a failure.
 func TestAppendRetriesTransientOpen(t *testing.T) {
-	dir := t.TempDir()
 	node := cluster.NodeID{Blade: 2, SoC: 4}
+	sessions := chaosDataset(cluster.NodeID{Blade: 1, SoC: 1}, node, cluster.NodeID{Blade: 3, SoC: 1})
 
 	inj := iofault.NewInjector(nil)
 	inj.FailPath(FileName(node), 2, syscall.EMFILE)
-	st, err := NewStore(dir, WithFS(inj))
-	if err != nil {
+	dir := t.TempDir()
+	if err := Export(sessions, nil, dir, WithFS(inj)); err != nil {
+		t.Fatalf("export did not survive a transient EMFILE blip: %v", err)
+	}
+	clean := t.TempDir()
+	if err := Export(sessions, nil, clean); err != nil {
 		t.Fatal(err)
 	}
-	st.SetRetry(chaosRetry)
-	rec := eventlog.Record{Kind: eventlog.KindStart, At: 1000, Host: node, AllocBytes: 1 << 20, TempC: thermal.NoReading}
-	if err := st.Append(rec); err != nil {
-		t.Fatalf("append did not survive a transient EMFILE blip: %v", err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, FileName(node)))
-	if err != nil || len(data) == 0 {
-		t.Fatalf("node file not written after retried open: %v", err)
+	for _, s := range sessions {
+		got, err := os.ReadFile(filepath.Join(dir, FileName(s.Host)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(filepath.Join(clean, FileName(s.Host)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s after retried open:\n%s\nwant:\n%s", FileName(s.Host), got, want)
+		}
 	}
 }
 
 // TestAppendSurfacesPersistentOpenFailure is the other half: when the
-// failure does not clear within the retry budget, the error surfaces and
-// the claimed descriptor token is released (the store stays usable for
-// other nodes).
+// failure does not clear within the retry budget, the export fails with
+// the cause intact and the descriptor token it claimed is released.
 func TestAppendSurfacesPersistentOpenFailure(t *testing.T) {
-	dir := t.TempDir()
 	bad := cluster.NodeID{Blade: 2, SoC: 4}
-	good := cluster.NodeID{Blade: 3, SoC: 1}
-
 	inj := iofault.NewInjector(nil)
 	inj.FailPath(FileName(bad), -1, syscall.EMFILE)
-	st, err := NewStore(dir, WithFS(inj))
-	if err != nil {
-		t.Fatal(err)
+
+	before := fdlimit.Shared.InUse()
+	err := Export(chaosDataset(cluster.NodeID{Blade: 1, SoC: 1}, bad), nil, t.TempDir(), WithFS(inj))
+	if err == nil {
+		t.Fatal("export to a persistently unopenable file must fail")
 	}
-	st.SetRetry(chaosRetry)
-	if err := st.Append(eventlog.Record{Kind: eventlog.KindStart, At: 1000, Host: bad, TempC: thermal.NoReading}); err == nil {
-		t.Fatal("append to a persistently unopenable file must fail")
-	} else if !errors.Is(err, syscall.EMFILE) {
+	if !errors.Is(err, syscall.EMFILE) {
 		t.Fatalf("error lost its cause: %v", err)
 	}
-	if err := st.Append(eventlog.Record{Kind: eventlog.KindStart, At: 1000, Host: good, TempC: thermal.NoReading}); err != nil {
-		t.Fatalf("store unusable after one node's open failure: %v", err)
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
+	if after := fdlimit.Shared.InUse(); after != before {
+		t.Fatalf("shared budget holds %d descriptors after the failed export, want %d", after, before)
 	}
 }
 
@@ -81,14 +86,7 @@ func TestAppendSurfacesPersistentOpenFailure(t *testing.T) {
 func TestEventsFSReplaySurfacesReadFailure(t *testing.T) {
 	dir := t.TempDir()
 	node := cluster.NodeID{Blade: 2, SoC: 4}
-	st, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Append(eventlog.Record{Kind: eventlog.KindStart, At: 1000, Host: node, TempC: thermal.NoReading}); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Close(); err != nil {
+	if err := Export(chaosDataset(node), nil, dir); err != nil {
 		t.Fatal(err)
 	}
 

@@ -1,12 +1,16 @@
 package logstore
 
 import (
+	"io/fs"
+	"path/filepath"
+	"sync"
 	"testing"
 
 	"unprotected/internal/cluster"
 	"unprotected/internal/dram"
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
+	"unprotected/internal/iofault"
 	"unprotected/internal/thermal"
 	"unprotected/internal/timebase"
 )
@@ -87,5 +91,87 @@ func TestExportEmptyDataset(t *testing.T) {
 	faults, sessions, _ := collectStream(t, dir, 0)
 	if len(faults) != 0 || len(sessions) != 0 {
 		t.Fatal("phantom data from empty export")
+	}
+}
+
+// openTracker is an iofault.FS that records every file opened for writing
+// and how many are open at once.
+type openTracker struct {
+	iofault.FS
+	mu      sync.Mutex
+	open    int
+	maxOpen int
+	opened  []string
+}
+
+func (c *openTracker) OpenFile(name string, flag int, perm fs.FileMode) (iofault.File, error) {
+	f, err := c.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.open++
+	c.maxOpen = max(c.maxOpen, c.open)
+	c.opened = append(c.opened, filepath.Base(name))
+	return &trackedFile{File: f, c: c}, nil
+}
+
+type trackedFile struct {
+	iofault.File
+	c *openTracker
+}
+
+func (f *trackedFile) Close() error {
+	f.c.mu.Lock()
+	f.c.open--
+	f.c.mu.Unlock()
+	return f.File.Close()
+}
+
+// TestExportOpensOneNodeFileAtATime: Export holds a single descriptor
+// however many nodes it writes, and visits the node files in node order —
+// every file opened once, closed before the next opens.
+func TestExportOpensOneNodeFileAtATime(t *testing.T) {
+	const nodes = 24
+	var sessions []eventlog.Session
+	var faults []extract.Fault
+	// Interleave the nodes in the input, in reverse node order, so neither
+	// input order nor node order falls out of the data by accident.
+	for round := 0; round < 3; round++ {
+		for n := nodes - 1; n >= 0; n-- {
+			host := cluster.NodeID{Blade: n/15 + 1, SoC: n%15 + 1}
+			from := timebase.T(round*10000 + n)
+			sessions = append(sessions, eventlog.Session{Host: host, From: from, To: from + 3600, AllocBytes: 1 << 30})
+			faults = append(faults, extract.Classify(extract.RawRun{
+				Node: host, Addr: dram.Addr(round), FirstAt: from + 60, LastAt: from + 60, Logs: 1,
+				Expected: 0xffffffff, Actual: 0xfffffffe, TempC: thermal.NoReading,
+			}))
+		}
+	}
+
+	tracker := &openTracker{FS: iofault.OS}
+	dir := t.TempDir()
+	if err := Export(sessions, faults, dir, WithFS(tracker)); err != nil {
+		t.Fatal(err)
+	}
+	if tracker.maxOpen != 1 || tracker.open != 0 {
+		t.Fatalf("export held up to %d node files open (%d left open), want one at a time",
+			tracker.maxOpen, tracker.open)
+	}
+	var want []string
+	for n := 0; n < nodes; n++ {
+		want = append(want, FileName(cluster.NodeID{Blade: n/15 + 1, SoC: n%15 + 1}))
+	}
+	if len(tracker.opened) != len(want) {
+		t.Fatalf("opened %d files, want %d: %v", len(tracker.opened), len(want), tracker.opened)
+	}
+	for i := range want {
+		if tracker.opened[i] != want[i] {
+			t.Fatalf("open %d was %s, want %s (node order)", i, tracker.opened[i], want[i])
+		}
+	}
+	if faults, sessions, _ := collectStream(t, dir, 0); len(faults) != 3*nodes || len(sessions) != 3*nodes {
+		t.Fatalf("replayed %d faults and %d sessions, want %d each", len(faults), len(sessions), 3*nodes)
 	}
 }

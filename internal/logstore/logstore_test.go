@@ -2,6 +2,7 @@ package logstore
 
 import (
 	"context"
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"unprotected/internal/cluster"
 	"unprotected/internal/dram"
 	"unprotected/internal/eventlog"
+	"unprotected/internal/iofault"
 	"unprotected/internal/rng"
 	"unprotected/internal/scanner"
 	"unprotected/internal/thermal"
@@ -30,12 +32,25 @@ func TestFileNameRoundTrip(t *testing.T) {
 	}
 }
 
+// writeLog appends records to their hosts' files under dir in the order
+// given: the raw scanner layout (one ERROR line per observation), which
+// Export, writing one line per collapsed fault, never produces.
+func writeLog(t testing.TB, dir string, recs ...eventlog.Record) {
+	t.Helper()
+	for _, rec := range recs {
+		f, err := os.OpenFile(filepath.Join(dir, FileName(rec.Host)), iofault.OpenAppendFlags, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, werr := f.WriteString(rec.String() + "\n")
+		if err := errors.Join(werr, f.Close()); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestStoreWriteLoad(t *testing.T) {
 	dir := t.TempDir()
-	store, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	hostA := cluster.NodeID{Blade: 1, SoC: 2}
 	hostB := cluster.NodeID{Blade: 3, SoC: 4}
 	recs := []eventlog.Record{
@@ -48,17 +63,7 @@ func TestStoreWriteLoad(t *testing.T) {
 		{Kind: eventlog.KindStart, At: 50, Host: hostB, AllocBytes: 2 << 30, TempC: thermal.NoReading},
 		// hostB never logs an END: hard reboot, 0 hours.
 	}
-	for _, r := range recs {
-		if err := store.Append(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if store.NodeCount() != 2 {
-		t.Fatalf("node files %d", store.NodeCount())
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeLog(t, dir, recs...)
 
 	faults, sessions, st := collectStream(t, dir, 0)
 	if st.RawLogs != 2 {
@@ -96,10 +101,6 @@ func TestEndToEndScannerToStoreToExtraction(t *testing.T) {
 	// The real scanner writes a node log file; the replay reproduces the
 	// exact fault the injector planted.
 	dir := t.TempDir()
-	store, err := NewStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	host := cluster.NodeID{Blade: 7, SoC: 3}
 	dev := dram.NewDevice(uint64(host.Index()), 4096, nil)
 	bit := -1
@@ -110,15 +111,12 @@ func TestEndToEndScannerToStoreToExtraction(t *testing.T) {
 		}
 	}
 	dev.AddWeakCell(&dram.WeakCell{Addr: 123, Bit: bit, LeakProb: 1, Active: true})
+	var recs []eventlog.Record
 	s := scanner.New(host, dev, scanner.FlipMode, func(rec eventlog.Record) {
-		if err := store.Append(rec); err != nil {
-			t.Fatal(err)
-		}
+		recs = append(recs, rec)
 	}, rng.New(9))
 	s.Run(timebase.T(100*86400), 8, nil)
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
+	writeLog(t, dir, recs...)
 
 	faults, _, st := collectStream(t, dir, 0)
 	if len(faults) == 0 {

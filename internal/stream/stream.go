@@ -89,11 +89,9 @@ type Event struct {
 
 // Stats are the scalar aggregates of a stream, delivered as its prologue.
 type Stats struct {
-	// Faults and Sessions count the full dataset behind the stream. For a
-	// complete Events stream (the Source contract) they are exactly the
-	// deliveries that follow the prologue, so a collecting consumer can
-	// preallocate; an explicitly filtered stream (campaign.EventsFiltered)
-	// omits one half's deliveries but still reports its true count.
+	// Faults and Sessions count the dataset behind the stream: exactly
+	// the deliveries that follow the prologue, so a collecting consumer
+	// can preallocate.
 	Faults   int
 	Sessions int
 	// RawLogs counts every ERROR record behind the stream (each fault is a
