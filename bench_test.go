@@ -471,3 +471,38 @@ func BenchmarkSubstrateSolarPosition(b *testing.B) {
 		solar.PositionAt(solar.Barcelona, at)
 	}
 }
+
+// localTimeSink keeps BenchmarkSubstrateLocalTime's results live.
+var localTimeSink int64
+
+// BenchmarkSubstrateLocalTime measures the local-time accessors under every
+// per-window and per-element lookup: the daily accumulator's Day +
+// SecondsIntoLocalDay pair, the HourOfDay of the thermal model and the
+// hour-of-day accumulator, and the scheduler's Month. Each walks the study
+// window at a prime stride, so the samples cover every hour of day under
+// both CET and CEST.
+func BenchmarkSubstrateLocalTime(b *testing.B) {
+	const stride = 7919
+	end := timebase.T(timebase.StudySeconds)
+	for _, c := range []struct {
+		name string
+		fn   func(timebase.T) int64
+	}{
+		{"DaySeconds", func(at timebase.T) int64 { return int64(at.Day()) + at.SecondsIntoLocalDay() }},
+		{"HourOfDay", func(at timebase.T) int64 { return int64(at.HourOfDay()) }},
+		{"Month", func(at timebase.T) int64 { return int64(at.Month()) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var at timebase.T
+			var sum int64
+			for i := 0; i < b.N; i++ {
+				sum += c.fn(at)
+				if at += stride; at >= end {
+					at -= end
+				}
+			}
+			localTimeSink = sum
+		})
+	}
+}

@@ -42,57 +42,97 @@ func (t T) Add(d time.Duration) T { return t + T(d/time.Second) }
 // Sub returns the duration t - u.
 func (t T) Sub(u T) time.Duration { return time.Duration(t-u) * time.Second }
 
-// Day returns the zero-based day index of t in local wall time.
+// The local-time kernel. Day, HourOfDay, SecondsIntoLocalDay, Month and
+// IsCEST sit under every per-window and per-element lookup of the
+// simulation and the accumulators, so they work on Unix seconds with
+// integer civil-date arithmetic and never build a time.Time. Within ±292
+// years of the epoch (years 1723–2306, where T.Time is exact) they agree
+// with the time package's answer for ToLocal(t.Time()), which
+// TestLocalTimeMatchesTimePackage proves. Farther out T.Time wraps around
+// time.Duration, and the kernel keeps returning the true calendar answer.
+
+const secondsPerDay = 86400
+
+var (
+	// epochUnix is Epoch in Unix seconds: T(0).
+	epochUnix = Epoch.Unix()
+	// epochDay is Epoch's day number (days since 1970-01-01); Epoch is a
+	// UTC midnight, and day index 0 is the local date 2015-02-01.
+	epochDay = epochUnix / secondsPerDay
+)
+
+// cestUnix reports whether Unix second u falls in CEST. It applies the EU
+// rule to u's UTC date: April to September are summer, November to
+// February winter. March and October both have 31 days, so their last
+// Sunday is the only Sunday on day 25 or later, and the switch is at
+// 01:00 UTC on that Sunday.
+func cestUnix(u int64) bool {
+	days := FloorDiv(u, secondsPerDay)
+	_, m, d := CivilFromDays(days)
+	if m != 3 && m != 10 {
+		return m > 3 && m < 10
+	}
+	wd := int(((days+4)%7 + 7) % 7) // Sunday == 0; 1970-01-01 was a Thursday
+	sunday := d - wd                // this date's Sunday, or earlier (≤ 0: previous month)
+	switched := sunday >= 25 && (wd > 0 || u-days*secondsPerDay >= 3600)
+	if m == 3 {
+		return switched
+	}
+	return !switched
+}
+
+// local returns t's Barcelona wall-clock date as a day number (days since
+// 1970-01-01) and the seconds into that day.
+func (t T) local() (day, sec int64) {
+	u := int64(t) + epochUnix
+	if cestUnix(u) {
+		u += 2 * 3600
+	} else {
+		u += 3600
+	}
+	day = FloorDiv(u, secondsPerDay)
+	return day, u - day*secondsPerDay
+}
+
+// Day returns the zero-based day index of t in local wall time. The epoch
+// is 2015-02-01 01:00 local (CET); day 0 covers the remainder of
+// 2015-02-01 local.
 func (t T) Day() int {
-	lt := ToLocal(t.Time())
-	midnight := time.Date(2015, time.February, 1, 0, 0, 0, 0, time.UTC)
-	// Local calendar day relative to the local date of the epoch. The epoch
-	// is 2015-02-01 01:00 local (CET); day 0 covers the remainder of
-	// 2015-02-01 local.
-	y, m, d := lt.Date()
-	cur := time.Date(y, m, d, 0, 0, 0, 0, time.UTC)
-	return int(cur.Sub(midnight) / (24 * time.Hour))
+	day, _ := t.local()
+	return int(day - epochDay)
 }
 
 // HourOfDay returns the local hour (0-23) of t.
-func (t T) HourOfDay() int { return ToLocal(t.Time()).Hour() }
+func (t T) HourOfDay() int {
+	_, sec := t.local()
+	return int(sec / 3600)
+}
 
 // SecondsIntoLocalDay returns how far t is into its local calendar day.
 func (t T) SecondsIntoLocalDay() int64 {
-	lt := ToLocal(t.Time())
-	return int64(lt.Hour())*3600 + int64(lt.Minute())*60 + int64(lt.Second())
+	_, sec := t.local()
+	return sec
 }
 
 // Month returns the local calendar month of t.
-func (t T) Month() time.Month { return ToLocal(t.Time()).Month() }
+func (t T) Month() time.Month {
+	day, _ := t.local()
+	_, m, _ := CivilFromDays(day)
+	return time.Month(m)
+}
 
 // String renders as local wall-clock time.
 func (t T) String() string { return ToLocal(t.Time()).Format("2006-01-02 15:04:05") }
 
-// lastSunday returns the day-of-month of the last Sunday of (year, month).
-func lastSunday(year int, month time.Month) int {
-	// Day after the month's last day, step back to Sunday.
-	next := time.Date(year, month+1, 1, 0, 0, 0, 0, time.UTC)
-	last := next.AddDate(0, 0, -1)
-	off := int(last.Weekday()) // Sunday == 0
-	return last.Day() - off
-}
-
 // IsCEST reports whether the instant (UTC) falls in Central European Summer
 // Time: from 01:00 UTC on the last Sunday of March until 01:00 UTC on the
 // last Sunday of October.
-func IsCEST(t time.Time) bool {
-	t = t.UTC()
-	y := t.Year()
-	start := time.Date(y, time.March, lastSunday(y, time.March), 1, 0, 0, 0, time.UTC)
-	end := time.Date(y, time.October, lastSunday(y, time.October), 1, 0, 0, 0, time.UTC)
-	return !t.Before(start) && t.Before(end)
-}
+func IsCEST(t time.Time) bool { return cestUnix(t.Unix()) }
 
-// The two fixed-offset locations are shared: time.FixedZone allocates a
-// fresh *Location on every call, and ToLocal sits under every per-window
-// Month/HourOfDay lookup of the simulation hot path — constructing the
-// zones per call used to be over half of a campaign's total allocations.
+// The two fixed-offset locations are shared, because time.FixedZone
+// allocates a fresh *Location on every call. ToLocal serves String and
+// callers that need a time.Time; the per-element lookups above never
+// reach it.
 var (
 	zoneCEST = time.FixedZone("CEST", 2*3600)
 	zoneCET  = time.FixedZone("CET", 1*3600)
@@ -119,7 +159,8 @@ func MonthOfDay(day int) time.Month {
 	return d.Month()
 }
 
-// Validate panics if the window constants are inconsistent; used by tests.
+// Validate returns an error if the window constants are inconsistent; used
+// by tests.
 func Validate() error {
 	if !End.After(Epoch) {
 		return fmt.Errorf("timebase: end %v not after epoch %v", End, Epoch)
