@@ -28,6 +28,7 @@ import (
 	"unprotected/internal/scanner"
 	"unprotected/internal/solar"
 	"unprotected/internal/stats"
+	"unprotected/internal/stream"
 	"unprotected/internal/timebase"
 )
 
@@ -355,6 +356,40 @@ func BenchmarkAnalyzeIterator(b *testing.B) {
 		if faults == 0 || faults != stats.Faults || sessions != stats.Sessions {
 			b.Fatal("iterator delivery disagrees with stats")
 		}
+	}
+}
+
+// BenchmarkSubstrateMerge measures delivery's k-way merge alone: the
+// seed-42 study's dataset, split per node into 26 fault and 923 session
+// streams outside the timer, merged by stream.Deliver into a consumer
+// that does nothing (~642k events per op).
+func BenchmarkSubstrateMerge(b *testing.B) {
+	d := study(b).Dataset
+	faultsBy := make([][]extract.Fault, cluster.TotalNodes)
+	for _, f := range d.Faults {
+		faultsBy[f.Node.Index()] = append(faultsBy[f.Node.Index()], f)
+	}
+	sessionsBy := make([][]eventlog.Session, cluster.TotalNodes)
+	for _, s := range d.Sessions {
+		sessionsBy[s.Host.Index()] = append(sessionsBy[s.Host.Index()], s)
+	}
+	var faults [][]extract.Fault
+	var sessions [][]eventlog.Session
+	for i := range faultsBy {
+		if len(faultsBy[i]) > 0 {
+			faults = append(faults, faultsBy[i])
+		}
+		if len(sessionsBy[i]) > 0 {
+			sessions = append(sessions, sessionsBy[i])
+		}
+	}
+	st := &stream.Stats{Faults: len(d.Faults), Sessions: len(d.Sessions)}
+	ctx := context.Background()
+	yield := func(stream.Event, error) bool { return true }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		stream.Deliver(ctx, yield, st, faults, sessions)
 	}
 }
 

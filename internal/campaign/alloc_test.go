@@ -47,7 +47,7 @@ func TestEventsAllocBudget(t *testing.T) {
 
 	allocs := testing.AllocsPerRun(3, drain)
 	// Fixed costs: pool goroutines, per-node session slices, stats maps,
-	// merge heaps. Per-event budget 0.02 ≈ one allocation per 50 events.
+	// merge trees. Per-event budget 0.02 ≈ one allocation per 50 events.
 	budget := 2000 + float64(events)*0.02
 	t.Logf("%d events, %.0f allocs/run (budget %.0f)", events, allocs, budget)
 	if allocs > budget {

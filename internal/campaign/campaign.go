@@ -5,10 +5,10 @@
 //
 // The engine is a streaming pipeline (see DESIGN.md): each worker
 // simulates a node, extracts and sorts that node's faults locally, and a
-// deterministic k-way heap merge interleaves the per-node streams into the
-// canonical global order. Events yields faults and sessions to the caller
-// one at a time, as a stream.Source iterator, without materializing the
-// merged dataset.
+// deterministic k-way loser-tree merge interleaves the per-node streams
+// into the canonical global order. Events yields faults and sessions to
+// the caller one at a time, as a stream.Source iterator, without
+// materializing the merged dataset.
 //
 // Determinism: each node draws from an independent RNG stream derived from
 // (campaign seed, node index); per-node streams are sorted by the total

@@ -51,6 +51,12 @@ func CompareSessions(a, b *Session) int {
 	}
 }
 
+// SessionKey is CompareSessions' leading key, the start time:
+// SessionKey(a) < SessionKey(b) implies CompareSessions(a, b) < 0, so a
+// merge may order sessions by SessionKey and call CompareSessions only
+// when two keys are equal.
+func SessionKey(s *Session) int64 { return int64(s.From) }
+
 // Duration returns the monitored time, zero for truncated sessions.
 func (s Session) Duration() time.Duration {
 	if s.Truncated || s.To <= s.From {

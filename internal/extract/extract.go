@@ -309,6 +309,11 @@ func Compare(a, b *Fault) int {
 	}
 }
 
+// Key is Compare's leading key, the first observation time: Key(a) <
+// Key(b) implies Compare(a, b) < 0, so a merge may order faults by Key
+// and call Compare only when two keys are equal.
+func Key(f *Fault) int64 { return int64(f.FirstAt) }
+
 // SortFaults orders faults by the canonical Compare key.
 func SortFaults(fs []Fault) {
 	sort.Slice(fs, func(i, j int) bool { return Compare(&fs[i], &fs[j]) < 0 })

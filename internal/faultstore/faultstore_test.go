@@ -379,6 +379,39 @@ func TestStoreCompactSingleGenerationIsPureRebucket(t *testing.T) {
 	}
 }
 
+// TestGenFaultKeyCoarsensCompare: compaction's merge orders by
+// genFaultKey and calls compareGenFaults only when two keys are equal,
+// which reproduces compareGenFaults' order only if key(a) < key(b)
+// implies compareGenFaults(a, b) < 0. Every ordered pair of a set whose
+// first and last observations tie densely and often invert must satisfy
+// it.
+func TestGenFaultKeyCoarsensCompare(t *testing.T) {
+	var gfs []genFault
+	for i := 0; i < 600; i++ {
+		first := timebase.T(i * 7 % 64)
+		last := first + timebase.T(i*13%50)
+		f := synthFault(1+i%3, 1+i%2, uint32(i%5), first, last, 1+i%4, 0xffffffff, ^uint32(1<<(i%32)))
+		gfs = append(gfs, genFault{gen: uint32(i % 3), Fault: f})
+	}
+	ties := 0
+	for i := range gfs {
+		for j := range gfs {
+			a, b := &gfs[i], &gfs[j]
+			switch ka, kb := genFaultKey(a), genFaultKey(b); {
+			case ka < kb:
+				if c := compareGenFaults(a, b); c >= 0 {
+					t.Fatalf("key %d < %d but compareGenFaults = %d:\n%+v\n%+v", ka, kb, c, *a, *b)
+				}
+			case ka == kb && i != j:
+				ties++
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatal("no key ties among the faults")
+	}
+}
+
 // TestStoreCompactNeverReusesLiveSegmentNames pins the crash-consistency
 // contract of compaction: the manifest swap is the commit point, so no
 // output segment may take a name the pre-compact manifest references —

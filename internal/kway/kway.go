@@ -3,61 +3,120 @@
 // engine (merging per-node simulation streams) and the log-replay loader
 // (merging per-node log-file streams), plus fault-store compaction:
 // per-node sequences arrive already sorted from parallel workers, and the
-// merge interleaves them into the canonical global order in O(n log k)
-// comparisons without ever materializing the merged sequence. MergeBlocks
-// is the one heap loop: it fills caller-owned blocks, so the hot path pays
-// no per-element yield.
+// merge interleaves them into the canonical global order without ever
+// materializing the merged sequence. MergeBlocks is the one merge loop: a
+// loser tree over the stream heads that fills caller-owned blocks, so the
+// hot path pays no per-element yield and, on distinct head keys, one
+// integer comparison per tree level.
 package kway
+
+import "math"
 
 // MergeBlocks deterministically merges k individually sorted streams into
 // one ordered sequence, moved in caller-owned blocks. Each merged element
 // is converted by conv (the delivery layer maps faults and sessions into
-// its Event sum type here, so blocks are built in one pass over the heap)
+// its Event sum type here, so blocks are built in one pass over the tree)
 // and appended to buf; emit is invoked once per full block and once for
 // the final partial one, and must consume the block before returning —
 // buf is recycled for the next block. An emit returning false stops the
 // merge immediately; MergeBlocks reports whether the sequence was fully
-// drained.
+// drained. The streams themselves are never modified.
 //
 // cmp must be a total order consistent with each stream's internal order.
 // When two stream heads compare equal, the lower stream index wins, so the
 // merge is stable across runs even for equal elements; block boundaries
-// carry no meaning. Beyond the k-cursor heap nothing is allocated — with a
-// pooled buf, block delivery is allocation-free in steady state. len(buf)
-// is the block size and must be at least 1.
-func MergeBlocks[S, T any](streams [][]S, cmp func(a, b *S) int, buf []T, conv func(S) T, emit func([]T) bool) bool {
+// carry no meaning. key must coarsen cmp: key(a) < key(b) implies
+// cmp(a, b) < 0. The merge then orders by (key, cmp, stream index), the
+// same total order as (cmp, stream index), so key only decides how often
+// cmp runs: once per tie on key, never on distinct keys. A constant key
+// is valid and makes every step call cmp.
+//
+// Beyond the tree and its k cursors nothing is allocated — with a pooled
+// buf, block delivery is allocation-free in steady state. len(buf) is the
+// block size and must be at least 1.
+func MergeBlocks[S, T any](streams [][]S, key func(*S) int64, cmp func(a, b *S) int,
+	buf []T, conv func(S) T, emit func([]T) bool) bool {
 	if len(buf) == 0 {
 		panic("kway: MergeBlocks: empty block buffer")
 	}
-	h := make([]cursor[S], 0, len(streams))
-	for i, s := range streams {
+	// rest[i] is the unmerged tail of the i-th non-empty stream, so
+	// rest[i][0] is its head and a drained stream has an empty tail; the
+	// order of rest is stream order, so i is the index tiebreak.
+	rest := make([][]S, 0, len(streams))
+	for _, s := range streams {
 		if len(s) > 0 {
-			h = append(h, cursor[S]{items: s, idx: i})
+			rest = append(rest, s)
 		}
 	}
-	less := func(a, b *cursor[S]) bool {
-		if c := cmp(&a.items[a.pos], &b.items[b.pos]); c != 0 {
+	k := len(rest)
+	if k == 0 {
+		return true
+	}
+	// precedes orders two streams whose head keys are equal: a drained
+	// stream loses to every live one (its key, math.MaxInt64, may equal a
+	// live head's), then cmp decides, then the lower index.
+	precedes := func(a, b int) bool {
+		ha, hb := rest[a], rest[b]
+		if len(ha) == 0 || len(hb) == 0 {
+			return len(hb) == 0 && len(ha) > 0
+		}
+		if c := cmp(&ha[0], &hb[0]); c != 0 {
 			return c < 0
 		}
-		return a.idx < b.idx
+		return a < b
 	}
-	for i := len(h)/2 - 1; i >= 0; i-- {
-		siftDown(h, i, less)
+
+	// The tree is implicit: leaf i sits at position k+i, the parent of
+	// position p is p/2, and internal node p (1 ≤ p < k) holds the loser
+	// of the match played there. The overall winner goes to tree[0].
+	// Building inserts the leaves one by one; an internal node parks the
+	// first entry reaching it and plays the second, so each node plays
+	// exactly the winners of its two subtrees.
+	tree := make([]entry, k)
+	for p := range tree {
+		tree[p].src = -1
 	}
-	n := 0
-	for len(h) > 0 {
-		top := &h[0]
-		buf[n] = conv(top.items[top.pos])
-		n++
-		top.pos++
-		if top.pos == len(top.items) {
-			h[0] = h[len(h)-1]
-			h[len(h)-1] = cursor[S]{} // drop the stale copy's reference
-			h = h[:len(h)-1]
+leaves:
+	for i := range rest {
+		e := entry{key: key(&rest[i][0]), src: i}
+		for p := (k + i) >> 1; p > 0; p >>= 1 {
+			t := &tree[p]
+			if t.src < 0 {
+				*t = e
+				continue leaves
+			}
+			if t.key < e.key || t.key == e.key && precedes(t.src, e.src) {
+				*t, e = e, *t
+			}
 		}
-		siftDown(h, 0, less)
+		tree[0] = e
+	}
+
+	// Each pop emits the winner's head and replays the leaf-to-root path
+	// with the stream's next head; a drained stream replays with
+	// math.MaxInt64 and loses every match, so once the winner is drained
+	// every stream is.
+	n := 0
+	for w := tree[0].src; len(rest[w]) > 0; {
+		s := rest[w]
+		buf[n] = conv(s[0])
+		n++
+		e := entry{key: math.MaxInt64, src: w}
+		if len(s) > 1 {
+			rest[w] = s[1:]
+			e.key = key(&s[1])
+		} else {
+			rest[w] = nil // drop the drained stream's reference
+		}
+		for p := (k + w) >> 1; p > 0; p >>= 1 {
+			t := &tree[p]
+			if t.key < e.key || t.key == e.key && precedes(t.src, e.src) {
+				*t, e = e, *t
+			}
+		}
+		w = e.src
 		if n == len(buf) {
-			if !emit(buf[:n]) {
+			if !emit(buf) {
 				return false
 			}
 			n = 0
@@ -69,28 +128,9 @@ func MergeBlocks[S, T any](streams [][]S, cmp func(a, b *S) int, buf []T, conv f
 	return true
 }
 
-// cursor is one stream's read position in the merge heap.
-type cursor[T any] struct {
-	items []T
-	pos   int
-	idx   int // original stream index, the deterministic tiebreak
-}
-
-// siftDown restores the min-heap property below node i.
-func siftDown[T any](h []cursor[T], i int, less func(a, b *cursor[T]) bool) {
-	for {
-		left, right := 2*i+1, 2*i+2
-		min := i
-		if left < len(h) && less(&h[left], &h[min]) {
-			min = left
-		}
-		if right < len(h) && less(&h[right], &h[min]) {
-			min = right
-		}
-		if min == i {
-			return
-		}
-		h[i], h[min] = h[min], h[i]
-		i = min
-	}
+// entry is one stream's place in the loser tree: the stream's index and
+// its head's cached key.
+type entry struct {
+	key int64
+	src int
 }

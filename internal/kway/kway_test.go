@@ -1,6 +1,9 @@
 package kway
 
 import (
+	"cmp"
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -18,11 +21,13 @@ func cmpInt(a, b *int) int {
 	}
 }
 
+func keyInt(v *int) int64 { return int64(*v) }
+
 // merge drains MergeBlocks into a slice through an identity conversion
 // and a small block, so multi-block draining is exercised everywhere.
-func merge[T any](streams [][]T, cmp func(a, b *T) int) []T {
+func merge[T any](streams [][]T, key func(*T) int64, cmp func(a, b *T) int) []T {
 	var out []T
-	MergeBlocks(streams, cmp, make([]T, 3), func(v T) T { return v }, func(b []T) bool {
+	MergeBlocks(streams, key, cmp, make([]T, 3), func(v T) T { return v }, func(b []T) bool {
 		out = append(out, b...)
 		return true
 	})
@@ -36,7 +41,7 @@ func TestMergeOrders(t *testing.T) {
 		{},
 		{3, 6, 9, 11, 12},
 	}
-	got := merge(streams, cmpInt)
+	got := merge(streams, keyInt, cmpInt)
 	want := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("merge order %v, want %v", got, want)
@@ -44,11 +49,11 @@ func TestMergeOrders(t *testing.T) {
 }
 
 func TestMergeEdgeCases(t *testing.T) {
-	got := append(merge(nil, cmpInt), merge([][]int{{}, {}}, cmpInt)...)
+	got := append(merge(nil, keyInt, cmpInt), merge([][]int{{}, {}}, keyInt, cmpInt)...)
 	if len(got) != 0 {
 		t.Fatalf("empty streams emitted %v", got)
 	}
-	if got := merge([][]int{{5, 6, 7}}, cmpInt); !reflect.DeepEqual(got, []int{5, 6, 7}) {
+	if got := merge([][]int{{5, 6, 7}}, keyInt, cmpInt); !reflect.DeepEqual(got, []int{5, 6, 7}) {
 		t.Fatalf("single stream %v", got)
 	}
 }
@@ -71,7 +76,7 @@ func TestMergeStableOnTies(t *testing.T) {
 			return 0
 		}
 	}
-	got := merge(streams, cmp)
+	got := merge(streams, func(v *kv) int64 { return int64(v.key) }, cmp)
 	want := []kv{{1, 0}, {1, 1}, {1, 2}, {2, 0}, {2, 1}, {2, 2}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tie order %v, want %v", got, want)
@@ -93,7 +98,7 @@ func TestMergeRandomizedAgainstSort(t *testing.T) {
 			all = append(all, streams[i]...)
 		}
 		sort.Ints(all)
-		got := merge(streams, cmpInt)
+		got := merge(streams, keyInt, cmpInt)
 		if len(got) == 0 && len(all) == 0 {
 			continue
 		}
@@ -109,21 +114,21 @@ func TestMergeRandomizedAgainstSort(t *testing.T) {
 func TestMergeBlocksEarlyStop(t *testing.T) {
 	streams := [][]int{{1, 4, 7}, {2, 5, 8}, {3, 6, 9}}
 	var got []int
-	drained := MergeBlocks(streams, cmpInt, make([]int, 4), func(v int) int { return v }, func(b []int) bool {
+	drained := MergeBlocks(streams, keyInt, cmpInt, make([]int, 4), func(v int) int { return v }, func(b []int) bool {
 		got = append(got, b...)
 		return false
 	})
 	if drained || !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
 		t.Fatalf("stopped merge: drained=%v got=%v", drained, got)
 	}
-	if all := merge(streams, cmpInt); !reflect.DeepEqual(all, []int{1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+	if all := merge(streams, keyInt, cmpInt); !reflect.DeepEqual(all, []int{1, 2, 3, 4, 5, 6, 7, 8, 9}) {
 		t.Fatalf("re-merge delivered %v", all)
 	}
 }
 
 // TestMergeBlocksZeroAllocPerElement is the hard gate behind the stream
 // contract's "delivery is allocation-free per event": with a preallocated
-// block the merge allocates only its cursor heap up front, so total
+// block the merge allocates only its loser tree and cursors up front, so total
 // allocations are identical for a 10-element and a 100k-element merge —
 // per element, zero.
 func TestMergeBlocksZeroAllocPerElement(t *testing.T) {
@@ -147,75 +152,129 @@ func TestMergeBlocksZeroAllocPerElement(t *testing.T) {
 	}
 	measure := func(streams [][]int) float64 {
 		return testing.AllocsPerRun(10, func() {
-			MergeBlocks(streams, cmpInt, block, ident, emit)
+			MergeBlocks(streams, keyInt, cmpInt, block, ident, emit)
 		})
 	}
 	small, large := measure(build(10)), measure(build(100_000))
 	if small != large {
 		t.Fatalf("allocations scale with element count: %v for 80 elements, %v for 800k", small, large)
 	}
-	// The constant is the setup: the cursor heap and the comparator
-	// closure.
+	// The constant is the setup: the loser tree and the cursors.
 	if large > 5 {
 		t.Fatalf("merge setup allocates %v times, want <= 5", large)
 	}
 }
 
+// item is a merge element ordered by cmpItem on (t, sub); stream and pos
+// only identify it, so equal elements stay distinguishable in the output.
+type item struct {
+	t           int64
+	sub         int
+	stream, pos int
+}
+
+func cmpItem(a, b *item) int {
+	if c := cmp.Compare(a.t, b.t); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.sub, b.sub)
+}
+
+// itemStreams builds k sorted streams over a narrow (t, sub) range, so
+// keys tie across streams and inside one stream. Every third stream ends
+// on an element at t = math.MaxInt64, which stays live after most streams
+// have drained.
+func itemStreams(k int) [][]item {
+	r := rand.New(rand.NewSource(int64(k)))
+	maxLen := 2 + 400/k
+	streams := make([][]item, k)
+	for i := range streams {
+		s := make([]item, r.Intn(maxLen+1))
+		for j := range s {
+			s[j] = item{t: int64(r.Intn(24) - 8), sub: r.Intn(3), stream: i}
+		}
+		if i%3 == 2 || k == 1 {
+			s = append(s, item{t: math.MaxInt64, sub: r.Intn(2), stream: i})
+		}
+		sort.SliceStable(s, func(a, b int) bool { return cmpItem(&s[a], &s[b]) < 0 })
+		for j := range s {
+			s[j].pos = j
+		}
+		streams[i] = s
+	}
+	return streams
+}
+
 // TestMergeBlocksMatchesMerge: the block-granular merge must flatten to
 // the oracle's sequence — every stream concatenated, then stable-sorted on
-// (cmp, stream index) — for every block size, and deliver full blocks plus
-// one final partial.
+// (cmp, stream index) — for every stream count, every key that coarsens
+// cmp and every block size, and deliver full blocks plus one final
+// partial. The constant key sends every step through cmp.
 func TestMergeBlocksMatchesMerge(t *testing.T) {
-	type kv struct{ key, stream int }
-	cmp := func(a, b *kv) int { return cmpInt(&a.key, &b.key) }
-	r := rand.New(rand.NewSource(11))
-	streams := make([][]kv, 6)
-	for i := range streams {
-		n := r.Intn(12)
-		for j := 0; j < n; j++ {
-			streams[i] = append(streams[i], kv{r.Intn(10), i})
-		}
-		sort.SliceStable(streams[i], func(a, b int) bool { return streams[i][a].key < streams[i][b].key })
+	keys := []struct {
+		name string
+		key  func(*item) int64
+	}{
+		{"exact", func(v *item) int64 { return v.t }},
+		{"coarse", func(v *item) int64 { return v.t / 4 }},
+		{"constant", func(*item) int64 { return 0 }},
 	}
-	var want []kv
-	for _, s := range streams {
-		want = append(want, s...)
-	}
-	sort.SliceStable(want, func(i, j int) bool {
-		if want[i].key != want[j].key {
-			return want[i].key < want[j].key
+	ident := func(v item) item { return v }
+	for _, k := range []int{1, 2, 3, 5, 8, 13, 64, 923} {
+		streams := itemStreams(k)
+		var want []item
+		for _, s := range streams {
+			want = append(want, s...)
 		}
-		return want[i].stream < want[j].stream
-	})
-
-	ident := func(v kv) kv { return v }
-	for _, size := range []int{1, 2, 3, 5, 12, 13, 64} {
-		var got []kv
-		partial := false
-		drained := MergeBlocks(streams, cmp, make([]kv, size), ident, func(b []kv) bool {
-			if len(b) > size {
-				t.Fatalf("size %d: oversized block of %d", size, len(b))
+		sort.SliceStable(want, func(i, j int) bool {
+			if c := cmpItem(&want[i], &want[j]); c != 0 {
+				return c < 0
 			}
-			if partial {
-				t.Fatalf("size %d: block after the partial one", size)
-			}
-			partial = len(b) < size // only the final block may be partial
-			got = append(got, b...)
-			return true
+			return want[i].stream < want[j].stream
 		})
-		if !drained {
-			t.Fatalf("size %d: full consumption reported undrained", size)
-		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("size %d: merged %v, want %v", size, got, want)
+		for _, kf := range keys {
+			t.Run(fmt.Sprintf("k=%d/%s", k, kf.name), func(t *testing.T) {
+				for _, size := range []int{1, 2, 3, 5, 12, 13, 64} {
+					var got []item
+					partial := false
+					drained := MergeBlocks(streams, kf.key, cmpItem, make([]item, size), ident, func(b []item) bool {
+						if len(b) > size {
+							t.Fatalf("size %d: oversized block of %d", size, len(b))
+						}
+						if partial {
+							t.Fatalf("size %d: block after the partial one", size)
+						}
+						partial = len(b) < size // only the final block may be partial
+						got = append(got, b...)
+						return true
+					})
+					if !drained {
+						t.Fatalf("size %d: full consumption reported undrained", size)
+					}
+					if !reflect.DeepEqual(got, want) {
+						t.Fatalf("size %d: merged %d elements, want %d; first difference at %d",
+							size, len(got), len(want), firstDiff(got, want))
+					}
+				}
+			})
 		}
 	}
 
 	// Empty input: no emit at all, trivially drained.
 	calls := 0
-	if !MergeBlocks(nil, cmpInt, make([]int, 4), func(v int) int { return v }, func([]int) bool { calls++; return true }) || calls != 0 {
+	if !MergeBlocks(nil, keyInt, cmpInt, make([]int, 4), func(v int) int { return v }, func([]int) bool { calls++; return true }) || calls != 0 {
 		t.Fatalf("empty merge: %d emits", calls)
 	}
+}
+
+// firstDiff is the first index at which got and want differ.
+func firstDiff(got, want []item) int {
+	for i := range min(len(got), len(want)) {
+		if got[i] != want[i] {
+			return i
+		}
+	}
+	return min(len(got), len(want))
 }
 
 // TestMergeBlocksEmptyBufPanics: a zero-length block buffer can never
@@ -226,5 +285,5 @@ func TestMergeBlocksEmptyBufPanics(t *testing.T) {
 			t.Fatal("no panic on empty buffer")
 		}
 	}()
-	MergeBlocks([][]int{{1}}, cmpInt, nil, func(v int) int { return v }, func([]int) bool { return true })
+	MergeBlocks([][]int{{1}}, keyInt, cmpInt, nil, func(v int) int { return v }, func([]int) bool { return true })
 }

@@ -193,10 +193,10 @@ func deliverBatched(ctx context.Context, yield func(Event, error) bool,
 		return
 	}
 	emit := func(block []Event) bool { return yieldBlock(ctx, yield, block) }
-	if !kway.MergeBlocks(faultStreams, extract.Compare, buf, FaultEvent, emit) {
+	if !kway.MergeBlocks(faultStreams, extract.Key, extract.Compare, buf, FaultEvent, emit) {
 		return
 	}
-	kway.MergeBlocks(sessionStreams, eventlog.CompareSessions, buf, SessionEvent, emit)
+	kway.MergeBlocks(sessionStreams, eventlog.SessionKey, eventlog.CompareSessions, buf, SessionEvent, emit)
 }
 
 // yieldBlock hands one merged block to the consumer element-wise,

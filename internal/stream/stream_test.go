@@ -80,7 +80,7 @@ func sortSessions(ss []eventlog.Session) {
 
 // deliverUnbatched is the reference delivery Deliver must match exactly:
 // it flattens the streams in stream order and stable-sorts them under the
-// canonical comparators — no merge heap, no block layer; stability keeps
+// canonical comparators — no k-way merge, no block layer; stability keeps
 // equal elements in stream-index order, the merge's tiebreak — then
 // yields one event at a time with the same per-delivery cancellation
 // check and yield-false handling.
@@ -274,7 +274,7 @@ func TestDeliverCancelMidBatch(t *testing.T) {
 }
 
 // TestDeliverAllocBudget: with a warm pool, delivering thousands of events
-// must cost only the two merge heaps — the per-event budget is zero.
+// must cost only the two merges' loser trees — the per-event budget is zero.
 func TestDeliverAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	st := &Stats{}
@@ -296,8 +296,45 @@ func TestDeliverAllocBudget(t *testing.T) {
 	}
 	drain() // warm the batch pool
 	allocs := testing.AllocsPerRun(5, drain)
-	// Two cursor heaps plus pool noise; 16k+ events must not show up.
+	// Two loser trees with their cursors plus pool noise; 16k+ events
+	// must not show up.
 	if allocs > 8 {
 		t.Fatalf("Deliver allocated %.0f times for %d events, budget 8 total", allocs, events)
+	}
+}
+
+// TestMergeKeysCoarsenComparators: Deliver's merges order by the leading
+// key and call the full comparator only when two keys are equal, which
+// reproduces the comparator's order only if key(a) < key(b) implies
+// cmp(a, b) < 0. Every ordered pair of a synthetic dataset, whose
+// timestamps lie in 0–511 so that keys tie densely, must satisfy it.
+func TestMergeKeysCoarsenComparators(t *testing.T) {
+	faults := slices.Concat(synthFaultStreams(21, 8, 128)...)
+	checkKeyCoarsens(t, faults, extract.Key, extract.Compare)
+	sessions := slices.Concat(synthSessionStreams(22, 8, 128)...)
+	checkKeyCoarsens(t, sessions, eventlog.SessionKey, eventlog.CompareSessions)
+}
+
+// checkKeyCoarsens checks key(a) < key(b) ⇒ cmp(a, b) < 0 on every ordered
+// pair of xs, and that some distinct elements tie on key, so the check
+// is not vacuous.
+func checkKeyCoarsens[T any](t *testing.T, xs []T, key func(*T) int64, cmp func(a, b *T) int) {
+	t.Helper()
+	ties := 0
+	for i := range xs {
+		for j := range xs {
+			a, b := &xs[i], &xs[j]
+			switch ka, kb := key(a), key(b); {
+			case ka < kb:
+				if cmp(a, b) >= 0 {
+					t.Fatalf("key %d < %d but cmp = %d:\n%+v\n%+v", ka, kb, cmp(a, b), *a, *b)
+				}
+			case ka == kb && i != j:
+				ties++
+			}
+		}
+	}
+	if ties == 0 {
+		t.Fatalf("no key ties among %d elements", len(xs))
 	}
 }
