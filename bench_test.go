@@ -1,8 +1,10 @@
-// Benchmarks regenerating every table and figure of the paper. One bench
-// per artifact (BenchmarkFig01..Fig13, BenchmarkTab1/Tab2) measures the
-// analysis that produces it over a shared full-scale campaign; the
-// Benchmark*Substrate group measures the hot building blocks (scanner
-// pass, extraction, ECC decode, strike sampling, campaign itself).
+// Benchmarks regenerating the paper's tables and figures over a shared
+// full-scale campaign. BenchmarkAccumulators times the one pass that
+// computes every streamed figure (the headline, Figs 4–11 and Fig 13);
+// one bench each times the dataset-derived artifacts (Figs 1–3 and 12,
+// Tables I and II) and the full report; the Benchmark*Substrate group
+// measures the hot building blocks (scanner pass, extraction, ECC decode,
+// strike sampling, campaign itself).
 //
 // Run: go test -bench=. -benchmem
 package unprotected_test
@@ -27,7 +29,6 @@ import (
 	"unprotected/internal/rng"
 	"unprotected/internal/scanner"
 	"unprotected/internal/solar"
-	"unprotected/internal/stats"
 	"unprotected/internal/stream"
 	"unprotected/internal/timebase"
 )
@@ -44,13 +45,26 @@ func study(b *testing.B) *unprotected.Study {
 	return benchStudy
 }
 
-func BenchmarkHeadline(b *testing.B) {
-	s := study(b)
+// BenchmarkAccumulators folds the seed-42 study's faults and sessions
+// through a fresh figure-accumulator bundle and seals it: the work Analyze
+// does per study for the headline, Figs 4–11 and Fig 13.
+func BenchmarkAccumulators(b *testing.B) {
+	d := study(b).Dataset
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h := analysis.ComputeHeadline(s.Dataset)
-		if h.IndependentFaults == 0 {
-			b.Fatal("empty headline")
+		a := analysis.NewAccumulators(d.ControllerNode)
+		for _, f := range d.Faults {
+			a.ObserveFault(f)
+		}
+		for _, s := range d.Sessions {
+			a.ObserveSession(s)
+		}
+		if err := a.Finish(); err != nil {
+			b.Fatal(err)
+		}
+		if a.Simultaneity.Stats().FaultsInGroups == 0 {
+			b.Fatal("no simultaneity")
 		}
 	}
 }
@@ -96,119 +110,6 @@ func BenchmarkTab1MultiBit(b *testing.B) {
 	}
 }
 
-func BenchmarkFig04Simultaneity(b *testing.B) {
-	s := study(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		fig := analysis.ComputeSimultaneityFigure(s.Dataset.Faults)
-		if fig.PerWord[1] == 0 {
-			b.Fatal("empty figure")
-		}
-	}
-}
-
-func BenchmarkSimultaneity(b *testing.B) {
-	s := study(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		st := extract.Simultaneity(extract.Groups(s.Dataset.Faults))
-		if st.FaultsInGroups == 0 {
-			b.Fatal("no simultaneity")
-		}
-	}
-}
-
-func BenchmarkFig05HourAll(b *testing.B) {
-	s := study(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hod := analysis.ComputeHourOfDay(s.Dataset.Faults)
-		if analysis.DayNightRatio(hod.Total()) == 0 {
-			b.Fatal("empty histogram")
-		}
-	}
-}
-
-func BenchmarkFig06HourMulti(b *testing.B) {
-	s := study(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		hod := analysis.ComputeHourOfDay(s.Dataset.Faults)
-		if analysis.DayNightRatio(hod.MultiBit()) == 0 {
-			b.Fatal("empty histogram")
-		}
-	}
-}
-
-func BenchmarkFig07TempAll(b *testing.B) {
-	s := study(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		temp := analysis.ComputeTemperature(s.Dataset.Faults)
-		if temp.Hists[1].Total() == 0 {
-			b.Fatal("empty temperature histogram")
-		}
-	}
-}
-
-func BenchmarkFig08TempMulti(b *testing.B) {
-	s := study(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		temp := analysis.ComputeTemperature(s.Dataset.Faults)
-		if temp.CountAbove(60, 2, 6) != 0 {
-			b.Fatal("multi-bit errors above 60C")
-		}
-	}
-}
-
-func BenchmarkFig09ScannedDaily(b *testing.B) {
-	s := study(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if len(analysis.DailyScanned(s.Dataset)) != timebase.StudyDays {
-			b.Fatal("wrong length")
-		}
-	}
-}
-
-func BenchmarkFig10ErrorsDaily(b *testing.B) {
-	s := study(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		daily := analysis.DailyErrors(s.Dataset.Faults)
-		if stats.Sum(daily[0]) == 0 {
-			b.Fatal("no errors")
-		}
-	}
-}
-
-func BenchmarkFig11MultiDaily(b *testing.B) {
-	s := study(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		daily := analysis.DailyErrors(s.Dataset.Faults)
-		var multi float64
-		for c := 2; c <= 6; c++ {
-			multi += stats.Sum(daily[c])
-		}
-		if multi == 0 {
-			b.Fatal("no multi-bit errors")
-		}
-	}
-}
-
-func BenchmarkPearsonDaily(b *testing.B) {
-	s := study(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pr, err := analysis.ScanErrorCorrelation(s.Dataset)
-		if err != nil || pr.N == 0 {
-			b.Fatal("correlation failed")
-		}
-	}
-}
-
 func BenchmarkFig12TopNodes(b *testing.B) {
 	s := study(b)
 	b.ResetTimer()
@@ -216,17 +117,6 @@ func BenchmarkFig12TopNodes(b *testing.B) {
 		top, _ := analysis.TopNodes(s.Dataset, 3)
 		if len(top) != 3 {
 			b.Fatal("top nodes")
-		}
-	}
-}
-
-func BenchmarkFig13Regimes(b *testing.B) {
-	s := study(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reg := analysis.ComputeRegimes(s.Dataset)
-		if reg.DegradedDays == 0 {
-			b.Fatal("no degraded days")
 		}
 	}
 }
@@ -282,7 +172,7 @@ func BenchmarkPageRetire(b *testing.B) {
 
 func BenchmarkCheckpointAdapt(b *testing.B) {
 	s := study(b)
-	reg := analysis.ComputeRegimes(s.Dataset)
+	reg := s.RegimesFigure()
 	var failureHours []float64
 	for _, f := range s.Dataset.FaultsExcluding(s.ExcludedNodes()...) {
 		failureHours = append(failureHours, float64(f.FirstAt)/3600)

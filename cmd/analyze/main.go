@@ -34,9 +34,7 @@ import (
 	"os/signal"
 
 	"unprotected"
-	"unprotected/internal/analysis"
 	"unprotected/internal/core"
-	"unprotected/internal/quarantine"
 )
 
 func main() {
@@ -77,25 +75,10 @@ func main() {
 	study.FullReport(os.Stdout, core.ReportOptions{Charts: *charts, Heatmaps: *heatmaps})
 
 	if *csvDir != "" {
-		rows := quarantineCSVRows(study)
-		if err := analysis.WriteCSVs(study.Dataset, rows, *csvDir); err != nil {
+		if err := study.WriteCSVs(*csvDir); err != nil {
 			fmt.Fprintln(os.Stderr, "analyze:", err)
 			os.Exit(1)
 		}
 		fmt.Println("CSV files written to", *csvDir)
 	}
-}
-
-// quarantineCSVRows renders the Table II sweep for CSV export.
-func quarantineCSVRows(study *core.Study) [][]string {
-	var rows [][]string
-	for _, r := range quarantine.Sweep(study.Dataset.Faults, quarantine.PaperPeriods, study.ExcludedNodes()...) {
-		rows = append(rows, []string{
-			fmt.Sprint(int(r.Policy.Period.Hours() / 24)),
-			fmt.Sprint(r.Errors),
-			fmt.Sprintf("%.0f", r.NodeDaysQuarantined),
-			fmt.Sprintf("%.1f", r.MTBFHours),
-		})
-	}
-	return rows
 }

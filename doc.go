@@ -138,8 +138,9 @@ type FuncObserver = stream.FuncObserver
 // Accumulators is the stock Observer bundle computing every
 // online-computable §III figure (hour-of-day, temperature, multi-bit,
 // simultaneity, daily series, regimes, headline) in one pass. Analyze
-// always feeds an internal instance (Study.Figures); NewAccumulators
-// builds an independent one for custom pipelines.
+// always feeds and seals an internal instance (Study.Figures);
+// NewAccumulators builds an independent one for custom pipelines, which
+// call its Finish after the last delivery (WithObservers does that).
 type Accumulators = analysis.Accumulators
 
 // NewAccumulators builds a stock figure-accumulator bundle.

@@ -11,13 +11,12 @@ import (
 // yields the §III statistics that are computable online: the headline box,
 // hour-of-day and temperature distributions (Figs 5–8), the multi-bit
 // population, simultaneity (Fig 4, §III-C), the daily time series
-// (Figs 9–11) and the regime split (Fig 13). The campaign engine and the
-// log-replay loader both feed it through the shared core sink, so a
-// full-scale report never iterates the dataset a second time for these
-// figures.
+// (Figs 9–11) and the regime split (Fig 13). Every source feeds it through
+// the shared core sink, and the report and the CSV export read it, so
+// nothing iterates the dataset a second time for these figures.
 //
-// Faults must arrive in the canonical extract.Compare order (both stream
-// sources guarantee it); sessions may arrive in any order.
+// Faults must arrive in the canonical extract.Compare order (every source
+// guarantees it); sessions may arrive in any order.
 type Accumulators struct {
 	Headline     *HeadlineAccum
 	HourOfDay    *HourOfDay
@@ -60,9 +59,13 @@ func (a *Accumulators) ObserveSession(s eventlog.Session) {
 	a.Daily.ObserveSession(s)
 }
 
-// Finish completes the stream.Observer interface, making the bundle the
-// stock observer consumers attach via unprotected.WithObservers. The
-// individual accumulators expose their own finalizers (Headline,
-// Regimes.Finish, ...) which remain callable at any time after the
-// stream ends, so Finish itself has nothing to seal.
-func (a *Accumulators) Finish() error { return nil }
+// Finish seals the bundle once the stream has ended: it closes the
+// trailing simultaneity group, after which every figure read is a pure
+// read that never mutates the bundle. Analyze calls it when its stream
+// ends; a custom pipeline calls it after its last delivery, directly or
+// by attaching the bundle as a stream.Observer. It never fails; the error
+// result completes the stream.Observer interface.
+func (a *Accumulators) Finish() error {
+	a.Simultaneity.grouper.Flush()
+	return nil
+}

@@ -1,8 +1,10 @@
 package analysis
 
 import (
+	"math"
 	"reflect"
 	"testing"
+	"time"
 
 	"unprotected/internal/cluster"
 	"unprotected/internal/dram"
@@ -70,50 +72,223 @@ func accumFixture() *Dataset {
 	}
 }
 
-// TestAccumulatorsMatchSliceFunctions: streaming the dataset through the
-// bundle must reproduce every slice-based computation exactly — same
-// arithmetic, same order, same floats.
-func TestAccumulatorsMatchSliceFunctions(t *testing.T) {
+// TestAccumulatorsMatchReference checks every streamed figure against a
+// reference written here from the paper's definitions, sharing no code
+// with the accumulators: local hours and study days come from the time
+// package through timebase.ToLocal, bit counts and flip directions from
+// the raw words, simultaneity groups from the map-keyed extract.Groups.
+// The fixture gains faults on both sides of both 2015 DST switches and of
+// one local midnight, and days with exactly three and four errors on
+// either side of the degraded-day threshold.
+//
+// Daily.Scanned and its Pearson are left out: a reference splitting
+// sessions at explicit local midnights disagrees with the accumulator on
+// the spring-forward day (the open Fig 9 item in ROADMAP.md), so it lands
+// with that fix. TestDailySeries and TestDailyScannedAcrossDST pin them
+// by hand until then.
+func TestAccumulatorsMatchReference(t *testing.T) {
 	d := accumFixture()
-	a := NewAccumulators(d.ControllerNode)
-	for _, f := range d.Faults {
-		a.ObserveFault(f)
+	utc := func(m time.Month, day, h int) timebase.T {
+		return timebase.FromTime(time.Date(2015, m, day, h, 0, 0, 0, time.UTC))
 	}
-	for _, s := range d.Sessions {
-		a.ObserveSession(s)
+	spring := utc(time.March, 29, 1)   // 02:00 CET becomes 03:00 CEST
+	fall := utc(time.October, 25, 1)   // 03:00 CEST becomes 02:00 CET
+	midnight := utc(time.June, 30, 22) // 2015-07-01 00:00 CEST
+	for i, c := range []struct {
+		at   timebase.T
+		mask uint32
+		temp float64
+	}{
+		// Three errors on 03-29 (a normal day), two of them one group.
+		{spring - 1, 1 << 3, 17.5},
+		{spring, 1 << 9, 20},
+		{spring, 0x5 << 12, 71.9},
+		// Four errors on 10-25 (a degraded day), two groups of two.
+		{fall - 1, 1 << 30, 90},
+		{fall - 1, 0x7f << 4, thermal.NoReading},
+		{fall, 1 << 1, 19.999},
+		{fall, 0x3 << 16, 45},
+		{midnight - 1, 1, thermal.NoReading},
+		{midnight, 0x101 << 7, 60.5},
+	} {
+		d.Faults = append(d.Faults, extract.Classify(extract.RawRun{
+			Node: cluster.NodeID{Blade: 7, SoC: 1}, Addr: dram.Addr(4096 + i),
+			FirstAt: c.at, LastAt: c.at + 30, Logs: 1,
+			Expected: 0xffffffff, Actual: 0xffffffff ^ c.mask, TempC: c.temp,
+		}))
+	}
+	extract.SortFaults(d.Faults)
+	a := accumulate(d)
+
+	// The reference, one fault at a time.
+	localDay := func(at timebase.T) int {
+		y, m, day := timebase.ToLocal(at.Time()).Date()
+		return int(time.Date(y, m, day, 0, 0, 0, 0, time.UTC).Sub(timebase.Epoch) / (24 * time.Hour))
+	}
+	class := func(bits int) int { return min(bits, 6) }
+	var (
+		hours            [7][24]float64
+		temps            [7][27]float64
+		noReading        int
+		daily            [7][]float64
+		perWord, perNode [7]float64
+		regimeErrors     = make([]float64, timebase.StudyDays)
+		mb               MultiBitStats
+		gapSum           float64
+		lsb, flipped     int
+		o2z, z2o         int
+		nodes            = make(map[cluster.NodeID]bool)
+	)
+	for c := range daily {
+		daily[c] = make([]float64, timebase.StudyDays)
+	}
+	for _, f := range d.Faults {
+		diff := dram.BitSet(f.Expected ^ f.Actual)
+		n := diff.Count()
+		c := class(n)
+		hours[c][timebase.ToLocal(f.FirstAt.Time()).Hour()]++
+		day := localDay(f.FirstAt)
+		daily[0][day]++
+		daily[c][day]++
+		if f.Node != d.ControllerNode {
+			regimeErrors[day]++
+		}
+		if f.TempC == thermal.NoReading {
+			noReading++
+		} else {
+			temps[c][min(max(int(math.Floor((f.TempC-18)/2)), 0), 26)]++
+		}
+		perWord[c]++
+		o2z += dram.BitSet(f.Expected & uint32(diff)).Count()
+		z2o += dram.BitSet(f.Actual & uint32(diff)).Count()
+		nodes[f.Node] = true
+		if n < 2 {
+			continue
+		}
+		// Table I: a multi-bit event, its gaps from the bit positions.
+		pos := diff.Positions()
+		first, last := pos[0], pos[n-1]
+		mb.TotalEvents++
+		if n == 2 {
+			mb.DoubleBitEvents++
+		}
+		if n > 2 {
+			mb.OverTwoBits++
+		}
+		if n > 3 {
+			mb.OverThreeBits++
+		}
+		if last-first+1 != n {
+			mb.NonConsecutive++
+		}
+		for i := 1; i < n; i++ {
+			mb.MaxGap = max(mb.MaxGap, pos[i]-pos[i-1]-1)
+		}
+		mb.MaxBits = max(mb.MaxBits, n)
+		gapSum += float64(last-first+1-n) / float64(n-1)
+		lsb += (diff & 0xffff).Count()
+		flipped += n
+	}
+	mb.MeanGap = gapSum / float64(mb.TotalEvents)
+	mb.LSBShare = float64(lsb) / float64(flipped)
+	groups := extract.Groups(d.Faults)
+	for _, g := range groups {
+		bits := 0
+		for _, f := range g.Faults {
+			bits += dram.BitSet(f.Expected ^ f.Actual).Count()
+		}
+		perNode[class(bits)]++
 	}
 
-	if got, want := a.Headline.Headline(d.RawLogs, d.RawLogsByNode, d.Topo), ComputeHeadline(d); got != want {
-		t.Fatalf("headline diverged:\n got %+v\nwant %+v", got, want)
+	relClose := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*math.Abs(want) }
+	if a.HourOfDay.Counts != hours {
+		t.Errorf("hour of day:\n got %v\nwant %v", a.HourOfDay.Counts, hours)
 	}
-	if got, want := a.HourOfDay, ComputeHourOfDay(d.Faults); *got != *want {
-		t.Fatal("hour-of-day diverged")
+	for c := 1; c <= 6; c++ {
+		if got := a.Temperature.Hists[c].Counts; !reflect.DeepEqual(got, temps[c][:]) {
+			t.Errorf("temperature class %d:\n got %v\nwant %v", c, got, temps[c])
+		}
 	}
-	if got, want := a.Temperature, ComputeTemperature(d.Faults); !reflect.DeepEqual(got, want) {
-		t.Fatal("temperature diverged")
+	if a.Temperature.NoReading != noReading {
+		t.Errorf("no reading %d, want %d", a.Temperature.NoReading, noReading)
 	}
-	if got, want := a.MultiBit.Stats(), ComputeMultiBitStats(d.Faults); got != want {
-		t.Fatalf("multi-bit stats diverged:\n got %+v\nwant %+v", got, want)
+	if !reflect.DeepEqual(a.Daily.Errors, daily) {
+		t.Error("daily errors diverge from the reference")
 	}
-	if got, want := a.Simultaneity.Figure(), ComputeSimultaneityFigure(d.Faults); *got != *want {
-		t.Fatalf("simultaneity figure diverged:\n got %+v\nwant %+v", got, want)
+	st := a.MultiBit.Stats()
+	if !relClose(st.MeanGap, mb.MeanGap) || !relClose(st.LSBShare, mb.LSBShare) {
+		t.Errorf("multi-bit mean gap %v, LSB share %v; want %v, %v", st.MeanGap, st.LSBShare, mb.MeanGap, mb.LSBShare)
 	}
-	if got, want := a.Simultaneity.Stats(), extract.Simultaneity(extract.Groups(d.Faults)); got != want {
-		t.Fatalf("simultaneity stats diverged:\n got %+v\nwant %+v", got, want)
+	st.MeanGap, st.LSBShare, mb.MeanGap, mb.LSBShare = 0, 0, 0, 0
+	if st != mb {
+		t.Errorf("multi-bit stats:\n got %+v\nwant %+v", st, mb)
 	}
-	if got, want := a.Daily.Scanned, DailyScanned(d); !reflect.DeepEqual(got, want) {
-		t.Fatal("daily scanned diverged")
+	if got, want := *a.Simultaneity.Figure(), (SimultaneityFigure{PerWord: perWord, PerNode: perNode}); got != want {
+		t.Errorf("Fig 4:\n got %+v\nwant %+v", got, want)
 	}
-	if got, want := a.Daily.Errors, DailyErrors(d.Faults); !reflect.DeepEqual(got, want) {
-		t.Fatal("daily errors diverged")
+	if got, want := a.Simultaneity.Stats(), extract.Simultaneity(groups); got != want {
+		t.Errorf("simultaneity stats:\n got %+v\nwant %+v", got, want)
 	}
-	gotP, errG := a.Daily.Correlation()
-	wantP, errW := ScanErrorCorrelation(d)
-	if (errG == nil) != (errW == nil) || gotP != wantP {
-		t.Fatalf("correlation diverged: %+v/%v vs %+v/%v", gotP, errG, wantP, errW)
+
+	// Regimes: a day with more than three errors is degraded; MTBF is
+	// wall-clock hours per error within each regime.
+	wantReg := &Regimes{Degraded: make([]bool, timebase.StudyDays), ErrorsPerDay: regimeErrors}
+	for day, n := range regimeErrors {
+		if n > 3 {
+			wantReg.Degraded[day] = true
+			wantReg.DegradedDays++
+			wantReg.DegradedErrors += int(n)
+		} else {
+			wantReg.NormalDays++
+			wantReg.NormalErrors += int(n)
+		}
 	}
-	if got, want := a.Regimes.Finish(), ComputeRegimes(d); !reflect.DeepEqual(got, want) {
-		t.Fatalf("regimes diverged:\n got %+v\nwant %+v", got, want)
+	wantReg.MTBFNormalHours = float64(wantReg.NormalDays*24) / float64(wantReg.NormalErrors)
+	wantReg.MTBFDegradedHours = float64(wantReg.DegradedDays*24) / float64(wantReg.DegradedErrors)
+	if got := a.Regimes.Finish(); !reflect.DeepEqual(got, wantReg) {
+		t.Errorf("regimes:\n got %+v\nwant %+v", got, wantReg)
+	}
+
+	// Headline: monitored time in integer seconds and byte-seconds,
+	// converted once; a truncated session counts zero (§II-B). The
+	// fixture's ~3e16 byte-seconds fit an int64.
+	var secs, byteSecs int64
+	for _, s := range d.Sessions {
+		if !s.Truncated && s.To > s.From {
+			secs += int64(s.To - s.From)
+			byteSecs += s.AllocBytes * int64(s.To-s.From)
+		}
+	}
+	wantHours := float64(secs) / 3600
+	wantTBh := float64(byteSecs) / (1 << 40) / 3600
+	var top cluster.NodeID
+	topRaw := int64(-1)
+	for id, n := range d.RawLogsByNode {
+		if n > topRaw || n == topRaw && id.Index() < top.Index() {
+			top, topRaw = id, n
+		}
+	}
+	h := a.Headline.Headline(d.RawLogs, d.RawLogsByNode, d.Topo)
+	if !relClose(float64(h.NodeHours), wantHours) || !relClose(float64(h.TotalTBh), wantTBh) ||
+		!relClose(h.NodeMTBFHours, wantHours/float64(len(d.Faults))) {
+		t.Errorf("headline hours %v, TBh %v, node MTBF %v; want %v, %v, %v",
+			h.NodeHours, h.TotalTBh, h.NodeMTBFHours, wantHours, wantTBh, wantHours/float64(len(d.Faults)))
+	}
+	h.NodeHours, h.TotalTBh, h.NodeMTBFHours = 0, 0, 0
+	wantH := Headline{
+		RawLogs:            d.RawLogs,
+		TopNodeRawShare:    float64(topRaw) / float64(d.RawLogs),
+		TopRawNode:         top,
+		IndependentFaults:  len(d.Faults),
+		MultiBitFaults:     mb.TotalEvents,
+		NodesScanned:       923,
+		NodesWithFaults:    len(nodes),
+		ClusterMTBFMinutes: float64(timebase.StudySeconds) / 60 / float64(len(d.Faults)),
+		Ones2Zeros:         o2z,
+		Zeros2Ones:         z2o,
+	}
+	if h != wantH {
+		t.Errorf("headline:\n got %+v\nwant %+v", h, wantH)
 	}
 }
 

@@ -1,12 +1,15 @@
-// Package analysis computes every figure and table of the paper's §III
-// from a study dataset: heat maps of hours/TBh/errors per node (Figs 1–3),
-// the multi-bit corruption table (Table I), simultaneity (Fig 4 and
-// §III-C), hour-of-day and temperature distributions (Figs 5–8), daily
-// time series and their correlation (Figs 9–11, §III-G), spatial and
-// temporal correlation (Figs 12–13) and the headline statistics of
-// §III-B. It is deliberately independent of the campaign package: a
-// Dataset can come from the simulator, from parsed log files, or from a
-// test fixture.
+// Package analysis computes every figure and table of the paper's §III.
+// The figures that stream are one-pass accumulators, bundled in
+// Accumulators and sealed by its Finish: the §III-B headline,
+// simultaneity (Fig 4 and §III-C), the multi-bit aggregates, hour-of-day
+// and temperature distributions (Figs 5–8), the daily series and their
+// correlation (Figs 9–11, §III-G) and the regime split (Fig 13). The rest
+// read a collected Dataset: heat maps of hours/TBh/errors per node
+// (Figs 1–3), the multi-bit table (Table I), top nodes and spatial
+// concentration (Fig 12, §III-H) and the isolated SDC events (§III-D).
+// The package is deliberately independent of the campaign package: the
+// stream and the Dataset can come from the simulator, from parsed log
+// files, or from a test fixture.
 package analysis
 
 import (
@@ -103,9 +106,9 @@ type Headline struct {
 	Zeros2Ones         int
 }
 
-// HeadlineAccum is the incremental form of ComputeHeadline: faults and
-// sessions stream in one at a time; Headline finalizes against the scalar
-// raw-log aggregates and topology.
+// HeadlineAccum accumulates the §III-B summary: faults and sessions
+// stream in one at a time; Headline finalizes against the scalar raw-log
+// aggregates and topology.
 type HeadlineAccum struct {
 	faults          int
 	multiBit        int
@@ -172,19 +175,6 @@ func (a *HeadlineAccum) Headline(rawLogs int64, rawLogsByNode map[cluster.NodeID
 		h.NodeMTBFHours = a.hours / float64(a.faults)
 	}
 	return h
-}
-
-// ComputeHeadline aggregates the §III-B statistics. It is the collect-all
-// wrapper over HeadlineAccum.
-func ComputeHeadline(d *Dataset) Headline {
-	a := NewHeadlineAccum()
-	for _, s := range d.Sessions {
-		a.ObserveSession(s)
-	}
-	for _, f := range d.Faults {
-		a.ObserveFault(f)
-	}
-	return a.Headline(d.RawLogs, d.RawLogsByNode, d.Topo)
 }
 
 // Ones2ZerosFraction returns the fraction of corrupted bits that flipped

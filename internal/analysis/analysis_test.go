@@ -51,9 +51,23 @@ func fixture() *Dataset {
 	}
 }
 
+// accumulate folds d through the accumulator bundle the way Analyze does,
+// d's controller node excluded from the regimes, and seals it.
+func accumulate(d *Dataset) *Accumulators {
+	a := NewAccumulators(d.ControllerNode)
+	for _, f := range d.Faults {
+		a.ObserveFault(f)
+	}
+	for _, s := range d.Sessions {
+		a.ObserveSession(s)
+	}
+	_ = a.Finish() // never fails
+	return a
+}
+
 func TestHeadline(t *testing.T) {
 	d := fixture()
-	h := ComputeHeadline(d)
+	h := accumulate(d).Headline.Headline(d.RawLogs, d.RawLogsByNode, d.Topo)
 	if h.IndependentFaults != 6 || h.RawLogs != 100 {
 		t.Fatalf("headline counts: %+v", h)
 	}
@@ -111,7 +125,7 @@ func TestHeatmaps(t *testing.T) {
 
 func TestHourOfDay(t *testing.T) {
 	d := fixture()
-	hod := ComputeHourOfDay(d.Faults)
+	hod := accumulate(d).HourOfDay
 	total := hod.Total()
 	var sum float64
 	for _, v := range total {
@@ -153,7 +167,7 @@ func TestDayNightRatioFlat(t *testing.T) {
 
 func TestTemperature(t *testing.T) {
 	d := fixture()
-	temp := ComputeTemperature(d.Faults)
+	temp := accumulate(d).Temperature
 	if temp.NoReading != 1 {
 		t.Fatalf("pre-telemetry count %d", temp.NoReading)
 	}
@@ -171,7 +185,8 @@ func TestTemperature(t *testing.T) {
 
 func TestDailySeries(t *testing.T) {
 	d := fixture()
-	scanned := DailyScanned(d)
+	a := accumulate(d)
+	scanned := a.Daily.Scanned
 	if len(scanned) != timebase.StudyDays {
 		t.Fatal("daily length")
 	}
@@ -180,7 +195,7 @@ func TestDailySeries(t *testing.T) {
 	if diff := scanned[0] - want; diff > 1e-9 || diff < -1e-9 {
 		t.Fatalf("day 0 scanned %v, want %v", scanned[0], want)
 	}
-	daily := DailyErrors(d.Faults)
+	daily := a.Daily.Errors
 	if daily[0][10] != 5 || daily[0][20] != 1 {
 		t.Fatalf("daily errors: day10=%v day20=%v", daily[0][10], daily[0][20])
 	}
@@ -241,7 +256,7 @@ func TestTopNodes(t *testing.T) {
 
 func TestRegimes(t *testing.T) {
 	d := fixture()
-	r := ComputeRegimes(d)
+	r := accumulate(d).Regimes.Finish()
 	// Day 10 has 5 errors (>3): degraded. Day 20 has 1: normal.
 	if !r.Degraded[10] || r.Degraded[20] {
 		t.Fatal("regime classification")
@@ -257,7 +272,7 @@ func TestRegimes(t *testing.T) {
 	}
 	// Excluding nodeA as the controller node empties day 10.
 	d.ControllerNode = nodeA
-	r = ComputeRegimes(d)
+	r = accumulate(d).Regimes.Finish()
 	if r.DegradedDays != 0 || r.NormalErrors != 1 {
 		t.Fatalf("exclusion: %+v", r)
 	}
@@ -280,7 +295,7 @@ func TestMultiBitTableAndStats(t *testing.T) {
 	if total != 2 {
 		t.Fatalf("occurrences %d", total)
 	}
-	st := ComputeMultiBitStats(d.Faults)
+	st := accumulate(d).MultiBit.Stats()
 	if st.TotalEvents != 2 || st.DoubleBitEvents != 1 || st.OverThreeBits != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -295,7 +310,7 @@ func TestMultiBitTableAndStats(t *testing.T) {
 
 func TestSimultaneityFigure(t *testing.T) {
 	d := fixture()
-	fig := ComputeSimultaneityFigure(d.Faults)
+	fig := accumulate(d).Simultaneity.Figure()
 	// Per-word: 4 singles, 1 double, 1 quad.
 	if fig.PerWord[1] != 4 || fig.PerWord[2] != 1 || fig.PerWord[4] != 1 {
 		t.Fatalf("per word: %+v", fig.PerWord)
@@ -338,7 +353,7 @@ func TestSpatialConcentration(t *testing.T) {
 
 func TestScanErrorCorrelation(t *testing.T) {
 	d := fixture()
-	pr, err := ScanErrorCorrelation(d)
+	pr, err := accumulate(d).Daily.Correlation()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,16 +22,6 @@ func (h *HourOfDay) Observe(f extract.Fault) {
 	h.Counts[BitClass(f.BitCount())][f.FirstAt.HourOfDay()]++
 }
 
-// ComputeHourOfDay tallies faults by local hour of day and bit class. It is
-// the collect-all wrapper over Observe.
-func ComputeHourOfDay(faults []extract.Fault) *HourOfDay {
-	h := NewHourOfDay()
-	for _, f := range faults {
-		h.Observe(f)
-	}
-	return h
-}
-
 // Total returns the all-classes histogram.
 func (h *HourOfDay) Total() [24]float64 {
 	var out [24]float64

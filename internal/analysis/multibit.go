@@ -73,9 +73,9 @@ type MultiBitStats struct {
 	LSBShare        float64 // fraction of corrupted bits in the low half-word
 }
 
-// MultiBitAccum is the incremental form of ComputeMultiBitStats: Observe
-// faults one at a time, read Stats whenever needed (Stats finalizes the
-// running means without mutating the accumulator).
+// MultiBitAccum accumulates MultiBitStats: Observe faults one at a time,
+// read Stats whenever needed (Stats finalizes the running means without
+// mutating the accumulator).
 type MultiBitAccum struct {
 	st        MultiBitStats
 	gapSum    float64
@@ -136,16 +136,6 @@ func (a *MultiBitAccum) Stats() MultiBitStats {
 	return st
 }
 
-// ComputeMultiBitStats summarizes the multi-bit population. It is the
-// collect-all wrapper over MultiBitAccum.
-func ComputeMultiBitStats(faults []extract.Fault) MultiBitStats {
-	a := NewMultiBitAccum()
-	for _, f := range faults {
-		a.Observe(f)
-	}
-	return a.Stats()
-}
-
 // RenderMultiBitTable renders Table I in the paper's column layout.
 func RenderMultiBitTable(rows []MultiBitRow) *render.Table {
 	t := &render.Table{
@@ -176,23 +166,13 @@ type SimultaneityFigure struct {
 	PerNode [7]float64
 }
 
-// ComputeSimultaneityFigure buckets faults and groups.
-func ComputeSimultaneityFigure(faults []extract.Fault) *SimultaneityFigure {
-	var fig SimultaneityFigure
-	for _, f := range faults {
-		fig.PerWord[BitClass(f.BitCount())]++
-	}
-	for _, g := range extract.Groups(faults) {
-		fig.PerNode[BitClass(g.TotalBits())]++
-	}
-	return &fig
-}
-
-// SimultaneityAccum is the incremental form of the §III-C analyses: it
-// feeds a streaming extract.Grouper, so Fig 4 and the simultaneity
-// aggregates come out of one pass over a canonically ordered fault stream
-// without materializing the groups. Call Flush (or read via Figure/Stats,
-// which flush) after the last fault.
+// SimultaneityAccum accumulates the §III-C analyses: it feeds a
+// streaming extract.Grouper, so Fig 4 and the simultaneity aggregates
+// come out of one pass over a canonically ordered fault stream without
+// materializing the groups. The grouper holds the current group open
+// until a fault with another (node, FirstAt) key arrives, so the last
+// group closes only when Accumulators.Finish seals the stream. Figure and
+// Stats are pure reads.
 type SimultaneityAccum struct {
 	fig     SimultaneityFigure
 	st      extract.SimultaneityStats
@@ -215,21 +195,15 @@ func (a *SimultaneityAccum) Observe(f extract.Fault) {
 	a.grouper.Observe(f)
 }
 
-// Flush closes the trailing group; further Observes start a new one.
-func (a *SimultaneityAccum) Flush() { a.grouper.Flush() }
-
-// Figure returns Fig 4 over everything observed so far.
+// Figure returns Fig 4: per-word counts over every observed fault,
+// per-node counts over every closed group.
 func (a *SimultaneityAccum) Figure() *SimultaneityFigure {
-	a.Flush()
 	fig := a.fig
 	return &fig
 }
 
-// Stats returns the §III-C aggregates over everything observed so far.
-func (a *SimultaneityAccum) Stats() extract.SimultaneityStats {
-	a.Flush()
-	return a.st
-}
+// Stats returns the §III-C aggregates over every closed group.
+func (a *SimultaneityAccum) Stats() extract.SimultaneityStats { return a.st }
 
 // Chart renders Fig 4 on a log scale (counts span orders of magnitude).
 func (f *SimultaneityFigure) Chart() *render.BarChart {

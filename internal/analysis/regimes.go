@@ -29,9 +29,8 @@ type Regimes struct {
 	MTBFDegradedHours float64
 }
 
-// RegimesAccum is the incremental form of ComputeRegimes: faults stream in
-// one at a time (excluded nodes are dropped on the fly), Finish classifies
-// the days. The exclusion set must be known up front — it is (§III-I names
+// RegimesAccum computes Fig 13: faults stream in one at a time (excluded
+// nodes are dropped on the fly), Finish classifies the days. The exclusion set must be known up front — it is (§III-I names
 // the permanently failing controller node), which is what makes the regime
 // analysis streamable at all.
 type RegimesAccum struct {
@@ -86,21 +85,6 @@ func (a *RegimesAccum) Finish() *Regimes {
 		r.MTBFDegradedHours = float64(r.DegradedDays) * 24 / float64(r.DegradedErrors)
 	}
 	return r
-}
-
-// ComputeRegimes classifies every study day. It is the collect-all wrapper
-// over RegimesAccum.
-func ComputeRegimes(d *Dataset) *Regimes {
-	exclude := []cluster.NodeID{}
-	var zero cluster.NodeID
-	if d.ControllerNode != zero {
-		exclude = append(exclude, d.ControllerNode)
-	}
-	a := NewRegimesAccum(exclude...)
-	for _, f := range d.Faults {
-		a.Observe(f)
-	}
-	return a.Finish()
 }
 
 // DegradedFraction returns the share of study days in degraded mode

@@ -42,16 +42,6 @@ func (t *Temperature) Observe(f extract.Fault) {
 	t.Hists[BitClass(f.BitCount())].Observe(f.TempC)
 }
 
-// ComputeTemperature tallies faults with temperature telemetry. It is the
-// collect-all wrapper over Observe.
-func ComputeTemperature(faults []extract.Fault) *Temperature {
-	t := NewTemperature()
-	for _, f := range faults {
-		t.Observe(f)
-	}
-	return t
-}
-
 // CountAbove returns errors hotter than the threshold across classes
 // lo..hi (the paper: a small set of single-bit errors above 60°C, no
 // multi-bit ones).

@@ -65,41 +65,12 @@ func (a *DailyAccum) ObserveFault(f extract.Fault) {
 	a.Errors[BitClass(f.BitCount())][day]++
 }
 
-// Correlation is §III-G's Pearson over the accumulated series.
+// Correlation is §III-G: the Pearson correlation between daily scanned
+// TBh and daily error counts. The paper measured r = −0.17966 with
+// p = 0.0002 and concluded the scanning methodology does not drive the
+// observed error counts.
 func (a *DailyAccum) Correlation() (stats.PearsonResult, error) {
 	return stats.Pearson(a.Scanned, a.Errors[0])
-}
-
-// DailyScanned is Fig 9: terabyte-hours of memory analyzed per study day.
-// Session contributions are split across the local days they overlap. It
-// is the collect-all wrapper over DailyAccum.ObserveSession.
-func DailyScanned(d *Dataset) []float64 {
-	a := NewDailyAccum()
-	for _, s := range d.Sessions {
-		a.ObserveSession(s)
-	}
-	return a.Scanned
-}
-
-// DailyErrors buckets faults per study day, one series per bit class.
-// Class 0 aggregates everything. It is the collect-all wrapper over
-// DailyAccum.ObserveFault.
-func DailyErrors(faults []extract.Fault) [7][]float64 {
-	a := NewDailyAccum()
-	for _, f := range faults {
-		a.ObserveFault(f)
-	}
-	return a.Errors
-}
-
-// ScanErrorCorrelation is §III-G: the Pearson correlation between daily
-// scanned TBh and daily error counts. The paper measured r = −0.17966
-// with p = 0.0002 and concluded the scanning methodology does not drive
-// the observed error counts.
-func ScanErrorCorrelation(d *Dataset) (stats.PearsonResult, error) {
-	scanned := DailyScanned(d)
-	errs := DailyErrors(d.Faults)[0]
-	return stats.Pearson(scanned, errs)
 }
 
 // TopNode summarizes one node's contribution for Fig 12.

@@ -52,8 +52,8 @@ func StaticPlan(intervalHours float64) Plan {
 }
 
 // AdaptivePlan derives a per-day interval from the regime classification:
-// Young/Daly against the regime's MTBF. degraded[day] comes from
-// analysis.ComputeRegimes.
+// Young/Daly against the regime's MTBF. degraded[day] and both MTBFs come
+// from the Fig 13 regimes (analysis.Regimes, Study.RegimesFigure).
 func AdaptivePlan(degraded []bool, checkpointCostHours, mtbfNormalHours, mtbfDegradedHours float64) Plan {
 	p := Plan{IntervalHours: make([]float64, len(degraded))}
 	normal := YoungDaly(checkpointCostHours, mtbfNormalHours)

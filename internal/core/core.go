@@ -32,10 +32,10 @@ type Study struct {
 	// runs (WithoutDataset collects nothing).
 	Result  *campaign.Result
 	Dataset *analysis.Dataset
-	// Figures holds the incremental figure accumulators fed during the
-	// stream; FullReport prefers them over recomputing from the slices.
-	// Nil for studies assembled by hand — every consumer falls back to
-	// the slice functions.
+	// Figures holds the figure accumulators Analyze fed during the stream
+	// and sealed when it ended. They are the only source of the streamed
+	// figures (headline, Figs 4–11, 13): the report, the CSV export and
+	// the exported figure accessors all read them.
 	Figures *analysis.Accumulators
 }
 
@@ -87,8 +87,11 @@ func (s *streamSink) session(sess eventlog.Session) {
 	}
 }
 
-// study finalizes the sink once the stream has ended.
+// study finalizes the sink once the stream has ended. Sealing the figures
+// closes the trailing simultaneity group, so every figure read after this
+// is a pure read; the bundle's Finish never fails.
 func (s *streamSink) study(topo *cluster.Topology, rawLogs int64, rawLogsByNode map[cluster.NodeID]int64) *Study {
+	_ = s.figures.Finish()
 	s.dataset.Topo = topo
 	s.dataset.RawLogs = rawLogs
 	s.dataset.RawLogsByNode = rawLogsByNode

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"unprotected/internal/analysis"
-	"unprotected/internal/extract"
 	"unprotected/internal/quarantine"
 )
 
@@ -28,7 +27,7 @@ func sharedStudy(t *testing.T) *Study {
 
 func TestStudyHeadlineBands(t *testing.T) {
 	s := sharedStudy(t)
-	h := analysis.ComputeHeadline(s.Dataset)
+	h := s.Headline()
 
 	check := func(name string, got, lo, hi float64) {
 		t.Helper()
@@ -49,7 +48,7 @@ func TestStudyHeadlineBands(t *testing.T) {
 
 func TestStudyMultiBitShape(t *testing.T) {
 	s := sharedStudy(t)
-	st := analysis.ComputeMultiBitStats(s.Dataset.Faults)
+	st := s.MultiBitStats()
 	if st.OverThreeBits != 7 {
 		t.Errorf(">3-bit events = %d, want 7", st.OverThreeBits)
 	}
@@ -82,7 +81,7 @@ func TestStudyMultiBitShape(t *testing.T) {
 
 func TestStudyEnvironmentShapes(t *testing.T) {
 	s := sharedStudy(t)
-	hod := analysis.ComputeHourOfDay(s.Dataset.Faults)
+	hod := s.HourOfDayFigure()
 	allRatio := analysis.DayNightRatio(hod.Total())
 	multiRatio := analysis.DayNightRatio(hod.MultiBit())
 	// Fig 5: flat (a uniform histogram gives 11/13 ≈ 0.85).
@@ -97,7 +96,7 @@ func TestStudyEnvironmentShapes(t *testing.T) {
 		t.Error("multi-bit errors must be more diurnal than singles")
 	}
 	// Fig 7/8: nominal temperatures dominate; no multi-bit above 60°C.
-	temp := analysis.ComputeTemperature(s.Dataset.Faults)
+	temp := s.Figures.Temperature
 	lo, _ := temp.ModalBand(1, 6)
 	if lo < 28 || lo > 42 {
 		t.Errorf("modal temperature band starts at %v, want ~30-40", lo)
@@ -110,7 +109,7 @@ func TestStudyEnvironmentShapes(t *testing.T) {
 func TestStudyCorrelations(t *testing.T) {
 	s := sharedStudy(t)
 	// §III-G: weak anti-correlation between scanned TBh/day and errors/day.
-	pr, err := analysis.ScanErrorCorrelation(s.Dataset)
+	pr, err := s.Figures.Daily.Correlation()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +125,7 @@ func TestStudyCorrelations(t *testing.T) {
 		t.Errorf("top-3 node share %v, want <1%%", nodeShare)
 	}
 	// §III-I: regime split.
-	reg := analysis.ComputeRegimes(s.Dataset)
+	reg := s.RegimesFigure()
 	frac := reg.DegradedFraction()
 	if frac < 0.10 || frac > 0.30 {
 		t.Errorf("degraded fraction %v, want ~0.18", frac)
@@ -162,7 +161,7 @@ func TestStudyQuarantineSweep(t *testing.T) {
 
 func TestStudySimultaneity(t *testing.T) {
 	s := sharedStudy(t)
-	st := extract.Simultaneity(extract.Groups(s.Dataset.Faults))
+	st := s.SimultaneityStats()
 	if st.FaultsInGroups < 18000 {
 		t.Errorf("simultaneous faults %d, want >18k (~26k)", st.FaultsInGroups)
 	}

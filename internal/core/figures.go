@@ -5,30 +5,32 @@ import (
 	"unprotected/internal/extract"
 )
 
-// Exported figure accessors for programmatic consumers — the fleet
-// monitor's JSON report and metrics endpoint chief among them. Each is
-// the thin public face of the corresponding unexported accessor in
-// report.go and inherits its contract: the stream-fed accumulators are
-// preferred, the slice computations are the byte-identical fallback for
-// hand-assembled studies, and calling one never mutates the Study (the
-// underlying accumulators finalize non-destructively), so concurrent
-// readers of one immutable snapshot need no coordination.
+// Exported figure accessors for programmatic consumers: the report, the
+// CSV export, and the fleet monitor's JSON report and metrics endpoint.
+// Each reads Study.Figures, which Analyze fed in its one pass and sealed
+// when the stream ended, so calling one never mutates the Study and
+// concurrent readers of one immutable snapshot need no coordination.
 
 // Headline returns the §III-B headline numbers (raw volume, independent
 // faults, monitored node-hours, MTBF cadences, flip polarity).
-func (s *Study) Headline() analysis.Headline { return s.headline() }
+func (s *Study) Headline() analysis.Headline {
+	d := s.Dataset
+	return s.Figures.Headline.Headline(d.RawLogs, d.RawLogsByNode, d.Topo)
+}
 
 // MultiBitStats returns the Table I aggregates (§III-C): multi-bit event
 // counts by width, bit-gap shape, LSB concentration.
-func (s *Study) MultiBitStats() analysis.MultiBitStats { return s.multiBitStats() }
+func (s *Study) MultiBitStats() analysis.MultiBitStats { return s.Figures.MultiBit.Stats() }
 
 // SimultaneityStats returns the Fig 4 aggregates (§III-C): faults
 // co-occurring on one node and their bit-width mixture.
-func (s *Study) SimultaneityStats() extract.SimultaneityStats { return s.simultaneityStats() }
+func (s *Study) SimultaneityStats() extract.SimultaneityStats {
+	return s.Figures.Simultaneity.Stats()
+}
 
 // HourOfDayFigure returns the Figs 5-6 histograms (§III-E).
-func (s *Study) HourOfDayFigure() *analysis.HourOfDay { return s.hourOfDay() }
+func (s *Study) HourOfDayFigure() *analysis.HourOfDay { return s.Figures.HourOfDay }
 
 // RegimesFigure returns the Fig 13 day classification (§III-I): normal
 // versus degraded days with per-regime error counts and MTBF.
-func (s *Study) RegimesFigure() *analysis.Regimes { return s.regimes() }
+func (s *Study) RegimesFigure() *analysis.Regimes { return s.Figures.Regimes.Finish() }

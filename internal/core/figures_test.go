@@ -1,0 +1,54 @@
+package core
+
+import (
+	"sync"
+	"testing"
+
+	"unprotected/internal/extract"
+	"unprotected/internal/logstore"
+)
+
+// TestStudyFigureReadsConcurrent: Analyze seals the figures, so reading
+// one never mutates the Study and concurrent readers of one study need no
+// coordination. Four goroutines read every exported figure accessor of
+// one replayed study at once; under -race any write a read makes is a
+// reported data race. Nothing reads a figure before the goroutines start,
+// so the first read of each accessor is one of the racing ones. Fig 4's
+// per-node counts include the stream's last group only if Analyze closed
+// it.
+func TestStudyFigureReadsConcurrent(t *testing.T) {
+	sessions, faults, controller := replayFixture()
+	dir := t.TempDir()
+	if err := logstore.Export(sessions, faults, dir); err != nil {
+		t.Fatal(err)
+	}
+	s := logStudy(t, dir, controller, 0)
+	groups := extract.Groups(s.Dataset.Faults)
+	want := extract.Simultaneity(groups)
+	var perNode [7]float64
+	for _, g := range groups {
+		perNode[min(g.TotalBits(), 6)]++
+	}
+
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if h := s.Headline(); h.IndependentFaults != len(faults) {
+				t.Errorf("headline counts %d faults, want %d", h.IndependentFaults, len(faults))
+			}
+			s.MultiBitStats()
+			if got := s.SimultaneityStats(); got != want {
+				t.Errorf("simultaneity stats %+v, want %+v", got, want)
+			}
+			if got := s.Figures.Simultaneity.Figure().PerNode; got != perNode {
+				t.Errorf("Fig 4 per node %v, want %v", got, perNode)
+			}
+			s.HourOfDayFigure()
+			s.RegimesFigure()
+			s.ScenarioSummary("fixture")
+		}()
+	}
+	wg.Wait()
+}

@@ -72,31 +72,6 @@ func logStudy(t *testing.T, dir, controller string, workers int) *Study {
 	return study
 }
 
-// TestFullReportFiguresMatchSliceFallback: a stream-fed study (Figures
-// set) and the same dataset without accumulators must render byte-identical
-// reports — the accumulators are the same arithmetic in the same order.
-func TestFullReportFiguresMatchSliceFallback(t *testing.T) {
-	sessions, faults, controller := replayFixture()
-	dir := t.TempDir()
-	if err := logstore.Export(sessions, faults, dir); err != nil {
-		t.Fatal(err)
-	}
-	streamed := logStudy(t, dir, controller, 4)
-	if streamed.Figures == nil {
-		t.Fatal("stream-built study carries no accumulators")
-	}
-	plain := &Study{Dataset: streamed.Dataset}
-
-	opts := ReportOptions{Charts: true, Heatmaps: true}
-	var a, b bytes.Buffer
-	streamed.FullReport(&a, opts)
-	plain.FullReport(&b, opts)
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatalf("accumulator report diverges from slice report:\n--- accumulators ---\n%s\n--- slices ---\n%s",
-			a.String(), b.String())
-	}
-}
-
 // TestStudyFromLogsDeterministicAcrossWorkers: the acceptance criterion —
 // the -from-logs report must be byte-identical for every loader pool size
 // and across repeated runs.

@@ -6,10 +6,8 @@ import (
 
 	"unprotected/internal/analysis"
 	"unprotected/internal/ecc"
-	"unprotected/internal/extract"
 	"unprotected/internal/quarantine"
 	"unprotected/internal/render"
-	"unprotected/internal/stats"
 )
 
 // ReportOptions selects report sections.
@@ -20,15 +18,12 @@ type ReportOptions struct {
 }
 
 // FullReport renders every figure and table of the paper from the study.
-// Figures that stream (headline, Figs 4–11, 13) come from the incremental
-// accumulators when the study was built from a stream; the slice-based
-// computations are the fallback and produce identical output (the
-// accumulators are the same arithmetic applied in the same canonical
-// order — the test suite pins the equivalence byte for byte).
+// The figures that stream (headline, Figs 4–11, 13) are read from
+// Study.Figures; the rest are computed from the dataset.
 func (s *Study) FullReport(w io.Writer, opt ReportOptions) {
-	d := s.Dataset
+	d, fig := s.Dataset, s.Figures
 
-	h := s.headline()
+	h := s.Headline()
 	fmt.Fprintf(w, "== Headline (§III-B) ==\n")
 	fmt.Fprintf(w, "raw error logs:            %d (paper: >25,000,000)\n", h.RawLogs)
 	fmt.Fprintf(w, "worst node raw share:      %.1f%% from %v (paper: >98%%)\n", 100*h.TopNodeRawShare, h.TopRawNode)
@@ -58,13 +53,13 @@ func (s *Study) FullReport(w io.Writer, opt ReportOptions) {
 
 	rows := analysis.MultiBitTable(d)
 	analysis.RenderMultiBitTable(rows).Render(w)
-	mb := s.multiBitStats()
+	mb := s.MultiBitStats()
 	fmt.Fprintf(w, "multi-bit events: %d (paper 85); double-bit: %d (76); >2-bit: %d (9); >3-bit: %d (7)\n",
 		mb.TotalEvents, mb.DoubleBitEvents, mb.OverTwoBits, mb.OverThreeBits)
 	fmt.Fprintf(w, "non-consecutive: %d/%d; mean gap %.1f bits (paper 3); max gap %d (paper 11); LSB share %.0f%%\n\n",
 		mb.NonConsecutive, mb.TotalEvents, mb.MeanGap, mb.MaxGap, 100*mb.LSBShare)
 
-	sim := s.simultaneityStats()
+	sim := s.SimultaneityStats()
 	fmt.Fprintf(w, "== Simultaneity (§III-C, Fig 4) ==\n")
 	fmt.Fprintf(w, "faults co-occurring with others: %d (paper: >26,000)\n", sim.FaultsInGroups)
 	fmt.Fprintf(w, "  of which all-single-bit groups: %d (paper: >99.9%%)\n", sim.SingleBitOnly)
@@ -73,11 +68,11 @@ func (s *Study) FullReport(w io.Writer, opt ReportOptions) {
 	fmt.Fprintf(w, "double+double events: %d (paper: 1)\n", sim.DoubleDoublePairs)
 	fmt.Fprintf(w, "largest simultaneous event: %d bits (paper: 36)\n\n", sim.MaxGroupBits)
 	if opt.Charts {
-		s.simultaneityFigure().Chart().Render(w)
+		fig.Simultaneity.Figure().Chart().Render(w)
 		fmt.Fprintln(w)
 	}
 
-	hod := s.hourOfDay()
+	hod := s.HourOfDayFigure()
 	all := hod.Total()
 	multi := hod.MultiBit()
 	fmt.Fprintf(w, "== Time of day (§III-E, Figs 5-6) ==\n")
@@ -90,7 +85,7 @@ func (s *Study) FullReport(w io.Writer, opt ReportOptions) {
 		fmt.Fprintln(w)
 	}
 
-	temp := s.temperature()
+	temp := fig.Temperature
 	lo, hi := temp.ModalBand(1, 6)
 	fmt.Fprintf(w, "== Temperature (§III-F, Figs 7-8) ==\n")
 	fmt.Fprintf(w, "modal band: %.0f-%.0f°C (paper: 30-40°C); errors >60°C: %.0f; multi-bit >60°C: %.0f (paper: 0); no telemetry: %d\n\n",
@@ -102,11 +97,11 @@ func (s *Study) FullReport(w io.Writer, opt ReportOptions) {
 	}
 
 	fmt.Fprintf(w, "== Scanning vs errors (§III-G, Figs 9-11) ==\n")
-	if pr, err := s.scanErrorCorrelation(); err == nil {
+	if pr, err := fig.Daily.Correlation(); err == nil {
 		fmt.Fprintf(w, "Pearson(TBh/day, errors/day): r=%.5f p=%.4g n=%d (paper: r=-0.17966 p=0.0002)\n\n", pr.R, pr.P, pr.N)
 	}
 	if opt.Charts {
-		scanned, daily := s.dailySeries()
+		scanned, daily := fig.Daily.Scanned, fig.Daily.Errors
 		analysis.DailyChart("Fig 9: memory scanned per day (TBh, monthly sums)",
 			map[string][]float64{"TBh": scanned}).Render(w)
 		analysis.DailyChart("Fig 10: errors per day (monthly sums)",
@@ -132,7 +127,7 @@ func (s *Study) FullReport(w io.Writer, opt ReportOptions) {
 	fmt.Fprintf(w, "concentration: %.2f%% of errors in %.2f%% of nodes (paper: >99.9%% in <1%%)\n\n",
 		100*errShare, 100*nodeShare)
 
-	reg := s.regimes()
+	reg := s.RegimesFigure()
 	fmt.Fprintf(w, "== Temporal correlation (§III-I, Fig 13) ==\n")
 	fmt.Fprintf(w, "normal days: %d (errors: %d, MTBF %.0f h; paper: 348 days, ~50 errors, 167 h)\n",
 		reg.NormalDays, reg.NormalErrors, reg.MTBFNormalHours)
@@ -157,87 +152,19 @@ func (s *Study) FullReport(w io.Writer, opt ReportOptions) {
 
 // ScenarioSummary reduces the study to its cross-scenario comparison row
 // (raw rate, multi-bit fraction, day/night contrast, worst node) under
-// the given scenario name. Like FullReport it prefers the stream-fed
-// accumulators and falls back to the slice computations, so summaries of
-// pure-streaming sweeps and of hand-assembled studies agree.
+// the given scenario name.
 func (s *Study) ScenarioSummary(name string) analysis.ScenarioSummary {
-	return analysis.Summarize(name, s.headline(), s.hourOfDay())
+	return analysis.Summarize(name, s.Headline(), s.HourOfDayFigure())
 }
 
-// The figure accessors below prefer the stream-fed accumulators and fall
-// back to the slice computations for hand-assembled studies.
-
-func (s *Study) headline() analysis.Headline {
-	if s.Figures != nil {
-		return s.Figures.Headline.Headline(s.Dataset.RawLogs, s.Dataset.RawLogsByNode, s.Dataset.Topo)
-	}
-	return analysis.ComputeHeadline(s.Dataset)
-}
-
-func (s *Study) hourOfDay() *analysis.HourOfDay {
-	if s.Figures != nil {
-		return s.Figures.HourOfDay
-	}
-	return analysis.ComputeHourOfDay(s.Dataset.Faults)
-}
-
-func (s *Study) temperature() *analysis.Temperature {
-	if s.Figures != nil {
-		return s.Figures.Temperature
-	}
-	return analysis.ComputeTemperature(s.Dataset.Faults)
-}
-
-func (s *Study) multiBitStats() analysis.MultiBitStats {
-	if s.Figures != nil {
-		return s.Figures.MultiBit.Stats()
-	}
-	return analysis.ComputeMultiBitStats(s.Dataset.Faults)
-}
-
-func (s *Study) simultaneityStats() extract.SimultaneityStats {
-	if s.Figures != nil {
-		return s.Figures.Simultaneity.Stats()
-	}
-	return extract.Simultaneity(extract.Groups(s.Dataset.Faults))
-}
-
-func (s *Study) simultaneityFigure() *analysis.SimultaneityFigure {
-	if s.Figures != nil {
-		return s.Figures.Simultaneity.Figure()
-	}
-	return analysis.ComputeSimultaneityFigure(s.Dataset.Faults)
-}
-
-func (s *Study) scanErrorCorrelation() (stats.PearsonResult, error) {
-	if s.Figures != nil {
-		return s.Figures.Daily.Correlation()
-	}
-	return analysis.ScanErrorCorrelation(s.Dataset)
-}
-
-func (s *Study) dailySeries() (scanned []float64, errors [7][]float64) {
-	if s.Figures != nil {
-		return s.Figures.Daily.Scanned, s.Figures.Daily.Errors
-	}
-	return analysis.DailyScanned(s.Dataset), analysis.DailyErrors(s.Dataset.Faults)
-}
-
-func (s *Study) regimes() *analysis.Regimes {
-	if s.Figures != nil {
-		return s.Figures.Regimes.Finish()
-	}
-	return analysis.ComputeRegimes(s.Dataset)
-}
-
-// quarantineSection renders Table II.
-func (s *Study) quarantineSection(w io.Writer) {
-	results := quarantine.Sweep(s.Dataset.Faults, quarantine.PaperPeriods, s.ExcludedNodes()...)
+// tableII runs the Table II quarantine sweep over the paper's periods.
+// The report renders it and the CSV export writes the same row strings.
+func (s *Study) tableII() *render.Table {
 	t := &render.Table{
 		Title:   "Table II: system MTBF for different quarantine periods",
 		Headers: []string{"Quarantine (days)", "Errors", "Node-days quarantined", "MTBF (h)"},
 	}
-	for _, r := range results {
+	for _, r := range quarantine.Sweep(s.Dataset.Faults, quarantine.PaperPeriods, s.ExcludedNodes()...) {
 		t.AddRow(
 			fmt.Sprintf("%d", int(r.Policy.Period.Hours()/24)),
 			fmt.Sprint(r.Errors),
@@ -245,7 +172,12 @@ func (s *Study) quarantineSection(w io.Writer) {
 			fmt.Sprintf("%.1f", r.MTBFHours),
 		)
 	}
-	t.Render(w)
+	return t
+}
+
+// quarantineSection renders Table II.
+func (s *Study) quarantineSection(w io.Writer) {
+	s.tableII().Render(w)
 	fmt.Fprintf(w, "(paper row for 30 days: 65 errors, 180 node-days, 156.9 h)\n\n")
 }
 

@@ -70,8 +70,7 @@ func (s Session) TBh() units.TBh {
 	return units.TBhOf(s.AllocBytes, s.Duration())
 }
 
-// Accounting reconstructs sessions and accumulates monitored hours and
-// terabyte-hours per node from an ordered record stream. Records of
+// Accounting reconstructs sessions from an ordered record stream. Records of
 // different hosts may be interleaved; records of one host must be in time
 // order (as they are in per-node log files).
 type Accounting struct {
@@ -136,40 +135,4 @@ func (a *Accounting) Snapshot(dst []Session) []Session {
 	}
 	sort.Slice(open, func(i, j int) bool { return CompareSessions(&open[i], &open[j]) < 0 })
 	return append(dst, open...)
-}
-
-// HoursByNode sums monitored hours per node.
-func (a *Accounting) HoursByNode() map[cluster.NodeID]float64 {
-	out := make(map[cluster.NodeID]float64)
-	for _, s := range a.Sessions {
-		out[s.Host] += s.Duration().Hours()
-	}
-	return out
-}
-
-// TBhByNode sums scanned terabyte-hours per node.
-func (a *Accounting) TBhByNode() map[cluster.NodeID]units.TBh {
-	out := make(map[cluster.NodeID]units.TBh)
-	for _, s := range a.Sessions {
-		out[s.Host] += s.TBh()
-	}
-	return out
-}
-
-// TotalNodeHours sums monitored time across all nodes.
-func (a *Accounting) TotalNodeHours() units.NodeHours {
-	var total float64
-	for _, s := range a.Sessions {
-		total += s.Duration().Hours()
-	}
-	return units.NodeHours(total)
-}
-
-// TotalTBh sums scanned memory-time across all nodes.
-func (a *Accounting) TotalTBh() units.TBh {
-	var total units.TBh
-	for _, s := range a.Sessions {
-		total += s.TBh()
-	}
-	return total
 }

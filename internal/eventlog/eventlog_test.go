@@ -205,17 +205,24 @@ func TestAccountingSessions(t *testing.T) {
 	if len(sessions) != 3 {
 		t.Fatalf("sessions = %d", len(sessions))
 	}
-	hours := acc.HoursByNode()[host]
-	if hours != 3 { // 2h + 0h (truncated) + 1h
-		t.Fatalf("hours = %v, want 3 (truncated session must count 0)", hours)
-	}
-	tbh := float64(acc.TBhByNode()[host])
-	want := 3.0/1024*2 + 2.0/1024*1
-	if diff := tbh - want; diff > 1e-9 || diff < -1e-9 {
-		t.Fatalf("tbh = %v, want %v", tbh, want)
-	}
-	if float64(acc.TotalNodeHours()) != 3 {
-		t.Fatalf("total hours %v", acc.TotalNodeHours())
+	// 2h, then 0h for the session the second START truncated, then 1h.
+	for i, want := range []struct {
+		dur       time.Duration
+		tbh       float64
+		truncated bool
+	}{
+		{2 * time.Hour, 3.0 / 1024 * 2, false},
+		{0, 0, true},
+		{time.Hour, 2.0 / 1024 * 1, false},
+	} {
+		s := sessions[i]
+		if s.Truncated != want.truncated || s.Duration() != want.dur {
+			t.Fatalf("session %d: truncated %v, duration %v; want %v, %v (a truncated session must count 0)",
+				i, s.Truncated, s.Duration(), want.truncated, want.dur)
+		}
+		if diff := float64(s.TBh()) - want.tbh; diff > 1e-9 || diff < -1e-9 {
+			t.Fatalf("session %d: tbh = %v, want %v", i, s.TBh(), want.tbh)
+		}
 	}
 }
 
