@@ -8,7 +8,7 @@
 //
 // Endpoints:
 //
-//	GET /study       full study report (JSON)
+//	GET /study       full study report (JSON; ETag "<epoch>", 304 on If-None-Match)
 //	GET /metrics     Prometheus text exposition
 //	GET /healthz     liveness + snapshot epoch
 //	GET /nodes       per-node verdicts
@@ -16,11 +16,12 @@
 //
 // The daemon polls the directory every -interval, ingests appended lines
 // and newly created node files, and publishes an immutable snapshot per
-// round; HTTP readers never contend with ingest. Snapshots are rebuilt in
-// the canonical analysis order, so once the writers go quiet the report
-// is byte-identical to `analyze -from-logs DIR` over the same directory
-// (DESIGN.md §13). SIGTERM or SIGINT drains gracefully: in-flight
-// requests finish, the tail loop winds down, descriptors are released.
+// round that changed anything, re-deriving only the nodes whose files
+// changed; HTTP readers never contend with ingest. Each snapshot's report
+// is byte-identical to `analyze -from-logs DIR` over the directory as that
+// round read it (DESIGN.md §13). SIGTERM or SIGINT drains
+// gracefully: in-flight requests finish, the tail loop winds down,
+// descriptors are released.
 package main
 
 import (

@@ -141,6 +141,8 @@ type FuncObserver = stream.FuncObserver
 // always feeds and seals an internal instance (Study.Figures);
 // NewAccumulators builds an independent one for custom pipelines, which
 // call its Finish after the last delivery (WithObservers does that).
+// Its sums are exact, so bundles fed the parts of one stream combine
+// with Merge into the figures of the whole.
 type Accumulators = analysis.Accumulators
 
 // NewAccumulators builds a stock figure-accumulator bundle.

@@ -1,8 +1,11 @@
 package analysis
 
 import (
+	"fmt"
 	"math"
+	"math/rand/v2"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -78,14 +81,10 @@ func accumFixture() *Dataset {
 // package through timebase.ToLocal, bit counts and flip directions from
 // the raw words, simultaneity groups from the map-keyed extract.Groups.
 // The fixture gains faults on both sides of both 2015 DST switches and of
-// one local midnight, and days with exactly three and four errors on
-// either side of the degraded-day threshold.
-//
-// Daily.Scanned and its Pearson are left out: a reference splitting
-// sessions at explicit local midnights disagrees with the accumulator on
-// the spring-forward day (the open Fig 9 item in ROADMAP.md), so it lands
-// with that fix. TestDailySeries and TestDailyScannedAcrossDST pin them
-// by hand until then.
+// one local midnight, days with exactly three and four errors on either
+// side of the degraded-day threshold, and sessions spanning both switch
+// days, which the Fig 9 reference splits at the local midnights it finds
+// hour by hour.
 func TestAccumulatorsMatchReference(t *testing.T) {
 	d := accumFixture()
 	utc := func(m time.Month, day, h int) timebase.T {
@@ -118,6 +117,16 @@ func TestAccumulatorsMatchReference(t *testing.T) {
 		}))
 	}
 	extract.SortFaults(d.Faults)
+	for _, c := range []struct{ from, to timebase.T }{
+		{spring - 29*3600 + 17, spring + 30*3600 - 5},
+		{spring - 3*3600, spring + 22*3600 + 1},
+		{fall - 47*3600 + 600, fall + 26*3600},
+		{midnight - 3600, midnight + 3600},
+	} {
+		d.Sessions = append(d.Sessions, eventlog.Session{
+			Host: cluster.NodeID{Blade: 7, SoC: 1}, From: c.from, To: c.to, AllocBytes: 5<<30 + 12345,
+		})
+	}
 	a := accumulate(d)
 
 	// The reference, one fault at a time.
@@ -200,7 +209,51 @@ func TestAccumulatorsMatchReference(t *testing.T) {
 		perNode[class(bits)]++
 	}
 
+	// Fig 9: byte-seconds per local day. Local midnights fall on whole UTC
+	// hours, so the reference walks each session hour by hour and cuts it
+	// wherever the local date changes.
+	scannedBytes := make([]int64, timebase.StudyDays)
+	for _, s := range d.Sessions {
+		if s.Truncated || s.To <= s.From {
+			continue
+		}
+		from := s.From
+		for cut := (s.From/3600 + 1) * 3600; from < s.To; cut += 3600 {
+			end := min(cut, s.To)
+			if end == s.To || localDay(cut) != localDay(cut-1) {
+				scannedBytes[localDay(from)] += s.AllocBytes * int64(end-from)
+				from = end
+			}
+		}
+	}
+	scanned := make([]float64, timebase.StudyDays)
+	for day, b := range scannedBytes {
+		scanned[day] = float64(b) / (1 << 40) / 3600
+	}
+
 	relClose := func(got, want float64) bool { return math.Abs(got-want) <= 1e-12*math.Abs(want) }
+	if !reflect.DeepEqual(a.Daily.Scanned, scanned) {
+		for day := range scanned {
+			if a.Daily.Scanned[day] != scanned[day] {
+				t.Errorf("day %s scanned %v TBh, want %v", timebase.DayLabel(day), a.Daily.Scanned[day], scanned[day])
+			}
+		}
+	}
+	// §III-G: Pearson's r between daily TBh and daily errors, by its
+	// definition.
+	var meanX, meanY float64
+	for day := range scanned {
+		meanX += scanned[day] / float64(len(scanned))
+		meanY += daily[0][day] / float64(len(scanned))
+	}
+	var sxy, sxx, syy float64
+	for day := range scanned {
+		dx, dy := scanned[day]-meanX, daily[0][day]-meanY
+		sxy, sxx, syy = sxy+dx*dy, sxx+dx*dx, syy+dy*dy
+	}
+	if pr, err := a.Daily.Correlation(); err != nil || math.Abs(pr.R-sxy/math.Sqrt(sxx*syy)) > 1e-9 || pr.N != len(scanned) {
+		t.Errorf("Pearson %+v (%v), want r = %v over %d days", pr, err, sxy/math.Sqrt(sxx*syy), len(scanned))
+	}
 	if a.HourOfDay.Counts != hours {
 		t.Errorf("hour of day:\n got %v\nwant %v", a.HourOfDay.Counts, hours)
 	}
@@ -289,6 +342,106 @@ func TestAccumulatorsMatchReference(t *testing.T) {
 	}
 	if h != wantH {
 		t.Errorf("headline:\n got %+v\nwant %+v", h, wantH)
+	}
+}
+
+// figureBytes renders every figure a sealed bundle serves. fmt prints a
+// float in its shortest round-trip form, so two bundles render the same
+// bytes exactly when every figure is bit-identical.
+func figureBytes(a *Accumulators, d *Dataset) string {
+	var b strings.Builder
+	fmt.Fprintf(&b, "headline %+v\n", a.Headline.Headline(d.RawLogs, d.RawLogsByNode, d.Topo))
+	fmt.Fprintf(&b, "hour of day %v\n", a.HourOfDay.Counts)
+	for c := 1; c <= 6; c++ {
+		fmt.Fprintf(&b, "temperature %d %v\n", c, a.Temperature.Hists[c].Counts)
+	}
+	fmt.Fprintf(&b, "no reading %d\n", a.Temperature.NoReading)
+	fmt.Fprintf(&b, "multi-bit %+v\n", a.MultiBit.Stats())
+	fmt.Fprintf(&b, "fig 4 %+v\nsimultaneity %+v\n", *a.Simultaneity.Figure(), a.Simultaneity.Stats())
+	fmt.Fprintf(&b, "scanned %v\nerrors %v\n", a.Daily.Scanned, a.Daily.Errors)
+	pr, err := a.Daily.Correlation()
+	fmt.Fprintf(&b, "pearson %+v %v\n", pr, err)
+	fmt.Fprintf(&b, "regimes %+v\n", *a.Regimes.Finish())
+	return b.String()
+}
+
+// TestAccumulatorsMergeOrderFree is Merge's property: bundles fed any
+// partition of the stream, in any order, fold to the figure bytes of one
+// bundle fed the whole stream in canonical order. Half the trials give
+// each node its own bundle fed that node's canonical stream, as the live
+// monitor does; the other half scatter whole simultaneity groups (their
+// faults shuffled) and single sessions over up to eight bundles in
+// shuffled order. Some parts are sealed before they are merged, and the
+// parts fold as a random tree, into one of them or into a fresh bundle.
+// The fixture gains sessions of irregular lengths and sizes, whose hours
+// and TBh summed as floats would depend on the order.
+func TestAccumulatorsMergeOrderFree(t *testing.T) {
+	d := accumFixture()
+	r := rand.New(rand.NewPCG(18, 5))
+	for i := 0; i < 300; i++ {
+		from := timebase.T(r.Int64N(timebase.StudySeconds))
+		d.Sessions = append(d.Sessions, eventlog.Session{
+			Host: cluster.NodeID{Blade: 1 + i%5, SoC: 1 + i%3}, From: from, To: from + 1 + timebase.T(r.IntN(200000)),
+			AllocBytes: 1<<30 + r.Int64N(3<<30),
+		})
+	}
+	want := figureBytes(accumulate(d), d)
+	groups := extract.Groups(d.Faults)
+	for trial := 0; trial < 60; trial++ {
+		var parts []*Accumulators
+		if trial%2 == 0 {
+			byNode := make(map[cluster.NodeID]*Accumulators)
+			part := func(id cluster.NodeID) *Accumulators {
+				if byNode[id] == nil {
+					byNode[id] = NewAccumulators(d.ControllerNode)
+					parts = append(parts, byNode[id])
+				}
+				return byNode[id]
+			}
+			for _, f := range d.Faults {
+				part(f.Node).ObserveFault(f)
+			}
+			for _, i := range r.Perm(len(d.Sessions)) {
+				part(d.Sessions[i].Host).ObserveSession(d.Sessions[i])
+			}
+			r.Shuffle(len(parts), func(i, j int) { parts[i], parts[j] = parts[j], parts[i] })
+		} else {
+			parts = make([]*Accumulators, 1+r.IntN(8))
+			for i := range parts {
+				parts[i] = NewAccumulators(d.ControllerNode)
+			}
+			for _, gi := range r.Perm(len(groups)) {
+				fs := append([]extract.Fault(nil), groups[gi].Faults...)
+				r.Shuffle(len(fs), func(i, j int) { fs[i], fs[j] = fs[j], fs[i] })
+				p := parts[r.IntN(len(parts))]
+				for _, f := range fs {
+					p.ObserveFault(f)
+				}
+			}
+			for _, i := range r.Perm(len(d.Sessions)) {
+				parts[r.IntN(len(parts))].ObserveSession(d.Sessions[i])
+			}
+		}
+		for _, p := range parts {
+			if r.IntN(3) == 0 {
+				_ = p.Finish()
+			}
+		}
+		if r.IntN(2) == 0 {
+			parts = append(parts, NewAccumulators(d.ControllerNode))
+		}
+		for len(parts) > 1 {
+			i, j := r.IntN(len(parts)), r.IntN(len(parts)-1)
+			if j >= i {
+				j++
+			}
+			parts[i].Merge(parts[j])
+			parts = append(parts[:j], parts[j+1:]...)
+		}
+		_ = parts[0].Finish()
+		if got := figureBytes(parts[0], d); got != want {
+			t.Fatalf("trial %d: merged figures differ from the in-order bundle:\n got %s\nwant %s", trial, got, want)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 // Package analysis computes every figure and table of the paper's §III.
 // The figures that stream are one-pass accumulators, bundled in
-// Accumulators and sealed by its Finish: the §III-B headline,
+// Accumulators and sealed by its Finish; their sums are exact, so bundles
+// over the parts of a stream Merge to the figures of the whole: the
+// §III-B headline,
 // simultaneity (Fig 4 and §III-C), the multi-bit aggregates, hour-of-day
 // and temperature distributions (Figs 5–8), the daily series and their
 // correlation (Figs 9–11, §III-G) and the regime split (Fig 13). The rest
@@ -13,6 +15,8 @@
 package analysis
 
 import (
+	"sync"
+
 	"unprotected/internal/cluster"
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
@@ -37,17 +41,20 @@ type Dataset struct {
 	// faults.
 	PathologicalNode cluster.NodeID
 
-	byNode map[cluster.NodeID][]extract.Fault
+	byNodeOnce sync.Once
+	byNode     map[cluster.NodeID][]extract.Fault
 }
 
-// ByNode lazily indexes faults per node.
+// ByNode indexes faults per node. The index is built on the first call,
+// once even under concurrent callers, and read-only afterwards: the
+// Faults slice must not change after that first call.
 func (d *Dataset) ByNode() map[cluster.NodeID][]extract.Fault {
-	if d.byNode == nil {
+	d.byNodeOnce.Do(func() {
 		d.byNode = make(map[cluster.NodeID][]extract.Fault)
 		for _, f := range d.Faults {
 			d.byNode[f.Node] = append(d.byNode[f.Node], f)
 		}
-	}
+	})
 	return d.byNode
 }
 
@@ -108,21 +115,21 @@ type Headline struct {
 
 // HeadlineAccum accumulates the §III-B summary: faults and sessions
 // stream in one at a time; Headline finalizes against the scalar raw-log
-// aggregates and topology.
+// aggregates and topology. Monitored time is kept in integer seconds and
+// memory-time in integer byte-seconds, so the sums are exact and merge in
+// any order.
 type HeadlineAccum struct {
 	faults          int
 	multiBit        int
 	ones2Zeros      int
 	zeros2Ones      int
-	hours           float64
-	tbh             units.TBh
+	seconds         int64
+	byteSecs        units.ByteSeconds
 	nodesWithFaults map[cluster.NodeID]bool
 }
 
 // NewHeadlineAccum returns an empty accumulator.
-func NewHeadlineAccum() *HeadlineAccum {
-	return &HeadlineAccum{nodesWithFaults: make(map[cluster.NodeID]bool)}
-}
+func NewHeadlineAccum() *HeadlineAccum { return &HeadlineAccum{} }
 
 // ObserveFault folds one fault into the aggregates.
 func (a *HeadlineAccum) ObserveFault(f extract.Fault) {
@@ -132,13 +139,36 @@ func (a *HeadlineAccum) ObserveFault(f extract.Fault) {
 	if f.MultiBit() {
 		a.multiBit++
 	}
+	if a.nodesWithFaults == nil {
+		a.nodesWithFaults = make(map[cluster.NodeID]bool)
+	}
 	a.nodesWithFaults[f.Node] = true
 }
 
 // ObserveSession folds one session into the hours/TBh accounting.
 func (a *HeadlineAccum) ObserveSession(s eventlog.Session) {
-	a.hours += s.Duration().Hours()
-	a.tbh += s.TBh()
+	secs := s.Seconds()
+	if secs == 0 {
+		return
+	}
+	a.seconds += secs
+	a.byteSecs = a.byteSecs.Add(units.ByteSecondsOf(s.AllocBytes, secs))
+}
+
+// merge folds b's aggregates into a.
+func (a *HeadlineAccum) merge(b *HeadlineAccum) {
+	a.faults += b.faults
+	a.multiBit += b.multiBit
+	a.ones2Zeros += b.ones2Zeros
+	a.zeros2Ones += b.zeros2Ones
+	a.seconds += b.seconds
+	a.byteSecs = a.byteSecs.Add(b.byteSecs)
+	if len(b.nodesWithFaults) > 0 && a.nodesWithFaults == nil {
+		a.nodesWithFaults = make(map[cluster.NodeID]bool, len(b.nodesWithFaults))
+	}
+	for id := range b.nodesWithFaults {
+		a.nodesWithFaults[id] = true
+	}
 }
 
 // Headline finalizes the §III-B summary. rawLogs and rawLogsByNode are the
@@ -151,8 +181,8 @@ func (a *HeadlineAccum) Headline(rawLogs int64, rawLogsByNode map[cluster.NodeID
 		MultiBitFaults:    a.multiBit,
 		Ones2Zeros:        a.ones2Zeros,
 		Zeros2Ones:        a.zeros2Ones,
-		NodeHours:         units.NodeHours(a.hours),
-		TotalTBh:          a.tbh,
+		NodeHours:         units.NodeHours(float64(a.seconds) / 3600),
+		TotalTBh:          a.byteSecs.TBh(),
 		NodesWithFaults:   len(a.nodesWithFaults),
 	}
 	var maxRaw int64
@@ -172,7 +202,7 @@ func (a *HeadlineAccum) Headline(rawLogs int64, rawLogsByNode map[cluster.NodeID
 	}
 	if a.faults > 0 {
 		h.ClusterMTBFMinutes = float64(timebase.StudySeconds) / 60 / float64(a.faults)
-		h.NodeMTBFHours = a.hours / float64(a.faults)
+		h.NodeMTBFHours = float64(h.NodeHours) / float64(a.faults)
 	}
 	return h
 }

@@ -205,11 +205,9 @@ func TestDailySeries(t *testing.T) {
 }
 
 // TestDailyScannedAcrossDST pins how a session spanning a DST switch is
-// split across local days. The 24 TBh credited to the 23-hour
-// spring-forward day is one hour too many: stepping t + 86400 −
-// SecondsIntoLocalDay() from 03-29 00:00 CET lands on 03-30 01:00 CEST.
-// Fixing it changes Fig 9's bytes; ROADMAP.md carries it as an open
-// correctness item, and until then this test holds today's behaviour.
+// split across local days: each day runs to the next local midnight, so a
+// 1 TiB session covering the whole 23-hour spring-forward day credits it
+// 23 TBh and the 25-hour fall-back day 25 TBh.
 func TestDailyScannedAcrossDST(t *testing.T) {
 	day := func(m time.Month, d int) int {
 		return int(time.Date(2015, m, d, 0, 0, 0, 0, time.UTC).Sub(timebase.Epoch) / (24 * time.Hour))
@@ -223,17 +221,21 @@ func TestDailyScannedAcrossDST(t *testing.T) {
 		first    int
 		want     []float64
 	}{
-		{"spring forward", utc(time.March, 28, 22), utc(time.March, 30, 2), day(time.March, 28), []float64{1, 24, 3}},
+		{"spring forward", utc(time.March, 28, 22), utc(time.March, 30, 2), day(time.March, 28), []float64{1, 23, 4}},
 		{"fall back", utc(time.October, 24, 21), utc(time.October, 26, 2), day(time.October, 24), []float64{1, 25, 3}},
 	} {
-		a := NewDailyAccum()
+		a := NewAccumulators()
 		a.ObserveSession(eventlog.Session{Host: nodeA, From: c.from, To: c.to, AllocBytes: 1 << 40})
-		for d, got := range a.Scanned {
+		_ = a.Finish()
+		if len(a.Daily.Scanned) != timebase.StudyDays {
+			t.Fatalf("%s: %d days scanned, want %d", c.name, len(a.Daily.Scanned), timebase.StudyDays)
+		}
+		for d, got := range a.Daily.Scanned {
 			want := 0.0
 			if i := d - c.first; i >= 0 && i < len(c.want) {
 				want = c.want[i]
 			}
-			if diff := got - want; diff > 1e-9 || diff < -1e-9 {
+			if got != want {
 				t.Errorf("%s: day %s scanned %v TBh, want %v", c.name, timebase.DayLabel(d), got, want)
 			}
 		}

@@ -22,6 +22,15 @@ func (h *HourOfDay) Observe(f extract.Fault) {
 	h.Counts[BitClass(f.BitCount())][f.FirstAt.HourOfDay()]++
 }
 
+// merge adds b's counts into h.
+func (h *HourOfDay) merge(b *HourOfDay) {
+	for c := range h.Counts {
+		for hh := range h.Counts[c] {
+			h.Counts[c][hh] += b.Counts[c][hh]
+		}
+	}
+}
+
 // Total returns the all-classes histogram.
 func (h *HourOfDay) Total() [24]float64 {
 	var out [24]float64

@@ -75,11 +75,14 @@ type MultiBitStats struct {
 
 // MultiBitAccum accumulates MultiBitStats: Observe faults one at a time,
 // read Stats whenever needed (Stats finalizes the running means without
-// mutating the accumulator).
+// mutating the accumulator). Every field is an integer, so the mean gap
+// is kept as exact gap totals per bit count and divided out at read.
 type MultiBitAccum struct {
-	st        MultiBitStats
-	gapSum    float64
-	gapN      int
+	st MultiBitStats
+	// gapBits[k] totals the clear bits between the corrupted ones over
+	// every event with k+1 corrupted bits; such an event's mean gap is its
+	// total over k.
+	gapBits   [32]int
 	lsb       int
 	bitsTotal int
 }
@@ -114,21 +117,37 @@ func (a *MultiBitAccum) Observe(f extract.Fault) {
 	if bc > st.MaxBits {
 		st.MaxBits = bc
 	}
-	a.gapSum += f.Bits.MeanGap()
-	a.gapN++
-	for _, p := range f.Bits.Positions() {
-		a.bitsTotal++
-		if p < 16 {
-			a.lsb++
-		}
+	a.gapBits[bc-1] += f.Bits.GapBits()
+	a.bitsTotal += bc
+	a.lsb += (f.Bits & 0xffff).Count()
+}
+
+// merge folds b's aggregates into a.
+func (a *MultiBitAccum) merge(b *MultiBitAccum) {
+	st, o := &a.st, &b.st
+	st.TotalEvents += o.TotalEvents
+	st.DoubleBitEvents += o.DoubleBitEvents
+	st.OverTwoBits += o.OverTwoBits
+	st.OverThreeBits += o.OverThreeBits
+	st.NonConsecutive += o.NonConsecutive
+	st.MaxGap = max(st.MaxGap, o.MaxGap)
+	st.MaxBits = max(st.MaxBits, o.MaxBits)
+	for k, g := range b.gapBits {
+		a.gapBits[k] += g
 	}
+	a.lsb += b.lsb
+	a.bitsTotal += b.bitsTotal
 }
 
 // Stats returns the aggregates observed so far.
 func (a *MultiBitAccum) Stats() MultiBitStats {
 	st := a.st
-	if a.gapN > 0 {
-		st.MeanGap = a.gapSum / float64(a.gapN)
+	if st.TotalEvents > 0 {
+		var sum float64
+		for k := 1; k < len(a.gapBits); k++ {
+			sum += float64(a.gapBits[k]) / float64(k)
+		}
+		st.MeanGap = sum / float64(st.TotalEvents)
 	}
 	if a.bitsTotal > 0 {
 		st.LSBShare = float64(a.lsb) / float64(a.bitsTotal)
@@ -182,17 +201,32 @@ type SimultaneityAccum struct {
 // NewSimultaneityAccum returns an empty accumulator.
 func NewSimultaneityAccum() *SimultaneityAccum {
 	a := &SimultaneityAccum{}
-	a.grouper = extract.NewGrouper(func(g extract.Group) {
-		a.fig.PerNode[BitClass(g.TotalBits())]++
-		a.st.Observe(g)
-	})
+	a.grouper = extract.NewGrouper(a.close)
 	return a
+}
+
+// close folds one completed group.
+func (a *SimultaneityAccum) close(g extract.Group) {
+	a.fig.PerNode[BitClass(g.TotalBits())]++
+	a.st.Observe(g)
 }
 
 // Observe folds one fault of a canonically ordered stream.
 func (a *SimultaneityAccum) Observe(f extract.Fault) {
 	a.fig.PerWord[BitClass(f.BitCount())]++
 	a.grouper.Observe(f)
+}
+
+// merge folds b's closed groups into a, and b's open group as closed.
+func (a *SimultaneityAccum) merge(b *SimultaneityAccum) {
+	for c := range a.fig.PerWord {
+		a.fig.PerWord[c] += b.fig.PerWord[c]
+		a.fig.PerNode[c] += b.fig.PerNode[c]
+	}
+	a.st.Merge(b.st)
+	if g, ok := b.grouper.Pending(); ok {
+		a.close(g)
+	}
 }
 
 // Figure returns Fig 4: per-word counts over every observed fault,

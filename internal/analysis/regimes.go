@@ -61,6 +61,13 @@ func (a *RegimesAccum) Observe(f extract.Fault) {
 	}
 }
 
+// merge adds b's daily counts into a.
+func (a *RegimesAccum) merge(b *RegimesAccum) {
+	for day, n := range b.errorsPerDay {
+		a.errorsPerDay[day] += n
+	}
+}
+
 // Finish classifies every study day from the accumulated counts. It does
 // not mutate the accumulator and may be called repeatedly.
 func (a *RegimesAccum) Finish() *Regimes {

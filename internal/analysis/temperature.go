@@ -42,6 +42,16 @@ func (t *Temperature) Observe(f extract.Fault) {
 	t.Hists[BitClass(f.BitCount())].Observe(f.TempC)
 }
 
+// merge adds b's counts into t.
+func (t *Temperature) merge(b *Temperature) {
+	t.NoReading += b.NoReading
+	for c := 1; c <= 6; c++ {
+		for i, v := range b.Hists[c].Counts {
+			t.Hists[c].Counts[i] += v
+		}
+	}
+}
+
 // CountAbove returns errors hotter than the threshold across classes
 // lo..hi (the paper: a small set of single-bit errors above 60°C, no
 // multi-bit ones).

@@ -10,46 +10,43 @@ import (
 	"unprotected/internal/render"
 	"unprotected/internal/stats"
 	"unprotected/internal/timebase"
+	"unprotected/internal/units"
 )
 
 // DailyAccum is the incremental form of the Figs 9–11 time series: it
-// accumulates scanned TBh per day from sessions and error counts per day
-// and bit class from faults, one element at a time.
+// accumulates memory scanned per day from sessions and error counts per
+// day and bit class from faults, one element at a time. Scanned memory is
+// kept as exact byte-seconds per day; Scanned, its TBh view, is derived
+// when the bundle is sealed. Each half is allocated on its first
+// observation.
 type DailyAccum struct {
-	// Scanned[day] is terabyte-hours of memory analyzed (Fig 9).
+	// Scanned[day] is terabyte-hours of memory analyzed (Fig 9), derived
+	// from the per-day byte-seconds by Accumulators.Finish.
 	Scanned []float64
 	// Errors[class][day] counts faults; class 0 aggregates everything.
 	Errors [7][]float64
+
+	byteSecs []int64
 }
 
 // NewDailyAccum returns an empty accumulator spanning the study window.
-func NewDailyAccum() *DailyAccum {
-	a := &DailyAccum{Scanned: make([]float64, timebase.StudyDays)}
-	for c := 0; c <= 6; c++ {
-		a.Errors[c] = make([]float64, timebase.StudyDays)
-	}
-	return a
-}
+func NewDailyAccum() *DailyAccum { return &DailyAccum{} }
 
-// ObserveSession splits one session's TBh across the local days it
-// overlaps (DST-aware).
+// ObserveSession splits one session's byte-seconds across the local days
+// it overlaps. Each day ends at the next local midnight, found by day
+// number, so the spring-forward day gets its 23 hours and the fall-back
+// day its 25.
 func (a *DailyAccum) ObserveSession(s eventlog.Session) {
-	if s.Duration() == 0 {
+	if s.Seconds() == 0 {
 		return
 	}
-	tbPerSec := float64(s.AllocBytes) / float64(int64(1)<<40) / 3600
-	for t := s.From; t < s.To; {
-		day := t.Day()
-		// Step to the next local midnight.
-		next := t + timebase.T(86400-t.SecondsIntoLocalDay())
-		if next <= t {
-			next = t + 86400
-		}
-		if next > s.To {
-			next = s.To
-		}
-		if day >= 0 && day < len(a.Scanned) {
-			a.Scanned[day] += float64(next-t) * tbPerSec
+	if a.byteSecs == nil {
+		a.byteSecs = make([]int64, timebase.StudyDays)
+	}
+	for t, day := s.From, s.From.Day(); t < s.To; day++ {
+		next := min(timebase.DayStart(day+1), s.To)
+		if day >= 0 && day < len(a.byteSecs) {
+			a.byteSecs[day] += int64(next-t) * s.AllocBytes
 		}
 		t = next
 	}
@@ -61,8 +58,53 @@ func (a *DailyAccum) ObserveFault(f extract.Fault) {
 	if day < 0 || day >= timebase.StudyDays {
 		return
 	}
+	if a.Errors[0] == nil {
+		a.allocErrors()
+	}
 	a.Errors[0][day]++
 	a.Errors[BitClass(f.BitCount())][day]++
+}
+
+func (a *DailyAccum) allocErrors() {
+	for c := range a.Errors {
+		a.Errors[c] = make([]float64, timebase.StudyDays)
+	}
+}
+
+// merge adds b's per-day sums into a.
+func (a *DailyAccum) merge(b *DailyAccum) {
+	if b.byteSecs != nil {
+		if a.byteSecs == nil {
+			a.byteSecs = make([]int64, timebase.StudyDays)
+		}
+		for day, v := range b.byteSecs {
+			a.byteSecs[day] += v
+		}
+	}
+	if b.Errors[0] != nil {
+		if a.Errors[0] == nil {
+			a.allocErrors()
+		}
+		for c := range a.Errors {
+			for day, v := range b.Errors[c] {
+				a.Errors[c][day] += v
+			}
+		}
+	}
+}
+
+// seal allocates whatever half is still missing and derives Scanned from
+// the byte-seconds.
+func (a *DailyAccum) seal() {
+	if a.Errors[0] == nil {
+		a.allocErrors()
+	}
+	if a.Scanned == nil {
+		a.Scanned = make([]float64, timebase.StudyDays)
+	}
+	for day, v := range a.byteSecs {
+		a.Scanned[day] = float64(v) / float64(units.TiB) / 3600
+	}
 }
 
 // Correlation is §III-G: the Pearson correlation between daily scanned

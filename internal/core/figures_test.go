@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 
@@ -11,11 +12,13 @@ import (
 // TestStudyFigureReadsConcurrent: Analyze seals the figures, so reading
 // one never mutates the Study and concurrent readers of one study need no
 // coordination. Four goroutines read every exported figure accessor of
-// one replayed study at once; under -race any write a read makes is a
-// reported data race. Nothing reads a figure before the goroutines start,
-// so the first read of each accessor is one of the racing ones. Fig 4's
-// per-node counts include the stream's last group only if Analyze closed
-// it.
+// one replayed study at once and render its full report, whose Fig 12
+// and spatial concentration build the dataset's per-node index; under
+// -race any write a read makes is a reported data race. Nothing reads a
+// figure before the goroutines start, so the first read of each accessor
+// and the index build are among the racing ones. Every goroutine must
+// render the same report bytes. Fig 4's per-node counts include the
+// stream's last group only if Analyze closed it.
 func TestStudyFigureReadsConcurrent(t *testing.T) {
 	sessions, faults, controller := replayFixture()
 	dir := t.TempDir()
@@ -31,10 +34,14 @@ func TestStudyFigureReadsConcurrent(t *testing.T) {
 	}
 
 	var wg sync.WaitGroup
-	for range 4 {
+	reports := make([][]byte, 4)
+	for i := range reports {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf bytes.Buffer
+			s.FullReport(&buf, ReportOptions{Charts: true, Heatmaps: true})
+			reports[i] = buf.Bytes()
 			if h := s.Headline(); h.IndependentFaults != len(faults) {
 				t.Errorf("headline counts %d faults, want %d", h.IndependentFaults, len(faults))
 			}
@@ -51,4 +58,9 @@ func TestStudyFigureReadsConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	for i := range reports {
+		if !bytes.Equal(reports[i], reports[0]) {
+			t.Fatalf("reader %d rendered a different report", i)
+		}
+	}
 }

@@ -70,18 +70,16 @@ func (b BitSet) MaxGap() int {
 	return max
 }
 
-// MeanGap returns the average unset-bit gap between adjacent set bits
-// (the paper reports an average distance of 3). Zero for <2 bits.
-func (b BitSet) MeanGap() float64 {
-	pos := b.Positions()
-	if len(pos) < 2 {
+// GapBits returns the unset bits between adjacent set bits, summed: the
+// span from the lowest to the highest set bit less the set bits. An
+// event's mean gap (the paper reports an average distance of 3) is
+// GapBits over Count−1. Zero for sets with fewer than two bits.
+func (b BitSet) GapBits() int {
+	if b == 0 {
 		return 0
 	}
-	total := 0
-	for i := 1; i < len(pos); i++ {
-		total += pos[i] - pos[i-1] - 1
-	}
-	return float64(total) / float64(len(pos)-1)
+	w := uint32(b)
+	return 32 - bits.LeadingZeros32(w) - bits.TrailingZeros32(w) - bits.OnesCount32(w)
 }
 
 // String renders like "{1,9,10}".

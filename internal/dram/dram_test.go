@@ -46,15 +46,18 @@ func TestBitSetConsecutive(t *testing.T) {
 }
 
 func TestBitSetGaps(t *testing.T) {
-	// Bits {1, 5, 17}: gaps of 3 and 11 (paper max), mean 7.
+	// Bits {1, 5, 17}: gaps of 3 and 11 (paper max), 14 in all.
 	b := BitSetOf(1, 5, 17)
 	if g := b.MaxGap(); g != 11 {
 		t.Fatalf("max gap %d, want 11", g)
 	}
-	if g := b.MeanGap(); g != 7 {
-		t.Fatalf("mean gap %v, want 7", g)
+	if g := b.GapBits(); g != 14 {
+		t.Fatalf("gap bits %d, want 14", g)
 	}
-	if BitSetOf(4).MaxGap() != 0 || BitSetOf().MeanGap() != 0 {
+	if g := BitSetOf(0, 31).GapBits(); g != 30 {
+		t.Fatalf("gap bits of {0,31} %d, want 30", g)
+	}
+	if BitSetOf(4).MaxGap() != 0 || BitSetOf(4).GapBits() != 0 || BitSetOf().GapBits() != 0 {
 		t.Fatal("degenerate gaps should be 0")
 	}
 }

@@ -57,13 +57,17 @@ func CompareSessions(a, b *Session) int {
 // when two keys are equal.
 func SessionKey(s *Session) int64 { return int64(s.From) }
 
-// Duration returns the monitored time, zero for truncated sessions.
-func (s Session) Duration() time.Duration {
+// Seconds returns the monitored time in whole seconds, zero for truncated
+// sessions: the exact form the figure accumulators sum.
+func (s Session) Seconds() int64 {
 	if s.Truncated || s.To <= s.From {
 		return 0
 	}
-	return s.To.Sub(s.From)
+	return int64(s.To - s.From)
 }
+
+// Duration returns the monitored time, zero for truncated sessions.
+func (s Session) Duration() time.Duration { return time.Duration(s.Seconds()) * time.Second }
 
 // TBh returns the memory-time scanned by the session.
 func (s Session) TBh() units.TBh {

@@ -405,6 +405,11 @@ func (g *Grouper) Observe(f Fault) {
 	g.cur.Faults = append(g.cur.Faults, f)
 }
 
+// Pending returns the group still open, the one Flush would emit, and
+// whether there is one. The group's Faults are the grouper's own and must
+// not be modified.
+func (g *Grouper) Pending() (Group, bool) { return g.cur, g.live }
+
 // Flush emits the trailing group, if any.
 func (g *Grouper) Flush() {
 	if g.live {
@@ -474,6 +479,18 @@ func (s *SimultaneityStats) Observe(g Group) {
 	if doubles >= 2 {
 		s.DoubleDoublePairs += doubles / 2
 	}
+}
+
+// Merge folds o, the aggregates of a disjoint set of groups, into s: the
+// counts add and the maximum is kept, so any partition of the groups
+// merges to the aggregates of the whole.
+func (s *SimultaneityStats) Merge(o SimultaneityStats) {
+	s.FaultsInGroups += o.FaultsInGroups
+	s.SingleBitOnly += o.SingleBitOnly
+	s.DoubleWithSingle += o.DoubleWithSingle
+	s.TripleWithSingle += o.TripleWithSingle
+	s.DoubleDoublePairs += o.DoubleDoublePairs
+	s.MaxGroupBits = max(s.MaxGroupBits, o.MaxGroupBits)
 }
 
 // Simultaneity computes the §III-C aggregates over groups.

@@ -28,8 +28,9 @@ type Part struct {
 // classifies runs into sorted faults and sorts sessions in place. The
 // one-shot loader calls it on each file's Collapser.Close and
 // Accounting.Finish; the live monitor calls it on the non-destructive
-// Snapshot of the same two, which is what makes a quiescent monitor
-// byte-identical to a replay (DESIGN.md §13.3).
+// Snapshot of the same two for every node a round changed, which is what
+// makes each published epoch byte-identical to a replay of the directory
+// as it stands (DESIGN.md §13.3).
 func Finalize(runs []extract.RawRun, raw int64, sessions []eventlog.Session) Part {
 	p := Part{faults: extract.Faults(runs), sessions: sessions, rawLogs: raw}
 	extract.SortFaults(p.faults)
@@ -39,46 +40,45 @@ func Finalize(runs []extract.RawRun, raw int64, sessions []eventlog.Session) Par
 	return p
 }
 
-// Parts is a replay's per-node contributions in merge order — file order
-// for a directory, node order for the live monitor; under the store's
-// FileName layout the two coincide. As a stream.Source it folds the
-// parts' stats into the prologue and k-way merges them through
-// stream.Deliver.
-type Parts []Part
+// Faults returns the part's faults, in extract.Compare order.
+func (p Part) Faults() []extract.Fault { return p.faults }
 
-// Events implements stream.Source.
-func (ps Parts) Events(ctx context.Context) iter.Seq2[stream.Event, error] {
-	return func(yield func(stream.Event, error) bool) {
-		st := &stream.Stats{RawLogsByNode: make(map[cluster.NodeID]int64)}
-		faults := make([][]extract.Fault, 0, len(ps))
-		sessions := make([][]eventlog.Session, 0, len(ps))
-		for _, p := range ps {
-			st.Faults += len(p.faults)
-			st.Sessions += len(p.sessions)
-			st.RawLogs += p.rawLogs
-			// Every ERROR record lands in exactly one run, so Σ Logs over a
-			// part's faults is its raw volume, split by the true host= of
-			// each run rather than by the file name — a file holding a
-			// foreign host's records credits that host, matching faults.
-			for i := range p.faults {
-				st.RawLogsByNode[p.faults[i].Node] += int64(p.faults[i].Logs)
-			}
-			if len(p.faults) > 0 {
-				faults = append(faults, p.faults)
-			}
-			if len(p.sessions) > 0 {
-				sessions = append(sessions, p.sessions)
-			}
+// Sessions returns the part's sessions, in eventlog.CompareSessions order.
+func (p Part) Sessions() []eventlog.Session { return p.sessions }
+
+// deliver emits a replay's stream from its per-node parts, in file
+// order: it folds the parts' stats into the prologue and k-way merges
+// them through stream.Deliver.
+func deliver(ctx context.Context, yield func(stream.Event, error) bool, parts []Part) {
+	st := &stream.Stats{RawLogsByNode: make(map[cluster.NodeID]int64)}
+	faults := make([][]extract.Fault, 0, len(parts))
+	sessions := make([][]eventlog.Session, 0, len(parts))
+	for _, p := range parts {
+		st.Faults += len(p.faults)
+		st.Sessions += len(p.sessions)
+		st.RawLogs += p.rawLogs
+		// Every ERROR record lands in exactly one run, so Σ Logs over a
+		// part's faults is its raw volume, split by the true host= of
+		// each run rather than by the file name — a file holding a
+		// foreign host's records credits that host, matching faults.
+		for i := range p.faults {
+			st.RawLogsByNode[p.faults[i].Node] += int64(p.faults[i].Logs)
 		}
-		stream.Deliver(ctx, yield, st, faults, sessions)
+		if len(p.faults) > 0 {
+			faults = append(faults, p.faults)
+		}
+		if len(p.sessions) > 0 {
+			sessions = append(sessions, p.sessions)
+		}
 	}
+	stream.Deliver(ctx, yield, st, faults, sessions)
 }
 
 // Events reads every node file under dir on a stream.Collect pool and
 // yields the extracted dataset as an iterator honouring the
 // internal/stream contract, mirroring the campaign engine: each worker
 // collapses one file and Finalizes it (so §II-C extraction parallelizes
-// across files), then Parts.Events interleaves the per-node streams into
+// across files), then the per-node streams are interleaved into
 // a stats prologue, faults in extract.Compare order and sessions in
 // eventlog.CompareSessions order. The merged dataset is never
 // materialized here.
@@ -104,13 +104,13 @@ func Events(ctx context.Context, dir string, workers int, opts ...Option) iter.S
 			yield(stream.Event{}, err)
 			return
 		}
-		parts.Events(ctx)(yield)
+		deliver(ctx, yield, parts)
 	}
 }
 
 // load lists the node files under dir and Finalizes each on the pool, in
 // file order.
-func load(ctx context.Context, dir string, workers int, opts []Option) (Parts, error) {
+func load(ctx context.Context, dir string, workers int, opts []Option) ([]Part, error) {
 	o, err := resolve(opts)
 	if err != nil {
 		return nil, fmt.Errorf("logstore: %w", err)

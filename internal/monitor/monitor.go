@@ -12,14 +12,19 @@
 // value forever after. No lock is ever held across a render, and a slow
 // reader delays nobody: it just keeps an old epoch alive.
 //
-// Snapshots are rebuilt in the canonical global order, not arrival order:
-// follow-mode delivers records in per-node arrival order, but the figure
-// accumulators (the simultaneity grouper above all) require the canonical
-// merged order, so each snapshot re-sorts the per-node state and streams
-// it through core.Analyze exactly the way the one-shot log replay does.
-// At quiescence the snapshot is therefore byte-identical to a one-shot
-// Analyze over the same directory — the equivalence DESIGN.md §13 argues
-// and TestMonitorQuiescenceEquivalence pins.
+// Snapshots are rebuilt incrementally, touching only the nodes a round
+// changed. Follow-mode delivers records in per-node arrival order, and a
+// fault is not final while the next appended record can still extend its
+// run, so the monitor keeps raw per-node state and, for every node that
+// changed, re-finalizes it the way the one-shot loader finalizes a file
+// (logstore.Finalize) and folds it into a per-node partial of the figure
+// accumulators. The partials are exact, so their Merge in any order gives
+// the figures one bundle fed the canonical stream gives. The canonical
+// dataset is spliced: the previous epoch's, less the changed nodes'
+// elements, merged with their fresh parts. At every epoch the snapshot
+// is therefore byte-identical to a one-shot Analyze over the same
+// directory — the equivalence DESIGN.md §13.3 argues and
+// TestMonitorQuiescenceEquivalence pins epoch by epoch.
 package monitor
 
 import (
@@ -30,6 +35,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"unprotected/internal/analysis"
 	"unprotected/internal/cluster"
 	"unprotected/internal/core"
 	"unprotected/internal/eventlog"
@@ -48,12 +54,14 @@ type Option func(*Monitor) error
 // one-shot replay. Empty disables the exclusion.
 func WithController(node string) Option {
 	return func(m *Monitor) error {
+		m.controllerID = cluster.NodeID{}
 		if node != "" {
-			if _, err := cluster.ParseNodeID(node); err != nil {
+			id, err := cluster.ParseNodeID(node)
+			if err != nil {
 				return err
 			}
+			m.controllerID = id
 		}
-		m.controller = node
 		return nil
 	}
 }
@@ -101,10 +109,10 @@ func WithTicker(wait func(ctx context.Context) bool) Option {
 // freely among HTTP handlers: Snapshot and Stats are safe for any number
 // of concurrent callers.
 type Monitor struct {
-	dir        string
-	controller string
-	follow     []logstore.FollowOption
-	stats      logstore.FollowStats
+	dir          string
+	controllerID cluster.NodeID // zero: no exclusion
+	follow       []logstore.FollowOption
+	stats        logstore.FollowStats
 
 	// snap is the epoch pointer: Run stores, everyone else loads. Nil
 	// until the first poll round completes.
@@ -113,15 +121,29 @@ type Monitor struct {
 	// Ingest state below is owned exclusively by the Run goroutine.
 	nodes map[cluster.NodeID]*nodeState
 	order []cluster.NodeID // sorted keys of nodes
-	dirty bool
-	epoch int64
+	// isDirty marks, by node index, the nodes ingested, reset, added or
+	// removed since the last publish, and dirty says whether any is (or
+	// no round has published yet). Record hosts are parsed and
+	// range-checked, so every index is below cluster.TotalNodes.
+	dirty   bool
+	isDirty [cluster.TotalNodes]bool
+	epoch   int64
 }
 
 // nodeState is one node's incremental §II-C pipeline: records fold in as
-// they arrive, snapshots read it non-destructively.
+// they arrive, snapshots read it non-destructively. The fields below the
+// pipeline are the node's figures as of the last publish that found it
+// dirty.
 type nodeState struct {
 	col  *extract.Collapser
 	acct *eventlog.Accounting
+
+	part *analysis.Accumulators // the node's figure partial, unsealed
+	// rawLogs counts the node's ERROR records; logs sums its faults'
+	// collapsed record counts, its entry in Dataset.RawLogsByNode.
+	rawLogs, logs  int64
+	faults         int
+	sessions, open int
 }
 
 // New builds a Monitor over dir. Nothing is read until Run.
@@ -148,11 +170,10 @@ func (m *Monitor) Snapshot() *Snapshot { return m.snap.Load() }
 func (m *Monitor) Stats() *logstore.FollowStats { return &m.stats }
 
 // Run tails the directory until ctx is cancelled, publishing a fresh
-// snapshot after every poll round that ingested anything (and after the
+// snapshot after every poll round that changed anything (and after the
 // first round regardless, so an empty directory still serves an empty
 // study). It must be called exactly once; cancellation is a clean
-// shutdown and returns nil, any other stream or rebuild error is fatal
-// and returned.
+// shutdown and returns nil, any stream error is fatal and returned.
 func (m *Monitor) Run(ctx context.Context) error {
 	for ev, err := range logstore.Follow(ctx, m.dir, m.follow...) {
 		if err != nil {
@@ -167,16 +188,9 @@ func (m *Monitor) Run(ctx context.Context) error {
 		case stream.KindReset:
 			m.reset(ev.Record.Host)
 		case stream.KindSync:
-			if !m.dirty {
-				continue
+			if m.dirty {
+				m.publish()
 			}
-			if err := m.publish(ctx); err != nil {
-				if errors.Is(err, context.Canceled) {
-					return nil
-				}
-				return err
-			}
-			m.dirty = false
 		}
 	}
 	return nil
@@ -199,6 +213,12 @@ func (m *Monitor) ingest(rec eventlog.Record) {
 	}
 	ns.acct.Observe(rec)
 	ns.col.Observe(rec)
+	m.markDirty(rec.Host)
+}
+
+// markDirty queues node for the next publish.
+func (m *Monitor) markDirty(node cluster.NodeID) {
+	m.isDirty[node.Index()] = true
 	m.dirty = true
 }
 
@@ -216,7 +236,7 @@ func (m *Monitor) reset(host cluster.NodeID) {
 		return compareNodes(m.order[i], host) >= 0
 	})
 	m.order = append(m.order[:i], m.order[i+1:]...)
-	m.dirty = true
+	m.markDirty(host)
 }
 
 // compareNodes orders nodes the way sorted file paths do: FileName
@@ -241,32 +261,81 @@ func compareNodes(a, b cluster.NodeID) int {
 
 // publish rebuilds the Study from the per-node state and swaps it in as
 // the new epoch.
-func (m *Monitor) publish(ctx context.Context) error {
-	study, err := m.rebuild(ctx)
-	if err != nil {
-		return err
-	}
+func (m *Monitor) publish() {
+	study := m.rebuild()
 	m.epoch++
-	snap := newSnapshot(m.epoch, study, &m.stats)
-	m.snap.Store(snap)
-	return nil
+	m.snap.Store(newSnapshot(m.epoch, study, m.verdicts(study.Dataset.RawLogs), &m.stats))
 }
 
-// rebuild re-establishes the canonical global order and streams it
-// through core.Analyze on the one-shot loader's own code: each node's
-// non-destructive snapshots go through logstore.Finalize, in node order,
-// and the resulting logstore.Parts is the Source — so ingest resumes
-// untouched afterwards.
-func (m *Monitor) rebuild(ctx context.Context) (*core.Study, error) {
-	parts := make(logstore.Parts, 0, len(m.order))
+// rebuild is the one path from the per-node state to a Study, the
+// catch-up round included (there every node is dirty and the previous
+// dataset empty). It re-finalizes each dirty node through the one-shot
+// loader's own per-node tail — the non-destructive snapshots of its
+// collapser and accounting go through logstore.Finalize, so ingest resumes
+// untouched — and rebuilds the node's partial from the part. The Study's
+// figures are the Merge of every node's partial; its dataset is the
+// previous epoch's with the dirty nodes' parts spliced in.
+func (m *Monitor) rebuild() *core.Study {
+	prev := &analysis.Dataset{}
+	if s := m.snap.Load(); s != nil {
+		prev = s.Study.Dataset
+	}
+	var exclude []cluster.NodeID
+	if m.controllerID != (cluster.NodeID{}) {
+		exclude = append(exclude, m.controllerID)
+	}
+	var freshFaults [cluster.TotalNodes][]extract.Fault
+	var freshSessions [cluster.TotalNodes][]eventlog.Session
 	for _, id := range m.order {
+		i := id.Index()
+		if !m.isDirty[i] {
+			continue
+		}
 		ns := m.nodes[id]
 		runs, raw := ns.col.Snapshot()
-		parts = append(parts, logstore.Finalize(runs, raw, ns.acct.Snapshot(nil)))
+		part := logstore.Finalize(runs, raw, ns.acct.Snapshot(nil))
+		ns.refresh(part, raw, exclude)
+		freshFaults[i], freshSessions[i] = part.Faults(), part.Sessions()
 	}
-	var opts []core.Option
-	if m.controller != "" {
-		opts = append(opts, core.WithController(m.controller))
+
+	figs := analysis.NewAccumulators(exclude...)
+	ds := &analysis.Dataset{
+		RawLogsByNode:  make(map[cluster.NodeID]int64),
+		Topo:           cluster.PaperTopology(),
+		ControllerNode: m.controllerID,
 	}
-	return core.Analyze(ctx, parts, opts...)
+	var faults, sessions int
+	for _, id := range m.order {
+		ns := m.nodes[id]
+		figs.Merge(ns.part)
+		ds.RawLogs += ns.rawLogs
+		if ns.faults > 0 {
+			ds.RawLogsByNode[id] = ns.logs
+		}
+		faults += ns.faults
+		sessions += ns.sessions
+	}
+	_ = figs.Finish() // never fails
+
+	ds.Faults = splice(prev.Faults, &m.isDirty, &freshFaults, faults, faultNode, extract.Key, extract.Compare)
+	ds.Sessions = splice(prev.Sessions, &m.isDirty, &freshSessions, sessions, sessionNode, eventlog.SessionKey, eventlog.CompareSessions)
+	m.isDirty, m.dirty = [cluster.TotalNodes]bool{}, false
+	return &core.Study{Dataset: ds, Figures: figs}
+}
+
+// refresh rebuilds the node's partial and counts from its finalized part.
+func (ns *nodeState) refresh(part logstore.Part, raw int64, exclude []cluster.NodeID) {
+	ns.part = analysis.NewAccumulators(exclude...)
+	ns.rawLogs, ns.logs = raw, 0
+	ns.faults, ns.sessions, ns.open = len(part.Faults()), len(part.Sessions()), 0
+	for _, f := range part.Faults() {
+		ns.part.ObserveFault(f)
+		ns.logs += int64(f.Logs)
+	}
+	for _, s := range part.Sessions() {
+		ns.part.ObserveSession(s)
+		if s.Truncated {
+			ns.open++
+		}
+	}
 }

@@ -5,9 +5,12 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"testing"
 	"time"
 
+	"unprotected/internal/analysis"
 	"unprotected/internal/campaign"
 	"unprotected/internal/cluster"
 	"unprotected/internal/core"
@@ -70,8 +73,85 @@ func waitEpoch(t *testing.T, m *Monitor, want int64) *Snapshot {
 // table, the byte-equivalence oracle.
 func reportBytes(s *core.Study) []byte {
 	var buf bytes.Buffer
-	s.FullReport(&buf, core.ReportOptions{Charts: true})
+	s.FullReport(&buf, core.ReportOptions{Charts: true, Heatmaps: true})
 	return buf.Bytes()
+}
+
+// oracleVerdicts is the verdict table by a walk of a dataset, sharing
+// nothing with the partials the monitor reads its verdicts from: every
+// node with a fault or a session, in node order, its hours and TBh from
+// integer seconds and byte-seconds summed over its sessions and converted
+// once.
+func oracleVerdicts(d *analysis.Dataset) []NodeVerdict {
+	type sums struct {
+		v              NodeVerdict
+		secs, byteSecs int64
+	}
+	acc := make(map[cluster.NodeID]*sums)
+	var order []cluster.NodeID
+	at := func(id cluster.NodeID) *sums {
+		n, ok := acc[id]
+		if !ok {
+			n = &sums{v: NodeVerdict{Node: id.String(), RawLogs: d.RawLogsByNode[id], Excluded: id == d.ControllerNode}}
+			acc[id] = n
+			order = append(order, id)
+		}
+		return n
+	}
+	for _, f := range d.Faults {
+		n := at(f.Node)
+		n.v.Faults++
+		if f.BitCount() > 1 {
+			n.v.MultiBit++
+		}
+	}
+	for _, s := range d.Sessions {
+		n := at(s.Host)
+		n.v.Sessions++
+		if s.Truncated {
+			n.v.Open++
+		} else if s.To > s.From {
+			n.secs += int64(s.To - s.From)
+			n.byteSecs += s.AllocBytes * int64(s.To-s.From)
+		}
+	}
+	sort.Slice(order, func(i, j int) bool { return order[i].Index() < order[j].Index() })
+	out := make([]NodeVerdict, 0, len(order))
+	for _, id := range order {
+		n := acc[id]
+		v := n.v
+		v.Hours = float64(n.secs) / 3600
+		v.TBh = float64(n.byteSecs) / (1 << 40) / 3600
+		switch {
+		case d.RawLogs > 0 && v.RawLogs*2 > d.RawLogs:
+			v.Class = ClassPathological
+		case v.MultiBit > 0:
+			v.Class = ClassMultiBit
+		case v.Faults > 0:
+			v.Class = ClassFaulty
+		default:
+			v.Class = ClassClean
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// checkEpoch holds one published snapshot against what is on disk: its
+// full report must equal a one-shot Analyze(Logs(dir)) byte for byte, and
+// its verdicts must equal the dataset-walk oracle's.
+func checkEpoch(t *testing.T, snap *Snapshot, dir string, opts ...core.Option) {
+	t.Helper()
+	oneShot, err := core.Analyze(context.Background(), core.Logs(dir), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, got := reportBytes(oneShot), reportBytes(snap.Study); !bytes.Equal(want, got) {
+		t.Fatalf("epoch %d diverges from a one-shot replay:\n--- one-shot ---\n%s\n--- monitor ---\n%s", snap.Epoch, want, got)
+	}
+	if want := oracleVerdicts(snap.Study.Dataset); !reflect.DeepEqual(snap.Report.Nodes, want) {
+		t.Fatalf("epoch %d verdicts:\n got %+v\nwant %+v", snap.Epoch, snap.Report.Nodes, want)
+	}
 }
 
 // splitLines splits raw file content at a line boundary near frac.
@@ -88,12 +168,14 @@ func splitLines(raw []byte, frac float64) (head, tail []byte) {
 }
 
 // TestMonitorQuiescenceEquivalence is the serving core's central claim:
-// after live, incremental, arrival-order ingest goes quiet, the published
-// snapshot is byte-identical — every figure, every table — to a one-shot
-// Analyze replay of the same directory. The corpus is a subsampled
-// simulated campaign (full fault set, every 6th session) staged into the
-// live directory in three phases: a backlog, partial per-file appends cut
-// mid-file, and late-arriving node files.
+// at every epoch, the snapshot the incremental rebuild publishes is
+// byte-identical — every figure, every table — to a one-shot Analyze
+// replay of the directory as it stands, and its verdicts match a walk of
+// the dataset. The corpus is a subsampled simulated campaign (full fault
+// set, every 6th session) staged into the live directory in five epochs:
+// a backlog, partial per-file appends cut mid-file, late-arriving node
+// files, a faulty node's file rotated in place to a shorter one, and
+// another faulty node's file removed.
 func TestMonitorQuiescenceEquivalence(t *testing.T) {
 	ds, err := core.Analyze(context.Background(), core.Simulate(campaign.DefaultConfig(7)))
 	if err != nil {
@@ -155,36 +237,76 @@ func TestMonitorQuiescenceEquivalence(t *testing.T) {
 			phase3 = append(phase3, pending{dst, raw})
 		}
 	}
+	// The two faulty nodes the last epochs rotate and remove.
+	rotated, removed := ds.Dataset.Faults[0].Node, ds.Dataset.Faults[0].Node
+	for _, f := range ds.Dataset.Faults {
+		if f.Node != rotated {
+			removed = f.Node
+			break
+		}
+	}
+	if removed == rotated {
+		t.Fatal("corpus has a single faulty node")
+	}
 
+	controller := core.WithController("02-04")
 	m, step, cancel, done := stepMonitor(t, live, WithController("02-04"))
 	snap := waitEpoch(t, m, 1)
 	if snap.Report.Lines == 0 || snap.Report.Files == 0 {
 		t.Fatalf("backlog round ingested nothing: %+v", snap.Report)
 	}
+	checkEpoch(t, snap, live, controller)
 
-	// Phase 2: finish the cut files. Phase 3: the late node files.
-	for _, p := range phase2 {
-		write(p.path, p.data, true)
+	epoch := int64(1)
+	round := func(name string, change func()) *Snapshot {
+		t.Helper()
+		change()
+		step <- struct{}{}
+		epoch++
+		snap := waitEpoch(t, m, epoch)
+		if snap.Epoch != epoch {
+			t.Fatalf("%s: epoch %d, want %d", name, snap.Epoch, epoch)
+		}
+		checkEpoch(t, snap, live, controller)
+		return snap
 	}
-	step <- struct{}{}
-	waitEpoch(t, m, 2)
-	for _, p := range phase3 {
-		write(p.path, p.data, false)
+	round("mid-file appends", func() {
+		for _, p := range phase2 {
+			write(p.path, p.data, true)
+		}
+	})
+	round("late files", func() {
+		for _, p := range phase3 {
+			write(p.path, p.data, false)
+		}
+	})
+	round("rotation", func() {
+		path := filepath.Join(live, logstore.FileName(rotated))
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		head, _ := splitLines(raw, 0.3)
+		if err := os.WriteFile(path, head, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	})
+	final := round("vanished file", func() {
+		if err := os.Remove(filepath.Join(live, logstore.FileName(removed))); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if m.Stats().Truncations.Load() == 0 {
+		t.Fatal("rotation not detected as truncation")
 	}
-	step <- struct{}{}
-	final := waitEpoch(t, m, 3)
+	for _, v := range final.Report.Nodes {
+		if v.Node == removed.String() {
+			t.Fatalf("removed node %s still has a verdict: %+v", removed, v)
+		}
+	}
 	cancel()
 	if err := <-done; err != nil {
 		t.Fatal(err)
-	}
-
-	oneShot, err := core.Analyze(context.Background(), core.Logs(live), core.WithController("02-04"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, got := reportBytes(oneShot), reportBytes(final.Study)
-	if !bytes.Equal(want, got) {
-		t.Fatalf("quiescent snapshot diverges from one-shot replay:\n--- one-shot ---\n%s\n--- monitor ---\n%s", want, got)
 	}
 	if final.Report.Lines != m.Stats().Lines.Load() {
 		t.Fatalf("frozen line counter %d != live %d at quiescence", final.Report.Lines, m.Stats().Lines.Load())
@@ -249,6 +371,7 @@ func TestMonitorVerdictClasses(t *testing.T) {
 	m, _, cancel, _ := stepMonitor(t, dir)
 	snap := waitEpoch(t, m, 1)
 	cancel()
+	checkEpoch(t, snap, dir)
 
 	want := map[string]string{
 		clean.String():   ClassClean,
@@ -297,7 +420,7 @@ func TestMonitorTruncationResetsNodeState(t *testing.T) {
 	}
 
 	m, step, cancel, _ := stepMonitor(t, dir)
-	waitEpoch(t, m, 1)
+	checkEpoch(t, waitEpoch(t, m, 1), dir)
 
 	// Rotate a's file in place: shorter, different content. The reread
 	// must replace a's state, not stack on top of it.
@@ -328,14 +451,8 @@ func TestMonitorTruncationResetsNodeState(t *testing.T) {
 
 	// And the rebuilt snapshot still equals a one-shot replay of what is
 	// on disk now.
+	checkEpoch(t, snap, dir)
 	cancel()
-	oneShot, err := core.Analyze(context.Background(), core.Logs(dir))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want, got := reportBytes(oneShot), reportBytes(snap.Study); !bytes.Equal(want, got) {
-		t.Fatalf("post-truncation snapshot diverges from one-shot replay:\n--- one-shot ---\n%s\n--- monitor ---\n%s", want, got)
-	}
 }
 
 func TestMonitorIdleRoundsPublishNothing(t *testing.T) {

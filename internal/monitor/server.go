@@ -4,13 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 
 	"unprotected/internal/cluster"
 )
 
 // Handler returns the monitor's HTTP surface:
 //
-//	GET /study       full study report (JSON, pre-marshalled per epoch)
+//	GET /study       full study report (JSON, pre-marshalled per epoch;
+//	                 ETag "<epoch>", If-None-Match answered 304)
 //	GET /metrics     Prometheus text exposition
 //	GET /healthz     liveness + current epoch
 //	GET /nodes       every node's verdict (JSON array)
@@ -27,6 +29,11 @@ func (m *Monitor) Handler() http.Handler {
 		snap := m.Snapshot()
 		if snap == nil {
 			http.Error(w, "no snapshot yet", http.StatusServiceUnavailable)
+			return
+		}
+		w.Header().Set("ETag", snap.etag)
+		if etagMatch(r.Header.Get("If-None-Match"), snap.etag) {
+			w.WriteHeader(http.StatusNotModified)
 			return
 		}
 		w.Header().Set("Content-Type", "application/json")
@@ -74,4 +81,17 @@ func (m *Monitor) Handler() http.Handler {
 		json.NewEncoder(w).Encode(v)
 	})
 	return mux
+}
+
+// etagMatch reports whether an If-None-Match header names etag: "*", or
+// a comma-separated list holding it, weak or strong (RFC 9110 compares
+// If-None-Match weakly).
+func etagMatch(header, etag string) bool {
+	for _, tag := range strings.Split(header, ",") {
+		tag = strings.TrimPrefix(strings.TrimSpace(tag), "W/")
+		if tag == "*" || tag == etag {
+			return true
+		}
+	}
+	return false
 }

@@ -253,3 +253,49 @@ func TestMonitorMetricsConcurrentReaders(t *testing.T) {
 	default:
 	}
 }
+
+// TestMonitorStudyConditionalGet: /study tags each epoch's bytes with the
+// quoted epoch. A client revalidating the tag it holds gets a bodyless
+// 304 while the epoch stands, and the new bytes with the new tag once a
+// round publishes.
+func TestMonitorStudyConditionalGet(t *testing.T) {
+	dir := t.TempDir()
+	host := cluster.NodeID{Blade: 3, SoC: 7}
+	appendRecord(t, dir, startRec(host, 0))
+	m, step, cancel, _ := stepMonitor(t, dir)
+	defer cancel()
+	waitEpoch(t, m, 1)
+	h := m.Handler()
+	get := func(ifNoneMatch string) *httptest.ResponseRecorder {
+		t.Helper()
+		req := httptest.NewRequest("GET", "/study", nil)
+		if ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+
+	first := get("")
+	if first.Code != http.StatusOK || first.Header().Get("ETag") != `"1"` || first.Body.Len() == 0 {
+		t.Fatalf("first GET: %d, ETag %q, %d bytes", first.Code, first.Header().Get("ETag"), first.Body.Len())
+	}
+	for _, tags := range []string{`"1"`, `W/"1"`, `"7", "1"`, `*`} {
+		if rec := get(tags); rec.Code != http.StatusNotModified || rec.Body.Len() != 0 || rec.Header().Get("ETag") != `"1"` {
+			t.Fatalf("If-None-Match %s on epoch 1: %d, %d bytes, ETag %q", tags, rec.Code, rec.Body.Len(), rec.Header().Get("ETag"))
+		}
+	}
+
+	appendRecord(t, dir, endRec(host, 3600))
+	step <- struct{}{}
+	waitEpoch(t, m, 2)
+	next := get(`"1"`)
+	if next.Code != http.StatusOK || next.Header().Get("ETag") != `"2"` || bytes.Equal(next.Body.Bytes(), first.Body.Bytes()) {
+		t.Fatalf("revalidation after a new epoch: %d, ETag %q, body changed %v",
+			next.Code, next.Header().Get("ETag"), !bytes.Equal(next.Body.Bytes(), first.Body.Bytes()))
+	}
+	if rec := get(`"2"`); rec.Code != http.StatusNotModified {
+		t.Fatalf("If-None-Match \"2\" on epoch 2: %d", rec.Code)
+	}
+}

@@ -4,10 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"sort"
+	"strconv"
 
 	"unprotected/internal/analysis"
-	"unprotected/internal/cluster"
 	"unprotected/internal/core"
 	"unprotected/internal/logstore"
 )
@@ -28,6 +27,9 @@ type Snapshot struct {
 	// studyJSON is Report pre-marshalled: /study is a write, not a
 	// marshal, and every GET of one epoch returns identical bytes.
 	studyJSON []byte
+	// etag is /study's entity tag, the quoted epoch: the bytes of one
+	// epoch never change, so a client holding them revalidates for free.
+	etag string
 	// byNode indexes Report.Nodes for the per-node verdict endpoint.
 	byNode map[string]*NodeVerdict
 }
@@ -146,7 +148,7 @@ func sanitize(f float64) float64 {
 // the live tail counters. It runs on the ingest goroutine, before the
 // epoch swap; a marshal failure is impossible after sanitization, so it
 // panics rather than publishing a half-built epoch.
-func newSnapshot(epoch int64, study *core.Study, st *logstore.FollowStats) *Snapshot {
+func newSnapshot(epoch int64, study *core.Study, nodes []NodeVerdict, st *logstore.FollowStats) *Snapshot {
 	h := study.Headline()
 	mb := study.MultiBitStats()
 	sim := study.SimultaneityStats()
@@ -210,7 +212,7 @@ func newSnapshot(epoch int64, study *core.Study, st *logstore.FollowStats) *Snap
 	if h.RawLogs > 0 {
 		rep.Headline.TopRawNode = h.TopRawNode.String()
 	}
-	rep.Nodes = verdicts(study, h)
+	rep.Nodes = nodes
 
 	body, err := json.Marshal(rep)
 	if err != nil {
@@ -221,6 +223,7 @@ func newSnapshot(epoch int64, study *core.Study, st *logstore.FollowStats) *Snap
 		Study:     study,
 		Report:    rep,
 		studyJSON: body,
+		etag:      `"` + strconv.FormatInt(epoch, 10) + `"`,
 		byNode:    make(map[string]*NodeVerdict, len(rep.Nodes)),
 	}
 	for i := range rep.Nodes {
@@ -237,50 +240,33 @@ func rate(num, den float64) float64 {
 	return sanitize(num / den)
 }
 
-// verdicts classifies every node the snapshot has seen, in node order.
-func verdicts(study *core.Study, h analysis.Headline) []NodeVerdict {
-	d := study.Dataset
-	acc := make(map[cluster.NodeID]*NodeVerdict)
-	var order []cluster.NodeID
-	at := func(id cluster.NodeID) *NodeVerdict {
-		v, ok := acc[id]
-		if !ok {
-			v = &NodeVerdict{Node: id.String()}
-			acc[id] = v
-			order = append(order, id)
+// verdicts classifies every node with a fault or a session, in node
+// order, from the nodes' partials; rawLogs is the fleet's raw ERROR
+// volume.
+func (m *Monitor) verdicts(rawLogs int64) []NodeVerdict {
+	out := make([]NodeVerdict, 0, len(m.order))
+	for _, id := range m.order {
+		ns := m.nodes[id]
+		if ns.faults == 0 && ns.sessions == 0 {
+			continue
 		}
-		return v
-	}
-	for _, f := range d.Faults {
-		v := at(f.Node)
-		v.Faults++
-		if f.BitCount() > 1 {
-			v.MultiBit++
+		h := ns.part.Headline.Headline(0, nil, nil)
+		v := NodeVerdict{
+			Node:     id.String(),
+			Faults:   ns.faults,
+			MultiBit: h.MultiBitFaults,
+			RawLogs:  ns.logs,
+			Sessions: ns.sessions,
+			Open:     ns.open,
+			Hours:    sanitize(float64(h.NodeHours)),
+			TBh:      sanitize(float64(h.TotalTBh)),
+			Excluded: id == m.controllerID,
 		}
-	}
-	for _, s := range d.Sessions {
-		v := at(s.Host)
-		v.Sessions++
-		if s.Truncated {
-			v.Open++
-		}
-		v.Hours += s.Duration().Hours()
-		v.TBh += float64(s.TBh())
-	}
-	for id, raw := range d.RawLogsByNode {
-		at(id).RawLogs = raw
-	}
-	// Map-accumulated; the sort below dominates iteration order.
-	sort.Slice(order, func(i, j int) bool { return compareNodes(order[i], order[j]) < 0 })
-
-	out := make([]NodeVerdict, 0, len(order))
-	for _, id := range order {
-		v := acc[id]
 		switch {
 		// The paper's pathological profile: the fleet's dominant raw-log
 		// source (>50% of all raw volume) whose flood collapses to few
 		// independent faults — exactly how 38-03 presented (§III-A).
-		case h.RawLogs > 0 && v.RawLogs*2 > h.RawLogs:
+		case rawLogs > 0 && v.RawLogs*2 > rawLogs:
 			v.Class = ClassPathological
 		case v.MultiBit > 0:
 			v.Class = ClassMultiBit
@@ -289,10 +275,7 @@ func verdicts(study *core.Study, h analysis.Headline) []NodeVerdict {
 		default:
 			v.Class = ClassClean
 		}
-		v.Excluded = id == d.ControllerNode
-		v.Hours = sanitize(v.Hours)
-		v.TBh = sanitize(v.TBh)
-		out = append(out, *v)
+		out = append(out, v)
 	}
 	return out
 }

@@ -192,3 +192,28 @@ func TestLocalTimeZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestDayStartIsLocalMidnight: DayStart(d) is the first second of local
+// day d by the time-package reference, for every day from 1900 to 2200,
+// so it is d's local midnight under whichever offset holds there. The
+// study's two 2015 switch days come out 23 and 25 hours long.
+func TestDayStartIsLocalMidnight(t *testing.T) {
+	first := refDay(FromTime(time.Date(1900, time.January, 1, 12, 0, 0, 0, time.UTC)))
+	last := refDay(FromTime(time.Date(2200, time.January, 1, 12, 0, 0, 0, time.UTC)))
+	for d := first; d <= last; d++ {
+		s := DayStart(d)
+		if refDay(s) != d || refDay(s-1) != d-1 || refSecondsIntoLocalDay(s) != 0 {
+			t.Fatalf("DayStart(%d) = %v (local %v), not that day's local midnight", d, s, refToLocal(s.Time()))
+		}
+	}
+	for _, c := range []struct {
+		m     time.Month
+		day   int
+		hours T
+	}{{time.March, 29, 23}, {time.October, 25, 25}, {time.June, 30, 24}} {
+		d := refDay(FromTime(time.Date(2015, c.m, c.day, 12, 0, 0, 0, time.UTC)))
+		if got := DayStart(d+1) - DayStart(d); got != c.hours*3600 {
+			t.Errorf("2015-%02d-%02d lasts %d s, want %d h", c.m, c.day, got, c.hours)
+		}
+	}
+}

@@ -114,6 +114,39 @@ func (t T) SecondsIntoLocalDay() int64 {
 	return sec
 }
 
+// DayStart returns the instant local day `day` begins: its local
+// midnight, converted to study time with the offset in force at that
+// midnight. The CET/CEST switches happen at 01:00 UTC, never at a local
+// midnight, so the hour before the midnight (in UTC, an hour after it on
+// a CEST day) carries the same offset. Stepping from DayStart(d) to
+// DayStart(d+1) spans 23 hours on the spring-forward day and 25 on the
+// fall-back day.
+func DayStart(day int) T {
+	if uint(day) < uint(len(studyDayStarts)) {
+		return studyDayStarts[day]
+	}
+	return dayStart(day)
+}
+
+// studyDayStarts caches DayStart over the study window and the midnight
+// that closes it: Fig 9 steps every session through it day by day.
+var studyDayStarts = func() []T {
+	starts := make([]T, StudyDays+1)
+	for day := range starts {
+		starts[day] = dayStart(day)
+	}
+	return starts
+}()
+
+func dayStart(day int) T {
+	local := (epochDay + int64(day)) * secondsPerDay
+	u := local - 3600
+	if cestUnix(u) {
+		u -= 3600
+	}
+	return T(u - epochUnix)
+}
+
 // Month returns the local calendar month of t.
 func (t T) Month() time.Month {
 	day, _ := t.local()

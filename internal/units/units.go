@@ -9,6 +9,8 @@ package units
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"time"
 )
 
@@ -34,6 +36,76 @@ func (t TBh) Add(u TBh) TBh { return t + u }
 
 // String renders with the customary two decimals.
 func (t TBh) String() string { return fmt.Sprintf("%.2f TBh", float64(t)) }
+
+// ByteSeconds is an exact quantity of memory-time: a signed 128-bit
+// count of byte-seconds in two's complement. Integer sums are exact, so
+// adding them up in any order gives the same value, where a float TBh sum
+// depends on the order of its terms. 128 bits because the paper-scale
+// study's ~12,000 TBh is about 4.7e19 byte-seconds, past int64. The zero
+// value is zero.
+type ByteSeconds struct{ hi, lo uint64 }
+
+// ByteSecondsOf returns the memory-time of size bytes held for secs
+// seconds.
+func ByteSecondsOf(size, secs int64) ByteSeconds {
+	hi, lo := bits.Mul64(magnitude(size), magnitude(secs))
+	b := ByteSeconds{hi, lo}
+	if (size < 0) != (secs < 0) {
+		b = b.neg()
+	}
+	return b
+}
+
+// magnitude is |v| as an unsigned value, exact for math.MinInt64 too.
+func magnitude(v int64) uint64 {
+	if v < 0 {
+		return uint64(-v)
+	}
+	return uint64(v)
+}
+
+// Add returns b + c, wrapping modulo 2^128.
+func (b ByteSeconds) Add(c ByteSeconds) ByteSeconds {
+	lo, carry := bits.Add64(b.lo, c.lo, 0)
+	hi, _ := bits.Add64(b.hi, c.hi, carry)
+	return ByteSeconds{hi, lo}
+}
+
+func (b ByteSeconds) neg() ByteSeconds {
+	lo, borrow := bits.Sub64(0, b.lo, 0)
+	hi, _ := bits.Sub64(0, b.hi, borrow)
+	return ByteSeconds{hi, lo}
+}
+
+// Float64 returns b correctly rounded to the nearest float64 (ties to
+// even), as float64 does for an int64.
+func (b ByteSeconds) Float64() float64 {
+	if int64(b.hi) < 0 {
+		m := b.neg()
+		return -unsignedFloat(m.hi, m.lo)
+	}
+	return unsignedFloat(b.hi, b.lo)
+}
+
+// unsignedFloat rounds the unsigned 128-bit value hi·2^64 + lo to a
+// float64. It keeps the top 64 significant bits and folds every dropped
+// bit into the lowest kept one: that bit lies below the 53-bit mantissa's
+// rounding bit, so the one conversion of the kept bits rounds exactly as
+// the full value would.
+func unsignedFloat(hi, lo uint64) float64 {
+	if hi == 0 {
+		return float64(lo)
+	}
+	n := 64 - bits.LeadingZeros64(hi) // bits to drop, 1..64
+	m := hi<<(64-n) | lo>>n
+	if lo<<(64-n) != 0 {
+		m |= 1
+	}
+	return math.Ldexp(float64(m), n)
+}
+
+// TBh converts b to terabyte-hours.
+func (b ByteSeconds) TBh() TBh { return TBh(b.Float64() / float64(TiB) / 3600) }
 
 // FormatBytes renders a byte count using binary prefixes (e.g. "3.00 GiB").
 func FormatBytes(n int64) string {

@@ -2,6 +2,8 @@ package units
 
 import (
 	"math"
+	"math/big"
+	"math/rand/v2"
 	"testing"
 	"time"
 )
@@ -72,5 +74,51 @@ func TestHoursOf(t *testing.T) {
 func TestNodeHoursString(t *testing.T) {
 	if s := NodeHours(4200000.04).String(); s != "4200000.0 node-hours" {
 		t.Fatalf("String = %q", s)
+	}
+}
+
+// TestByteSecondsExact checks the 128-bit sums against math/big: random
+// products of both signs, summed in two different orders, must give the
+// same value, equal to the big.Int sum, and Float64 must equal big.Float's
+// nearest-even rounding.
+func TestByteSecondsExact(t *testing.T) {
+	r := rand.New(rand.NewPCG(1, 2))
+	operand := func() int64 {
+		switch r.IntN(5) {
+		case 0:
+			return math.MinInt64
+		case 1:
+			return math.MaxInt64 - r.Int64N(3)
+		case 2:
+			return -r.Int64N(1 << 40)
+		default:
+			return r.Int64N(1 << uint(1+r.IntN(62)))
+		}
+	}
+	for trial := 0; trial < 2000; trial++ {
+		var fwd, rev ByteSeconds
+		want := new(big.Int)
+		terms := make([]ByteSeconds, 1+r.IntN(4))
+		for i := range terms {
+			size, secs := operand(), operand()>>2
+			terms[i] = ByteSecondsOf(size, secs)
+			want.Add(want, new(big.Int).Mul(big.NewInt(size), big.NewInt(secs)))
+		}
+		for i := range terms {
+			fwd = fwd.Add(terms[i])
+			rev = rev.Add(terms[len(terms)-1-i])
+		}
+		if fwd != rev {
+			t.Fatalf("trial %d: order-dependent sum %v vs %v", trial, fwd, rev)
+		}
+		// Four terms of magnitude at most 2^63·2^61 stay inside the signed
+		// 128-bit range.
+		wantF, _ := new(big.Float).SetInt(want).Float64()
+		if got := fwd.Float64(); got != wantF {
+			t.Fatalf("trial %d: Float64 %v, want %v (exact %v)", trial, got, wantF, want)
+		}
+	}
+	if got := ByteSecondsOf(TiB, 3600).TBh(); got != 1 {
+		t.Fatalf("1 TiB for an hour is %v TBh, want 1", got)
 	}
 }
