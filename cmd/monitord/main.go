@@ -20,8 +20,7 @@
 // changed; HTTP readers never contend with ingest. Each snapshot's report
 // is byte-identical to `analyze -from-logs DIR` over the directory as that
 // round read it (DESIGN.md §13). SIGTERM or SIGINT drains
-// gracefully: in-flight requests finish, the tail loop winds down,
-// descriptors are released.
+// gracefully: in-flight requests finish and the tail loop winds down.
 package main
 
 import (

@@ -514,73 +514,6 @@ func TestStoreWindowPersistence(t *testing.T) {
 	}
 }
 
-// TestStoreQuerySurvivesIdleWriterCache is the shared-budget liveness
-// regression: a cached-class holder (a tailing logstore follower, the one
-// such holder) keeps descriptors indefinitely, so when it sits idle on a
-// full budget a store query must still find tokens — the reserve withheld
-// from cached holds — instead of blocking forever on a release that never
-// comes.
-func TestStoreQuerySurvivesIdleWriterCache(t *testing.T) {
-	budget := fdlimit.NewReservedBudget(8, 2)
-
-	// Claim every token a cached-class holder may (cap - reserve) and
-	// leave the holds idle.
-	const cached = 6
-	for i := 0; i < cached; i++ {
-		budget.AcquireCached()
-	}
-	if budget.TryAcquire() {
-		t.Fatal("cached holds claimed past cap - reserve")
-	}
-	if got := budget.InUse(); got != cached {
-		t.Fatalf("cached holds %d descriptors, want cap-reserve = %d", got, cached)
-	}
-
-	faults := []extract.Fault{synthFault(1, 2, 7, 100, 200, 3, 0xffffffff, 0xfffffffe)}
-	storeDir := t.TempDir()
-	if _, err := Ingest(context.Background(), exportDir(t, faults, nil), storeDir); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(storeDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.SetBudget(budget)
-
-	type result struct {
-		faults int
-		err    error
-	}
-	done := make(chan result, 1)
-	go func() {
-		var r result
-		for ev, err := range s.Events(context.Background(), Query{}) {
-			if err != nil {
-				r.err = err
-				break
-			}
-			if ev.Kind == stream.KindFault {
-				r.faults++
-			}
-		}
-		done <- r
-	}()
-	select {
-	case r := <-done:
-		if r.err != nil {
-			t.Fatal(r.err)
-		}
-		if r.faults != 1 {
-			t.Fatalf("query returned %d faults, want 1", r.faults)
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("store query deadlocked against idle cached holds on the budget")
-	}
-	for i := 0; i < cached; i++ {
-		budget.Release()
-	}
-}
-
 // TestStoreCodecCorruption pins the decoder's refusal to half-trust
 // damaged storage: bad magic, flipped payload bytes, inconsistent counts
 // and invalid flags are all hard errors, never silent data.

@@ -5,26 +5,6 @@ import (
 	"testing"
 )
 
-func TestBudgetTryAcquireCeiling(t *testing.T) {
-	b := NewBudget(2)
-	if !b.TryAcquire() || !b.TryAcquire() {
-		t.Fatal("budget refused descriptors under the cap")
-	}
-	if b.TryAcquire() {
-		t.Fatal("budget granted a descriptor over the cap")
-	}
-	b.Release()
-	if !b.TryAcquire() {
-		t.Fatal("budget refused a descriptor after a release")
-	}
-	if got := b.InUse(); got != 2 {
-		t.Fatalf("InUse = %d, want 2", got)
-	}
-	if got := b.MaxInUse(); got != 2 {
-		t.Fatalf("MaxInUse = %d, want 2", got)
-	}
-}
-
 func TestBudgetAcquireBlocksUntilRelease(t *testing.T) {
 	b := NewBudget(1)
 	b.Acquire()
@@ -71,70 +51,15 @@ func TestBudgetConcurrentHighWater(t *testing.T) {
 	}
 }
 
+// TestBudgetFloorAndReset pins NewBudget's floor: a non-positive cap
+// still grants one descriptor.
 func TestBudgetFloorAndReset(t *testing.T) {
 	b := NewBudget(-3)
-	if got := b.Cap(); got != 1 {
-		t.Fatalf("Cap = %d, want floor 1", got)
+	if b.cap != 1 {
+		t.Fatalf("cap = %d, want floor 1", b.cap)
 	}
-	b.SetCap(0)
-	if got := b.Cap(); got != 1 {
-		t.Fatalf("Cap = %d, want floor 1 after SetCap(0)", got)
-	}
-	b.SetCap(4)
-	b.Acquire()
 	b.Acquire()
 	b.Release()
-	b.ResetMaxInUse()
-	if got := b.MaxInUse(); got != 1 {
-		t.Fatalf("MaxInUse = %d, want 1 after reset with one held", got)
-	}
-	b.Release()
-}
-
-// TestBudgetReserve pins the two-class contract: cache-style holders
-// (TryAcquire/AcquireCached) stop at cap minus the reserve, while
-// transient holders (Acquire) may use the full cap — so an idle cache
-// can never starve transient acquirers out of every token.
-func TestBudgetReserve(t *testing.T) {
-	b := NewReservedBudget(4, 2)
-	if !b.TryAcquire() || !b.TryAcquire() {
-		t.Fatal("cached holder refused descriptors under the cached ceiling")
-	}
-	if b.TryAcquire() {
-		t.Fatal("cached holder dipped into the transient reserve")
-	}
-	// The reserve is still fully available to transient holders, and they
-	// never block on the idle cache.
-	b.Acquire()
-	b.Acquire()
-	if got := b.InUse(); got != 4 {
-		t.Fatalf("InUse = %d, want 4", got)
-	}
-	b.Release()
-	b.Release()
-
-	// A blocking cached acquire waits for the cached ceiling, not the cap.
-	done := make(chan struct{})
-	go func() {
-		b.AcquireCached()
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("AcquireCached returned while the cached ceiling was reached")
-	default:
-	}
-	b.Release()
-	<-done
-	b.Release()
-	b.Release()
-
-	// The cached ceiling never drops below one descriptor.
-	tiny := NewReservedBudget(1, 8)
-	if !tiny.TryAcquire() {
-		t.Fatal("reserve floored the cached ceiling below one")
-	}
-	tiny.Release()
 }
 
 func TestBudgetReleaseUnderflowPanics(t *testing.T) {

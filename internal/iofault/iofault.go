@@ -21,8 +21,8 @@ import (
 
 // File is the open-file surface the storage layers need: sequential
 // reads for the log loader, writes and fsync for the log writer, and
-// seeking for the follow-mode tailer, which must resume an evicted
-// descriptor at the offset it had already consumed.
+// seeking for the follow-mode tailer, which opens a node file afresh
+// every round and must resume at the offset it had already consumed.
 type File interface {
 	io.Reader
 	io.Writer
@@ -55,8 +55,11 @@ type FS interface {
 	// ReadDir lists the named directory, sorted by filename.
 	ReadDir(name string) ([]fs.DirEntry, error)
 	// Stat describes the named file. The follow-mode tailer polls it to
-	// detect growth (size past the consumed offset) and truncation (size
-	// regression, which forces a reopen from zero).
+	// detect growth (size past the consumed offset), truncation (size
+	// regression) and replacement (os.SameFile false against the last
+	// result), the last two of which force a re-read from zero. An FS
+	// over the OS returns the os package's FileInfo, which SameFile
+	// needs.
 	Stat(name string) (fs.FileInfo, error)
 	// Sync opens the named file or directory and fsyncs it: the only
 	// way to make a just-written file's bytes — or a directory's entry

@@ -94,8 +94,8 @@ func TestExportEmptyDataset(t *testing.T) {
 	}
 }
 
-// openTracker is an iofault.FS that records every file opened for writing
-// and how many are open at once.
+// openTracker is an iofault.FS that records every file opened, for
+// reading or for writing, and how many are open at once.
 type openTracker struct {
 	iofault.FS
 	mu      sync.Mutex
@@ -104,8 +104,19 @@ type openTracker struct {
 	opened  []string
 }
 
+func (c *openTracker) Open(name string) (iofault.File, error) {
+	f, err := c.FS.Open(name)
+	return c.track(name, f, err)
+}
+
 func (c *openTracker) OpenFile(name string, flag int, perm fs.FileMode) (iofault.File, error) {
 	f, err := c.FS.OpenFile(name, flag, perm)
+	return c.track(name, f, err)
+}
+
+// track counts one successful open of name and wraps its file so Close
+// uncounts it.
+func (c *openTracker) track(name string, f iofault.File, err error) (iofault.File, error) {
 	if err != nil {
 		return nil, err
 	}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"iter"
 	"os"
 	"sort"
@@ -35,20 +36,15 @@ type FollowStats struct {
 	Lines atomic.Int64
 	// Files reports how many node files are currently being tailed.
 	Files atomic.Int64
-	// Truncations counts size regressions: a tailed file shrank under
-	// the follower (truncate-in-place or rotation), forcing a reopen
-	// from offset zero.
+	// Truncations counts tailed files that were truncated, rotated or
+	// replaced under the follower after it had consumed some of them,
+	// forcing a re-read from offset zero.
 	Truncations atomic.Int64
-	// Reopens counts descriptors reopened after a budget eviction — the
-	// cost metric of tailing more files than the fd budget allows.
-	Reopens atomic.Int64
 }
 
 // followCfg is the resolved follow option set.
 type followCfg struct {
 	fsys     iofault.FS
-	budget   *fdlimit.Budget
-	retry    iofault.RetryPolicy
 	interval time.Duration
 	// wait blocks until the next poll round is due, returning false when
 	// the follow should stop (the injectable ticker; tests drive it
@@ -68,18 +64,6 @@ func FollowWithFS(fsys iofault.FS) FollowOption {
 			return errors.New("nil FS")
 		}
 		c.fsys = fsys
-		return nil
-	}
-}
-
-// FollowWithBudget makes the follower meter its long-lived tail
-// descriptors from b instead of the shared process-wide budget.
-func FollowWithBudget(b *fdlimit.Budget) FollowOption {
-	return func(c *followCfg) error {
-		if b == nil {
-			return errors.New("nil Budget")
-		}
-		c.budget = b
 		return nil
 	}
 }
@@ -121,15 +105,6 @@ func FollowWithStats(st *FollowStats) FollowOption {
 	}
 }
 
-// FollowWithRetry replaces the transient-error retry policy applied to
-// the follower's directory walks, stats and opens.
-func FollowWithRetry(p iofault.RetryPolicy) FollowOption {
-	return func(c *followCfg) error {
-		c.retry = p
-		return nil
-	}
-}
-
 // Follow tails a log directory: it delivers every record already on disk,
 // then keeps polling for appended lines and newly created node files, as
 // an endless stream of KindRecord events in per-node arrival order with a
@@ -148,29 +123,28 @@ func FollowWithRetry(p iofault.RetryPolicy) FollowOption {
 //   - A torn final line — bytes after the last complete '\n' — is never
 //     parsed: the follower buffers it and resumes from the last complete
 //     line boundary once the writer finishes the record.
-//   - A file whose size regresses (truncation, rotation) is reopened
-//     from offset zero and its unread tail buffer dropped. A KindReset
-//     event for the file's node precedes the re-read: every record
-//     previously delivered from the old content is invalid, and the
-//     consumer must discard that node's accumulated state before the
-//     file's current content arrives as fresh records. A tailed file
-//     that vanishes after delivering records resets the same way.
-//   - Long-lived tail descriptors are metered from the fd budget as
-//     cached holds (TryAcquire/AcquireCached + own-LRU eviction), so a
-//     follower tailing more files than the cap never starves transient
-//     acquirers (fault-store segment reads) of the reserve.
+//   - A file that was truncated, rotated or replaced after the follower
+//     consumed some of it — its size regressed, or Stat now describes a
+//     different file at the path (os.SameFile) — is re-read from offset
+//     zero with its unread tail buffer dropped. A KindReset event for
+//     the file's node precedes the re-read: every record previously
+//     delivered from the old content is invalid, and the consumer must
+//     discard that node's accumulated state before the file's current
+//     content arrives as fresh records. A tailed file that vanishes
+//     after delivering records resets the same way.
+//   - No descriptor outlives a drain: a file that grew is opened, read
+//     to the size its Stat reported and closed under one transient
+//     fdlimit.Shared token, so the follower holds at most one
+//     descriptor at a time. A drain reads only the file its Stat
+//     measured; a file renamed over the path in between waits for the
+//     next round, which resets the node.
 //   - Cancelling ctx (or a false injectable ticker) ends the stream; a
 //     cancelled context is surfaced as a final (zero Event, ctx.Err())
-//     pair after the descriptors are closed. A parse or I/O error that
-//     survives the retry policy ends the stream the same way.
+//     pair. A parse or I/O error that survives the retry policy ends the
+//     stream the same way.
 func Follow(ctx context.Context, dir string, opts ...FollowOption) iter.Seq2[stream.Event, error] {
 	return func(yield func(stream.Event, error) bool) {
-		cfg := followCfg{
-			fsys:     iofault.OS,
-			budget:   fdlimit.Shared,
-			retry:    iofault.DefaultRetry,
-			interval: DefaultFollowInterval,
-		}
+		cfg := followCfg{fsys: iofault.OS, interval: DefaultFollowInterval}
 		for _, opt := range opts {
 			if opt == nil {
 				yield(stream.Event{}, errors.New("logstore: Follow: nil FollowOption"))
@@ -193,8 +167,7 @@ func Follow(ctx context.Context, dir string, opts ...FollowOption) iter.Seq2[str
 				}
 			}
 		}
-		f := &follower{cfg: cfg, dir: dir, tails: make(map[string]*tail)}
-		defer f.closeAll()
+		f := &follower{cfg: cfg, dir: dir, tails: make(map[string]*tail), buf: make([]byte, 64*1024)}
 		for {
 			if !f.poll(ctx, yield) {
 				return
@@ -207,7 +180,6 @@ func Follow(ctx context.Context, dir string, opts ...FollowOption) iter.Seq2[str
 			}
 			if !cfg.wait(ctx) {
 				if err := ctx.Err(); err != nil {
-					f.closeAll()
 					yield(stream.Event{}, err)
 				}
 				return
@@ -216,27 +188,29 @@ func Follow(ctx context.Context, dir string, opts ...FollowOption) iter.Seq2[str
 	}
 }
 
-// tail is the follower's per-file cursor.
+// tail is the follower's per-file cursor. It holds no descriptor: every
+// drain opens the file afresh and seeks to off.
 type tail struct {
 	path string
 	node cluster.NodeID
-	f    iofault.File // nil while evicted or not yet opened
-	off  int64        // bytes consumed from the file, including partial
+	// info is the file's last Stat result; a Stat that describes a
+	// different file (os.SameFile) means the path was replaced.
+	info fs.FileInfo
+	off  int64 // bytes consumed from the file, including partial
 	// partial holds the bytes after the last complete '\n' — the torn
 	// final line the follower must never parse until it is finished.
 	partial []byte
 	lineNo  int
-	lastUse uint64
-	opened  bool // the file was opened at least once (reopen accounting)
 }
 
-// follower tracks every tailed file and the descriptors they hold.
+// follower tracks every tailed file.
 type follower struct {
 	cfg   followCfg
 	dir   string
 	tails map[string]*tail
-	clock uint64
-	open  int // tails currently holding a descriptor
+	// buf is the one read buffer every drain reuses: deliver copies each
+	// chunk into the tail's own line buffer before the next read.
+	buf []byte
 }
 
 // poll runs one round: discover files, detect truncations, read every
@@ -245,13 +219,12 @@ type follower struct {
 // was already yielded).
 func (f *follower) poll(ctx context.Context, yield func(stream.Event, error) bool) bool {
 	var files []string
-	err := f.cfg.retry.Do(ctx, func() error {
+	err := iofault.DefaultRetry.Do(ctx, func() error {
 		var lerr error
 		files, lerr = listNodeFiles(f.cfg.fsys, f.dir)
 		return lerr
 	})
 	if err != nil {
-		f.closeAll()
 		yield(stream.Event{}, err)
 		return false
 	}
@@ -272,16 +245,12 @@ func (f *follower) poll(ctx context.Context, yield func(stream.Event, error) boo
 	}
 	sort.Slice(gone, func(i, j int) bool { return gone[i].path < gone[j].path })
 	for _, t := range gone {
-		consumed := t.off > 0
-		f.closeTail(t)
-		delete(f.tails, t.path)
-		if consumed && !yield(stream.ResetEvent(t.node), nil) {
+		if !f.drop(t, yield) {
 			return false
 		}
 	}
 	for _, path := range files {
 		if err := ctx.Err(); err != nil {
-			f.closeAll()
 			yield(stream.Event{}, err)
 			return false
 		}
@@ -301,40 +270,44 @@ func (f *follower) poll(ctx context.Context, yield func(stream.Event, error) boo
 	return true
 }
 
-// drain catches one tail up with its file: stat for growth or
-// truncation, then read and deliver every newly completed line.
+// drop stops tailing a vanished file, resetting its node if records were
+// delivered from it.
+func (f *follower) drop(t *tail, yield func(stream.Event, error) bool) bool {
+	delete(f.tails, t.path)
+	return t.off == 0 || yield(stream.ResetEvent(t.node), nil)
+}
+
+// drain catches one tail up with its file: stat for growth, truncation
+// or replacement, then open, read and deliver every newly completed
+// line, and close the file before returning.
 func (f *follower) drain(ctx context.Context, t *tail, yield func(stream.Event, error) bool) bool {
-	var size int64
-	err := f.cfg.retry.Do(ctx, func() error {
-		info, serr := f.cfg.fsys.Stat(t.path)
-		if serr != nil {
-			return serr
-		}
-		size = info.Size()
-		return nil
+	var info fs.FileInfo
+	err := iofault.DefaultRetry.Do(ctx, func() error {
+		var serr error
+		info, serr = f.cfg.fsys.Stat(t.path)
+		return serr
 	})
 	if err != nil {
 		if errors.Is(err, os.ErrNotExist) {
 			// Deleted between ReadDir and Stat: drop it; a recreated file
 			// is rediscovered next round.
-			consumed := t.off > 0
-			f.closeTail(t)
-			delete(f.tails, t.path)
-			return !consumed || yield(stream.ResetEvent(t.node), nil)
+			return f.drop(t, yield)
 		}
-		f.closeAll()
 		yield(stream.Event{}, fmt.Errorf("logstore: follow %s: %w", t.path, err))
 		return false
 	}
-	if size < t.off {
-		// Size regression: the file was truncated or rotated underneath
-		// us. The old offset now points past (or into the middle of)
-		// content we never saw; the only consistent restart is offset
-		// zero with the torn-line buffer dropped — and a reset telling the
-		// consumer to drop everything it folded from the old content,
-		// which the re-read below re-delivers as fresh records. Without
-		// this check the tail would block at the stale offset forever.
-		f.closeTail(t)
+	size := info.Size()
+	replaced := t.info != nil && !os.SameFile(t.info, info)
+	t.info = info
+	if t.off > 0 && (size < t.off || replaced) {
+		// The file was truncated, rotated or replaced underneath us. The
+		// old offset now points past (or into the middle of) content we
+		// never saw; the only consistent restart is offset zero with the
+		// torn-line buffer dropped — and a reset telling the consumer to
+		// drop everything it folded from the old content, which the
+		// re-read below re-delivers as fresh records. Without this check
+		// the tail would block at the stale offset forever, or read a
+		// replacement from the middle.
 		t.off = 0
 		t.partial = t.partial[:0]
 		t.lineNo = 0
@@ -348,28 +321,39 @@ func (f *follower) drain(ctx context.Context, t *tail, yield func(stream.Event, 
 	if size <= t.off {
 		return true
 	}
-	if err := f.ensureOpen(ctx, t); err != nil {
-		f.closeAll()
+	fdlimit.Shared.Acquire()
+	defer fdlimit.Shared.Release()
+	var file iofault.File
+	err = iofault.DefaultRetry.Do(ctx, func() error {
+		var oerr error
+		file, oerr = f.cfg.fsys.Open(t.path)
+		return oerr
+	})
+	if err != nil {
+		yield(stream.Event{}, fmt.Errorf("logstore: follow %s: %w", t.path, err))
+		return false
+	}
+	defer file.Close()
+	// A file renamed over the path between the Stat and the Open is not
+	// the one measured. Read nothing from it this round: the next
+	// round's Stat sees the replacement and restarts it at offset zero.
+	if again, err := f.cfg.fsys.Stat(t.path); err != nil || !os.SameFile(info, again) {
+		return true
+	}
+	if _, err := file.Seek(t.off, io.SeekStart); err != nil {
 		yield(stream.Event{}, fmt.Errorf("logstore: follow %s: %w", t.path, err))
 		return false
 	}
 	// Read to the size the stat observed, not to EOF: a writer appending
 	// concurrently could otherwise keep this loop in one file while every
 	// other tail starves. What lands after the stat is next round's work.
-	remain := size - t.off
-	buf := make([]byte, 64*1024)
-	for remain > 0 {
-		n := int64(len(buf))
-		if n > remain {
-			n = remain
-		}
-		rn, rerr := t.f.Read(buf[:n])
+	for remain := size - t.off; remain > 0; {
+		rn, rerr := file.Read(f.buf[:min(int64(len(f.buf)), remain)])
 		if rn > 0 {
 			t.off += int64(rn)
 			remain -= int64(rn)
-			if ok, perr := f.deliver(t, buf[:rn], yield); !ok {
+			if ok, perr := f.deliver(t, f.buf[:rn], yield); !ok {
 				if perr != nil {
-					f.closeAll()
 					yield(stream.Event{}, perr)
 				}
 				return false
@@ -379,7 +363,6 @@ func (f *follower) drain(ctx context.Context, t *tail, yield func(stream.Event, 
 			break
 		}
 		if rerr != nil {
-			f.closeAll()
 			yield(stream.Event{}, fmt.Errorf("logstore: follow %s: %w", t.path, rerr))
 			return false
 		}
@@ -421,84 +404,4 @@ func (f *follower) deliver(t *tail, chunk []byte, yield func(stream.Event, error
 		t.partial = t.partial[:rest]
 	}
 	return true, nil
-}
-
-// ensureOpen gives the tail a readable descriptor positioned at its
-// consumed offset, claiming one from the budget as a cached hold: the
-// descriptor stays open across rounds, so it must never dip into the
-// reserve that keeps transient acquirers (fault-store segment reads)
-// live. While the budget is exhausted the follower evicts its own
-// least-recently-used open tail; with nothing left to evict it blocks in
-// AcquireCached for another holder's release.
-func (f *follower) ensureOpen(ctx context.Context, t *tail) error {
-	f.clock++
-	t.lastUse = f.clock
-	if t.f != nil {
-		return nil
-	}
-	for !f.cfg.budget.TryAcquire() {
-		if f.open == 0 {
-			f.cfg.budget.AcquireCached()
-			break
-		}
-		f.evictLRU()
-	}
-	var file iofault.File
-	err := f.cfg.retry.Do(ctx, func() error {
-		var oerr error
-		file, oerr = f.cfg.fsys.Open(t.path)
-		return oerr
-	})
-	if err != nil {
-		f.cfg.budget.Release()
-		return err
-	}
-	if t.off > 0 {
-		if _, err := file.Seek(t.off, io.SeekStart); err != nil {
-			file.Close()
-			f.cfg.budget.Release()
-			return err
-		}
-	}
-	t.f = file
-	f.open++
-	if t.opened && f.cfg.stats != nil {
-		f.cfg.stats.Reopens.Add(1)
-	}
-	t.opened = true
-	return nil
-}
-
-// evictLRU closes the least-recently-used open tail to free a budget
-// token. The tail's offset survives; the next drain reopens and seeks.
-func (f *follower) evictLRU() {
-	var victim *tail
-	for _, t := range f.tails {
-		if t.f != nil && (victim == nil || t.lastUse < victim.lastUse) {
-			victim = t
-		}
-	}
-	if victim == nil {
-		return
-	}
-	f.closeTail(victim)
-}
-
-// closeTail releases one tail's descriptor, if it holds one.
-func (f *follower) closeTail(t *tail) {
-	if t.f == nil {
-		return
-	}
-	t.f.Close()
-	t.f = nil
-	f.open--
-	f.cfg.budget.Release()
-}
-
-// closeAll releases every descriptor the follower holds; safe to call
-// repeatedly (the final yield paths and the deferred cleanup both run it).
-func (f *follower) closeAll() {
-	for _, t := range f.tails {
-		f.closeTail(t)
-	}
 }

@@ -3,9 +3,12 @@ package logstore
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -218,9 +221,7 @@ func TestFollowTruncatedFileReopensFromZero(t *testing.T) {
 	var st FollowStats
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	step, evs, done := startFollow(ctx, dir,
-		FollowWithFS(inj), FollowWithStats(&st),
-		FollowWithRetry(iofault.RetryPolicy{Attempts: 3}))
+	step, evs, done := startFollow(ctx, dir, FollowWithFS(inj), FollowWithStats(&st))
 	defer func() { cancel(); <-done }()
 
 	if recs := drainRound(t, evs); len(recs) != 2 {
@@ -273,7 +274,103 @@ func TestFollowTruncatedFileReopensFromZero(t *testing.T) {
 	}
 }
 
-func TestFollowTailFDsUseCachedBudgetHolds(t *testing.T) {
+// renameOnOpen renames staged over the path an armed Open is asked for,
+// just before opening it: a replacement that lands between a drain's
+// Stat and its Open.
+type renameOnOpen struct {
+	iofault.FS
+	staged string
+	armed  bool // set before a round is stepped; the follower disarms it
+}
+
+func (r *renameOnOpen) Open(name string) (iofault.File, error) {
+	if r.armed {
+		r.armed = false
+		if err := os.Rename(r.staged, name); err != nil {
+			return nil, err
+		}
+	}
+	return r.FS.Open(name)
+}
+
+// TestFollowReplacedFileResets: a file renamed over a consumed one is a
+// different file at the same path. Even when it is no shorter than the
+// consumed offset, the node resets and the replacement is read from its
+// first line, then followed. A replacement that lands between a drain's
+// Stat and its Open is not read from the stale offset either: that
+// round reads nothing of it, and the next one resets.
+func TestFollowReplacedFileResets(t *testing.T) {
+	dir := t.TempDir()
+	a := cluster.NodeID{Blade: 6, SoC: 3}
+	path := filepath.Join(dir, FileName(a))
+	appendLines(t, path, line(errRec(a, 10, 1))+line(errRec(a, 200, 2)))
+
+	// Replacements are staged under a name that is not a node file, so
+	// the follower never tails them before the rename.
+	fsys := &renameOnOpen{FS: iofault.OS, staged: filepath.Join(dir, "incoming.tmp")}
+	var st FollowStats
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	step, evs, done := startFollow(ctx, dir, FollowWithFS(fsys), FollowWithStats(&st))
+	defer func() { cancel(); <-done }()
+
+	// round steps one poll round and renders its events: "reset" for
+	// this node's reset, a record's time in seconds.
+	round := func() []string {
+		t.Helper()
+		step <- struct{}{}
+		var got []string
+		for _, ev := range drainRoundEvents(t, evs) {
+			switch {
+			case ev.Kind == stream.KindReset && ev.Record.Host == a:
+				got = append(got, "reset")
+			case ev.Kind == stream.KindRecord:
+				got = append(got, fmt.Sprint(int64(ev.Record.At)))
+			default:
+				got = append(got, fmt.Sprintf("kind %d for %v", ev.Kind, ev.Record.Host))
+			}
+		}
+		return got
+	}
+	expect := func(name string, got []string, want ...string) {
+		t.Helper()
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s round %v, want %v", name, got, want)
+		}
+	}
+
+	if recs := drainRound(t, evs); len(recs) != 2 {
+		t.Fatalf("backlog %+v, want 2 records", recs)
+	}
+
+	appendLines(t, fsys.staged, line(errRec(a, 300, 3))+line(errRec(a, 400, 4))+line(errRec(a, 500, 5)))
+	if err := os.Rename(fsys.staged, path); err != nil {
+		t.Fatal(err)
+	}
+	expect("replacement", round(), "reset", "300", "400", "500")
+	if got := st.Truncations.Load(); got != 1 {
+		t.Fatalf("truncations %d, want 1", got)
+	}
+	appendLines(t, path, line(errRec(a, 600, 6)))
+	expect("append", round(), "600")
+
+	// The file grows, so the drain opens it, and the armed Open renames
+	// the staged replacement over it first.
+	appendLines(t, path, line(errRec(a, 700, 7)))
+	appendLines(t, fsys.staged, line(errRec(a, 800, 8))+line(errRec(a, 900, 9))+
+		line(errRec(a, 1000, 10))+line(errRec(a, 1100, 11))+line(errRec(a, 1200, 12)))
+	fsys.armed = true
+	expect("replaced between Stat and Open", round())
+	expect("after the replacement", round(), "reset", "800", "900", "1000", "1100", "1200")
+	if got := st.Truncations.Load(); got != 2 {
+		t.Fatalf("truncations %d, want 2", got)
+	}
+}
+
+// TestFollowHoldsOneDescriptorAtATime: the follower opens a node file
+// only while it drains it — one open file at a time, none between
+// rounds, and none for a round in which nothing grew.
+func TestFollowHoldsOneDescriptorAtATime(t *testing.T) {
 	dir := t.TempDir()
 	const nodes = 6
 	var ids []cluster.NodeID
@@ -283,60 +380,167 @@ func TestFollowTailFDsUseCachedBudgetHolds(t *testing.T) {
 		appendLines(t, filepath.Join(dir, FileName(id)), line(errRec(id, timebase.T(10*i+10), dram.Addr(i+1))))
 	}
 
-	// cap 4, reserve 2: cached holders (tail fds) may claim at most 2;
-	// the reserve stays free for transient acquirers — the same split
-	// that keeps fault-store segment reads live next to the log writer.
-	budget := fdlimit.NewReservedBudget(4, 2)
-	var st FollowStats
+	tracker := &openTracker{FS: iofault.OS}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	step, evs, done := startFollow(ctx, dir, FollowWithBudget(budget), FollowWithStats(&st))
+	step, evs, done := startFollow(ctx, dir, FollowWithFS(tracker))
+	defer func() { cancel(); <-done }()
+
+	// The round boundary is delivered after the round's last drain
+	// returned, so the counts read here are the round's final ones.
+	checkRound := func(name string, wantOpens int) {
+		t.Helper()
+		tracker.mu.Lock()
+		defer tracker.mu.Unlock()
+		if tracker.maxOpen != 1 || tracker.open != 0 {
+			t.Fatalf("%s: open high-water %d, %d open at round end; want 1 and 0",
+				name, tracker.maxOpen, tracker.open)
+		}
+		if len(tracker.opened) != wantOpens {
+			t.Fatalf("%s: %d opens so far, want %d", name, len(tracker.opened), wantOpens)
+		}
+	}
 
 	if recs := drainRound(t, evs); len(recs) != nodes {
 		t.Fatalf("backlog %d records, want %d", len(recs), nodes)
 	}
-	if hw := budget.MaxInUse(); hw > 2 {
-		t.Fatalf("tail fd high-water %d exceeded the cached ceiling 2: idle tails starve transient readers", hw)
-	}
-	// An idle monitord holding its full cached allowance must leave the
-	// transient reserve claimable without blocking.
-	acquired := make(chan struct{})
-	go func() {
-		budget.Acquire()
-		budget.Acquire()
-		close(acquired)
-	}()
-	select {
-	case <-acquired:
-	case <-time.After(10 * time.Second):
-		t.Fatal("transient acquire blocked behind idle tail fds")
-	}
-	budget.Release()
-	budget.Release()
+	checkRound("backlog round", nodes)
 
-	// More appends across every node force eviction cycles under the
-	// 2-descriptor allowance; everything still arrives, and the reopen
-	// counter records the cost.
 	for i, id := range ids {
 		appendLines(t, filepath.Join(dir, FileName(id)), line(errRec(id, timebase.T(1000+10*i), dram.Addr(40+i))))
 	}
 	step <- struct{}{}
 	if recs := drainRound(t, evs); len(recs) != nodes {
-		t.Fatalf("post-eviction round %d records, want %d", len(recs), nodes)
+		t.Fatalf("append round %d records, want %d", len(recs), nodes)
 	}
-	if hw := budget.MaxInUse(); hw > 4 {
-		t.Fatalf("high-water %d exceeds cap", hw)
-	}
-	if st.Reopens.Load() == 0 {
-		t.Fatal("expected eviction-driven reopens under a 2-fd allowance")
-	}
+	checkRound("append round", 2*nodes)
 
-	cancel()
-	<-done
-	if n := budget.InUse(); n != 0 {
-		t.Fatalf("budget leak: %d descriptors still claimed after shutdown", n)
+	step <- struct{}{}
+	if recs := drainRound(t, evs); len(recs) != 0 {
+		t.Fatalf("idle round delivered %+v", recs)
 	}
-	_ = step
+	checkRound("idle round", 2*nodes)
+}
+
+// failingFS serves one node file badly: every Open fails with openErr,
+// or, when openErr is nil, the opened file yields its first n bytes and
+// then fails every read with EIO.
+type failingFS struct {
+	iofault.FS
+	path    string
+	openErr error
+	n       int
+}
+
+func (f failingFS) Open(name string) (iofault.File, error) {
+	if name != f.path {
+		return f.FS.Open(name)
+	}
+	if f.openErr != nil {
+		return nil, f.openErr
+	}
+	file, err := f.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &failingFile{File: file, n: f.n}, nil
+}
+
+type failingFile struct {
+	iofault.File
+	n int
+}
+
+func (f *failingFile) Read(p []byte) (int, error) {
+	if f.n <= 0 {
+		return 0, syscall.EIO
+	}
+	k, err := f.File.Read(p[:min(len(p), f.n)])
+	f.n -= k
+	return k, err
+}
+
+// TestFollowDrainExitReleasesToken: however a drain ends — an open that
+// fails past the retry policy, a read that fails mid-file, a consumer
+// that stops mid-file — the shared budget's token is back before Follow
+// returns, and a failure ends the stream with an error naming the file.
+func TestFollowDrainExitReleasesToken(t *testing.T) {
+	a := cluster.NodeID{Blade: 7, SoC: 2}
+	first := line(errRec(a, 10, 1))
+	content := first + line(errRec(a, 20, 2)) + line(errRec(a, 30, 3))
+	cases := []struct {
+		name     string
+		fsys     func(path string) iofault.FS
+		stopAt   int // the consumer breaks after this many records (0: never)
+		wantRecs int
+		wantErr  bool
+	}{
+		{
+			name:    "open failure",
+			fsys:    func(path string) iofault.FS { return failingFS{FS: iofault.OS, path: path, openErr: syscall.EIO} },
+			wantErr: true,
+		},
+		{
+			name:     "read failure mid-file",
+			fsys:     func(path string) iofault.FS { return failingFS{FS: iofault.OS, path: path, n: len(first)} },
+			wantRecs: 1,
+			wantErr:  true,
+		},
+		{
+			name:     "consumer break mid-file",
+			stopAt:   1,
+			wantRecs: 1,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, FileName(a))
+			appendLines(t, path, content)
+			opts := []FollowOption{FollowWithTicker(func(context.Context) bool { return false })}
+			if tc.fsys != nil {
+				opts = append(opts, FollowWithFS(tc.fsys(path)))
+			}
+
+			before := fdlimit.Shared.InUse()
+			recs := 0
+			var streamErr error
+			for ev, err := range Follow(context.Background(), dir, opts...) {
+				if streamErr != nil {
+					t.Fatalf("delivery after the stream error %v", streamErr)
+				}
+				if err != nil {
+					streamErr = err
+					continue
+				}
+				if ev.Kind != stream.KindRecord {
+					continue
+				}
+				recs++
+				if held := fdlimit.Shared.InUse(); held != before+1 {
+					t.Fatalf("%d shared tokens held mid-drain, want %d", held, before+1)
+				}
+				if recs == tc.stopAt {
+					break
+				}
+			}
+			if after := fdlimit.Shared.InUse(); after != before {
+				t.Fatalf("shared budget holds %d tokens after Follow returned, want %d", after, before)
+			}
+			if recs != tc.wantRecs {
+				t.Fatalf("%d records delivered, want %d", recs, tc.wantRecs)
+			}
+			if !tc.wantErr {
+				if streamErr != nil {
+					t.Fatalf("unexpected stream error %v", streamErr)
+				}
+				return
+			}
+			if !errors.Is(streamErr, syscall.EIO) || !strings.Contains(streamErr.Error(), path) {
+				t.Fatalf("stream error %v, want EIO naming %s", streamErr, path)
+			}
+		})
+	}
 }
 
 func TestFollowCancelSurfacesContextError(t *testing.T) {

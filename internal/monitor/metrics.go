@@ -21,10 +21,8 @@ func (m *Monitor) WriteMetrics(w io.Writer) {
 	gauge(w, "unprotected_tailed_files",
 		"Node log files currently being tailed.", float64(st.Files.Load()))
 	counter(w, "unprotected_tail_truncations_total",
-		"Tailed files whose size regressed (truncation or rotation), forcing a reopen from zero.",
+		"Tailed files truncated, rotated or replaced under the tail, forcing a re-read from offset zero.",
 		float64(st.Truncations.Load()))
-	counter(w, "unprotected_tail_reopens_total",
-		"Tail descriptors reopened after an fd-budget eviction.", float64(st.Reopens.Load()))
 
 	snap := m.Snapshot()
 	if snap == nil {

@@ -40,7 +40,6 @@ import (
 	"unprotected/internal/core"
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
-	"unprotected/internal/fdlimit"
 	"unprotected/internal/iofault"
 	"unprotected/internal/logstore"
 	"unprotected/internal/stream"
@@ -82,15 +81,6 @@ func WithInterval(d time.Duration) Option {
 func WithFS(fsys iofault.FS) Option {
 	return func(m *Monitor) error {
 		m.follow = append(m.follow, logstore.FollowWithFS(fsys))
-		return nil
-	}
-}
-
-// WithBudget meters the tailer's long-lived descriptors from b instead of
-// the shared process-wide pool.
-func WithBudget(b *fdlimit.Budget) Option {
-	return func(m *Monitor) error {
-		m.follow = append(m.follow, logstore.FollowWithBudget(b))
 		return nil
 	}
 }

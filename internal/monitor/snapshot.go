@@ -44,7 +44,6 @@ type Report struct {
 	Lines       int64 `json:"lines"`
 	Files       int64 `json:"files"`
 	Truncations int64 `json:"truncations"`
-	Reopens     int64 `json:"reopens"`
 
 	Headline     HeadlineReport     `json:"headline"`
 	MultiBit     MultiBitReport     `json:"multi_bit"`
@@ -161,7 +160,6 @@ func newSnapshot(epoch int64, study *core.Study, nodes []NodeVerdict, st *logsto
 		Lines:       st.Lines.Load(),
 		Files:       st.Files.Load(),
 		Truncations: st.Truncations.Load(),
-		Reopens:     st.Reopens.Load(),
 		Headline: HeadlineReport{
 			RawLogs:            h.RawLogs,
 			TopNodeRawShare:    sanitize(h.TopNodeRawShare),
