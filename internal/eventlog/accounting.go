@@ -78,7 +78,9 @@ func (s Session) TBh() units.TBh {
 // different hosts may be interleaved; records of one host must be in time
 // order (as they are in per-node log files).
 type Accounting struct {
-	open     map[cluster.NodeID]*Session
+	open map[cluster.NodeID]*Session
+	// Sessions holds the closed sessions not yet handed over by
+	// TakeClosed, in closing order.
 	Sessions []Session
 }
 
@@ -106,6 +108,19 @@ func (a *Accounting) Observe(r Record) {
 		}
 		// An END without a START is dropped: nothing can be accounted.
 	}
+}
+
+// TakeClosed hands over the sessions closed since the accumulator was
+// built or last handed them over, in closing order, and forgets them:
+// afterwards it holds only its open set, and Snapshot and Finish return
+// only what closes from then on. A closed session never changes, so a
+// consumer that keeps what it takes — the live monitor publishes each
+// closed session once and keeps it only in its published dataset — needs
+// no second copy here.
+func (a *Accounting) TakeClosed() []Session {
+	closed := a.Sessions
+	a.Sessions = nil
+	return closed
 }
 
 // Finish closes still-open sessions as truncated and returns all sessions.

@@ -444,6 +444,12 @@ func (lw *Writer) Count() int { return lw.n }
 // Flush flushes buffered output.
 func (lw *Writer) Flush() error { return lw.w.Flush() }
 
+// MaxLine bounds one log line, its '\n' included: a line that does not
+// fit fails the read with bufio.ErrTooLong. The batch Reader and the
+// follow-mode tailer share it, so a file one of them accepts the other
+// accepts too.
+const MaxLine = 1 << 20
+
 // Reader streams records from text lines, skipping blank lines. Malformed
 // lines abort with a positioned error: silent log corruption must never
 // skew a reliability study.
@@ -455,7 +461,7 @@ type Reader struct {
 // NewReader wraps r.
 func NewReader(r io.Reader) *Reader {
 	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 64*1024), 1024*1024)
+	s.Buffer(make([]byte, 64*1024), MaxLine)
 	return &Reader{s: s}
 }
 

@@ -1,6 +1,7 @@
 package logstore
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -121,13 +122,20 @@ func FollowWithStats(st *FollowStats) FollowOption {
 //     snapshot time (extract.Compare is total, so sorting the same fault
 //     set always yields the same sequence).
 //   - A torn final line — bytes after the last complete '\n' — is never
-//     parsed: the follower buffers it and resumes from the last complete
-//     line boundary once the writer finishes the record.
+//     parsed and never held: a tail's offset stops at its last complete
+//     line, the torn bytes stay on disk, and the drain that finds the
+//     line finished reads it from there. While such a file does not
+//     change (same file, size and modification time as the last drain
+//     saw), a round costs it one Stat and no Open.
+//   - A line is at most eventlog.MaxLine bytes, '\n' included, as for
+//     the batch reader: an unterminated line that passes the limit ends
+//     the stream with an error naming the file and the line.
 //   - A file that was truncated, rotated or replaced after the follower
-//     consumed some of it — its size regressed, or Stat now describes a
-//     different file at the path (os.SameFile) — is re-read from offset
-//     zero with its unread tail buffer dropped. A KindReset event for
-//     the file's node precedes the re-read: every record previously
+//     consumed some of it — its size fell below the consumed offset, or
+//     Stat now describes a different file at the path (os.SameFile) — is
+//     re-read from offset zero. The offset is a line boundary, so cutting
+//     only a torn final line is no truncation. A KindReset event for the
+//     file's node precedes the re-read: every record previously
 //     delivered from the old content is invalid, and the consumer must
 //     discard that node's accumulated state before the file's current
 //     content arrives as fresh records. A tailed file that vanishes
@@ -188,19 +196,20 @@ func Follow(ctx context.Context, dir string, opts ...FollowOption) iter.Seq2[str
 	}
 }
 
-// tail is the follower's per-file cursor. It holds no descriptor: every
-// drain opens the file afresh and seeks to off.
+// tail is the follower's per-file cursor. It holds no descriptor and no
+// bytes: every drain opens the file afresh and seeks to off, a line
+// boundary, and a torn final line stays on disk until a drain finds it
+// finished.
 type tail struct {
 	path string
 	node cluster.NodeID
-	// info is the file's last Stat result; a Stat that describes a
-	// different file (os.SameFile) means the path was replaced.
-	info fs.FileInfo
-	off  int64 // bytes consumed from the file, including partial
-	// partial holds the bytes after the last complete '\n' — the torn
-	// final line the follower must never parse until it is finished.
-	partial []byte
-	lineNo  int
+	// info is the file's Stat as of the last finished drain. A Stat that
+	// describes a different file (os.SameFile) means the path was
+	// replaced; one of the same file at the same size and modification
+	// time means nothing changed.
+	info   fs.FileInfo
+	off    int64 // bytes consumed from the file, through its last complete line
+	lineNo int   // complete lines consumed
 }
 
 // follower tracks every tailed file.
@@ -208,8 +217,9 @@ type follower struct {
 	cfg   followCfg
 	dir   string
 	tails map[string]*tail
-	// buf is the one read buffer every drain reuses: deliver copies each
-	// chunk into the tail's own line buffer before the next read.
+	// buf is the one read buffer every drain reuses; deliver parses lines
+	// straight out of it. It holds 64 KiB and grows, up to
+	// eventlog.MaxLine, only to fit a longer line.
 	buf []byte
 }
 
@@ -296,21 +306,24 @@ func (f *follower) drain(ctx context.Context, t *tail, yield func(stream.Event, 
 		yield(stream.Event{}, fmt.Errorf("logstore: follow %s: %w", t.path, err))
 		return false
 	}
-	size := info.Size()
 	replaced := t.info != nil && !os.SameFile(t.info, info)
-	t.info = info
+	if t.info != nil && !replaced && info.Size() == t.info.Size() && info.ModTime().Equal(t.info.ModTime()) {
+		// Unchanged since the last drain. A file that ends in a torn line
+		// is larger than off, yet an idle round costs it this one Stat.
+		return true
+	}
+	size := info.Size()
 	if t.off > 0 && (size < t.off || replaced) {
 		// The file was truncated, rotated or replaced underneath us. The
 		// old offset now points past (or into the middle of) content we
-		// never saw; the only consistent restart is offset zero with the
-		// torn-line buffer dropped — and a reset telling the consumer to
-		// drop everything it folded from the old content, which the
-		// re-read below re-delivers as fresh records. Without this check
-		// the tail would block at the stale offset forever, or read a
-		// replacement from the middle.
-		t.off = 0
-		t.partial = t.partial[:0]
-		t.lineNo = 0
+		// never saw; the only consistent restart is offset zero — and a
+		// reset telling the consumer to drop everything it folded from
+		// the old content, which the re-read below re-delivers as fresh
+		// records. Without this check the tail would block at the stale
+		// offset forever, or read a replacement from the middle. off is a
+		// line boundary, so cutting only a torn final line is no
+		// truncation: the tail resumes where it was.
+		t.off, t.lineNo = 0, 0
 		if f.cfg.stats != nil {
 			f.cfg.stats.Truncations.Add(1)
 		}
@@ -319,6 +332,7 @@ func (f *follower) drain(ctx context.Context, t *tail, yield func(stream.Event, 
 		}
 	}
 	if size <= t.off {
+		t.info = info
 		return true
 	}
 	fdlimit.Shared.Acquire()
@@ -347,17 +361,27 @@ func (f *follower) drain(ctx context.Context, t *tail, yield func(stream.Event, 
 	// Read to the size the stat observed, not to EOF: a writer appending
 	// concurrently could otherwise keep this loop in one file while every
 	// other tail starves. What lands after the stat is next round's work.
+	// n counts the bytes of an unfinished line at the front of f.buf; the
+	// torn final line's bytes are dropped at the end and re-read by the
+	// drain that finds the line finished.
+	n := 0
 	for remain := size - t.off; remain > 0; {
-		rn, rerr := file.Read(f.buf[:min(int64(len(f.buf)), remain)])
-		if rn > 0 {
-			t.off += int64(rn)
-			remain -= int64(rn)
-			if ok, perr := f.deliver(t, f.buf[:rn], yield); !ok {
-				if perr != nil {
-					yield(stream.Event{}, perr)
-				}
+		if n == len(f.buf) {
+			if n >= eventlog.MaxLine {
+				yield(stream.Event{}, fmt.Errorf("logstore: follow %s: line %d: %w", t.path, t.lineNo+1, bufio.ErrTooLong))
 				return false
 			}
+			f.buf = append(f.buf, make([]byte, min(2*n, eventlog.MaxLine)-n)...)
+		}
+		rn, rerr := file.Read(f.buf[n : n+int(min(int64(len(f.buf)-n), remain))])
+		if rn > 0 {
+			remain -= int64(rn)
+			done, ok := f.deliver(t, f.buf[:n+rn], yield)
+			t.off += int64(done)
+			if !ok {
+				return false
+			}
+			n = copy(f.buf, f.buf[done:n+rn])
 		}
 		if rerr == io.EOF {
 			break
@@ -367,22 +391,23 @@ func (f *follower) drain(ctx context.Context, t *tail, yield func(stream.Event, 
 			return false
 		}
 	}
+	t.info = info
 	return true
 }
 
-// deliver appends chunk to the tail's line buffer and yields every
-// complete line as a KindRecord event, leaving the torn remainder — if
-// any — buffered. It mirrors eventlog.Reader line handling exactly: blank
-// lines are skipped, malformed lines abort with a positioned error.
-func (f *follower) deliver(t *tail, chunk []byte, yield func(stream.Event, error) bool) (bool, error) {
-	t.partial = append(t.partial, chunk...)
-	consumed := 0
+// deliver yields every complete line of data as a KindRecord event and
+// returns how many bytes it consumed: data through its last '\n'. What
+// follows is an unfinished line, left to the caller. It mirrors
+// eventlog.Reader line handling exactly: blank lines are skipped, and a
+// malformed line ends the stream with a positioned error. ok is false
+// when the stream must stop.
+func (f *follower) deliver(t *tail, data []byte, yield func(stream.Event, error) bool) (consumed int, ok bool) {
 	for {
-		i := bytes.IndexByte(t.partial[consumed:], '\n')
+		i := bytes.IndexByte(data[consumed:], '\n')
 		if i < 0 {
-			break
+			return consumed, true
 		}
-		line := bytes.TrimSpace(t.partial[consumed : consumed+i])
+		line := bytes.TrimSpace(data[consumed : consumed+i])
 		consumed += i + 1
 		t.lineNo++
 		if len(line) == 0 {
@@ -390,18 +415,14 @@ func (f *follower) deliver(t *tail, chunk []byte, yield func(stream.Event, error
 		}
 		rec, err := eventlog.ParseBytes(line)
 		if err != nil {
-			return false, fmt.Errorf("logstore: follow %s: line %d: %w", t.path, t.lineNo, err)
+			yield(stream.Event{}, fmt.Errorf("logstore: follow %s: line %d: %w", t.path, t.lineNo, err))
+			return consumed, false
 		}
 		if f.cfg.stats != nil {
 			f.cfg.stats.Lines.Add(1)
 		}
 		if !yield(stream.RecordEvent(rec), nil) {
-			return false, nil
+			return consumed, false
 		}
 	}
-	if consumed > 0 {
-		rest := copy(t.partial, t.partial[consumed:])
-		t.partial = t.partial[:rest]
-	}
-	return true, nil
 }

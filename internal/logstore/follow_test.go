@@ -1,6 +1,7 @@
 package logstore
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -209,6 +210,88 @@ func TestFollowNeverParsesTornFinalLine(t *testing.T) {
 	}
 }
 
+// TestFollowTornTailRewrittenInOneRound: a torn final line cut back to
+// the line boundary and replaced by a different, finished line before
+// the next poll is no truncation. The tail's offset is the line boundary,
+// so the next round reads the new line alone — no reset, and no bytes of
+// the abandoned fragment spliced onto it.
+func TestFollowTornTailRewrittenInOneRound(t *testing.T) {
+	dir := t.TempDir()
+	a := cluster.NodeID{Blade: 3, SoC: 5}
+	path := filepath.Join(dir, FileName(a))
+	first := line(errRec(a, 10, 1))
+	appendLines(t, path, first+"START host=")
+
+	var st FollowStats
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	step, evs, done := startFollow(ctx, dir, FollowWithStats(&st))
+	defer func() { cancel(); <-done }()
+
+	if recs := drainRound(t, evs); len(recs) != 1 || recs[0].At != 10 {
+		t.Fatalf("first round %+v, want the one finished record", recs)
+	}
+	if err := os.Truncate(path, int64(len(first))); err != nil {
+		t.Fatal(err)
+	}
+	appendLines(t, path, line(errRec(a, 20, 2)))
+	step <- struct{}{}
+	recs := drainRound(t, evs) // fails on a reset or a stream error
+	if len(recs) != 1 || recs[0].Kind != eventlog.KindError || recs[0].At != 20 || recs[0].Host != a {
+		t.Fatalf("second round %+v, want the appended ERROR record", recs)
+	}
+	if got := st.Truncations.Load(); got != 0 {
+		t.Fatalf("truncations %d, want 0", got)
+	}
+}
+
+// TestFollowLineLimit: the follower holds the batch reader's line limit.
+// A line that fits eventlog.MaxLine, '\n' included, is delivered, however
+// many rounds it took to arrive; an unterminated line that passes the
+// limit ends the follow with an error naming the file and the line.
+func TestFollowLineLimit(t *testing.T) {
+	dir := t.TempDir()
+	a := cluster.NodeID{Blade: 9, SoC: 3}
+	path := filepath.Join(dir, FileName(a))
+	rec := line(errRec(a, 10, 1))
+	// Trailing blanks pad the record's line to exactly the limit; the
+	// reader trims them, so both readers parse the record.
+	long := rec[:len(rec)-1] + strings.Repeat(" ", eventlog.MaxLine-len(rec)) + "\n"
+	appendLines(t, path, rec+long[:100_000])
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	step, evs, done := startFollow(ctx, dir)
+	defer func() { cancel(); <-done }()
+
+	if recs := drainRound(t, evs); len(recs) != 1 {
+		t.Fatalf("backlog %+v, want one record", recs)
+	}
+	appendLines(t, path, long[100_000:])
+	step <- struct{}{}
+	if recs := drainRound(t, evs); len(recs) != 1 || recs[0].At != 10 {
+		t.Fatalf("round %+v, want the padded record", recs)
+	}
+	if recs, err := eventlog.ReadAll(strings.NewReader(rec + long)); err != nil || len(recs) != 2 {
+		t.Fatalf("batch reader: %d records, %v; want both", len(recs), err)
+	}
+
+	appendLines(t, path, strings.Repeat(" ", eventlog.MaxLine+1))
+	step <- struct{}{}
+	select {
+	case d := <-evs:
+		if !errors.Is(d.err, bufio.ErrTooLong) || !strings.Contains(d.err.Error(), path) ||
+			!strings.Contains(d.err.Error(), "line 3") {
+			t.Fatalf("delivery %+v, want ErrTooLong naming %s, line 3", d, path)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no error for an over-long line")
+	}
+	if _, err := eventlog.ReadAll(strings.NewReader(rec + long + strings.Repeat(" ", eventlog.MaxLine) + "\n")); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("batch reader error %v, want ErrTooLong", err)
+	}
+}
+
 func TestFollowTruncatedFileReopensFromZero(t *testing.T) {
 	dir := t.TempDir()
 	a := cluster.NodeID{Blade: 4, SoC: 4}
@@ -369,7 +452,9 @@ func TestFollowReplacedFileResets(t *testing.T) {
 
 // TestFollowHoldsOneDescriptorAtATime: the follower opens a node file
 // only while it drains it — one open file at a time, none between
-// rounds, and none for a round in which nothing grew.
+// rounds, and none for a round in which nothing changed, not even for a
+// file that ends in a torn line and so stays larger than its tail's
+// offset. Finishing that line opens the file once.
 func TestFollowHoldsOneDescriptorAtATime(t *testing.T) {
 	dir := t.TempDir()
 	const nodes = 6
@@ -409,17 +494,28 @@ func TestFollowHoldsOneDescriptorAtATime(t *testing.T) {
 	for i, id := range ids {
 		appendLines(t, filepath.Join(dir, FileName(id)), line(errRec(id, timebase.T(1000+10*i), dram.Addr(40+i))))
 	}
+	torn := line(errRec(ids[0], 2000, 99))
+	appendLines(t, filepath.Join(dir, FileName(ids[0])), torn[:7])
 	step <- struct{}{}
 	if recs := drainRound(t, evs); len(recs) != nodes {
 		t.Fatalf("append round %d records, want %d", len(recs), nodes)
 	}
 	checkRound("append round", 2*nodes)
 
-	step <- struct{}{}
-	if recs := drainRound(t, evs); len(recs) != 0 {
-		t.Fatalf("idle round delivered %+v", recs)
+	for range 2 {
+		step <- struct{}{}
+		if recs := drainRound(t, evs); len(recs) != 0 {
+			t.Fatalf("idle round delivered %+v", recs)
+		}
+		checkRound("idle round", 2*nodes)
 	}
-	checkRound("idle round", 2*nodes)
+
+	appendLines(t, filepath.Join(dir, FileName(ids[0])), torn[7:])
+	step <- struct{}{}
+	if recs := drainRound(t, evs); len(recs) != 1 || recs[0].At != 2000 {
+		t.Fatalf("finished line round %+v, want its record", recs)
+	}
+	checkRound("finished line round", 2*nodes+1)
 }
 
 // failingFS serves one node file badly: every Open fails with openErr,

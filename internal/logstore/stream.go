@@ -27,10 +27,11 @@ type Part struct {
 // Finalize is the per-node tail of the §II-C replay pipeline: it
 // classifies runs into sorted faults and sorts sessions in place. The
 // one-shot loader calls it on each file's Collapser.Close and
-// Accounting.Finish; the live monitor calls it on the non-destructive
-// Snapshot of the same two for every node a round changed, which is what
-// makes each published epoch byte-identical to a replay of the directory
-// as it stands (DESIGN.md §13.3).
+// Accounting.Finish; the live monitor calls it, for every node a round
+// changed, on the collapser's non-destructive Snapshot and on the
+// sessions closed since its last publish plus the open one's view, which
+// is what makes each published epoch byte-identical to a replay of the
+// directory as it stands (DESIGN.md §13.3).
 func Finalize(runs []extract.RawRun, raw int64, sessions []eventlog.Session) Part {
 	p := Part{faults: extract.Faults(runs), sessions: sessions, rawLogs: raw}
 	extract.SortFaults(p.faults)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -67,11 +68,11 @@ type hourChunk struct {
 // stageFleet writes every line of files older than their last `hours`
 // hours into dir and returns the held-back lines grouped by hour. Export
 // files are time-ordered, so each hour is one contiguous range of a file.
-func stageFleet(b *testing.B, dir string, files map[string][]byte, hours int) [][]hourChunk {
+func stageFleet(tb testing.TB, dir string, files map[string][]byte, hours int) [][]hourChunk {
 	lineTime := func(line []byte) timebase.T {
 		rec, err := eventlog.ParseBytes(line)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		return rec.At
 	}
@@ -102,7 +103,7 @@ func stageFleet(b *testing.B, dir string, files map[string][]byte, hours int) []
 			off += n
 		}
 		if err := os.WriteFile(filepath.Join(dir, name), data[:cut[0]], 0o644); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		for k := 0; k < hours; k++ {
 			if cut[k] < cut[k+1] {
@@ -113,11 +114,94 @@ func stageFleet(b *testing.B, dir string, files map[string][]byte, hours int) []
 	return chunks
 }
 
+// appendHour appends one held-back hour to the staged files.
+func appendHour(tb testing.TB, dir string, hour []hourChunk) {
+	tb.Helper()
+	for _, c := range hour {
+		f, err := os.OpenFile(filepath.Join(dir, c.name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if _, err := f.Write(c.data); err != nil {
+			tb.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// startRounds runs a Monitor over dir, excluding the paper's controller
+// node, under a ticker the caller steps: wait blocks until the monitor
+// has finished a round and published it — the catch-up first — and step
+// lets it start the next. Between the two the Run goroutine is parked in
+// the ticker, so the caller may read the monitor's ingest state. Cleanup
+// stops the monitor and fails tb if Run returned an error.
+func startRounds(tb testing.TB, dir string) (m *Monitor, wait, step func()) {
+	tb.Helper()
+	// The follower calls the ticker only after a round's publish, so a
+	// receive on ready marks a finished round.
+	ready, next := make(chan struct{}), make(chan struct{})
+	m, err := New(dir, WithController("02-04"), WithTicker(func(ctx context.Context) bool {
+		select {
+		case ready <- struct{}{}:
+		case <-ctx.Done():
+			return false
+		}
+		select {
+		case <-next:
+			return true
+		case <-ctx.Done():
+			return false
+		}
+	}))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var runErr error
+	exited := make(chan struct{})
+	go func() { runErr = m.Run(ctx); close(exited) }()
+	tb.Cleanup(func() {
+		cancel()
+		<-exited
+		if runErr != nil {
+			tb.Error(runErr)
+		}
+	})
+	wait = func() {
+		select {
+		case <-ready:
+		case <-exited:
+			tb.Fatal("monitor stopped")
+		}
+	}
+	step = func() {
+		select {
+		case next <- struct{}{}:
+		case <-exited:
+			tb.Fatal("monitor stopped")
+		}
+	}
+	return m, wait, step
+}
+
+// liveHeap collects and returns the bytes of heap still reachable;
+// callers keep what they measure reachable across the call.
+func liveHeap() int64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return int64(ms.HeapAlloc)
+}
+
 // BenchmarkPublishRound times one live round on the paper-scale fleet:
 // the seed-42 campaign's logs are staged with their last 240 hours held
 // back, the monitor catches up on the backlog, and each operation appends
 // the next held-back hour and runs one poll round — tail, rebuild and
-// publish — to its new snapshot. The appends are not timed.
+// publish — to its new snapshot. The appends are not timed. retained-MB
+// is the heap the monitor holds after the last round, over what was live
+// before it started.
 func BenchmarkPublishRound(b *testing.B) {
 	const held = 240
 	if b.N > held {
@@ -129,69 +213,18 @@ func BenchmarkPublishRound(b *testing.B) {
 	}
 	dir := b.TempDir()
 	chunks := stageFleet(b, dir, files, held)
-
-	// The follower calls the ticker only after a round's publish, so a
-	// receive on ready marks a finished round.
-	ready, step := make(chan struct{}), make(chan struct{})
-	m, err := New(dir, WithController("02-04"), WithTicker(func(ctx context.Context) bool {
-		select {
-		case ready <- struct{}{}:
-		case <-ctx.Done():
-			return false
-		}
-		select {
-		case <-step:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}))
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	var runErr error
-	exited := make(chan struct{})
-	go func() { runErr = m.Run(ctx); close(exited) }()
-	defer func() {
-		cancel()
-		<-exited
-		if runErr != nil {
-			b.Error(runErr)
-		}
-	}()
-	round := func() {
-		select {
-		case <-ready:
-		case <-exited:
-			b.Fatal("monitor stopped")
-		}
-	}
-	round() // the catch-up
+	before := liveHeap()
+	m, wait, step := startRounds(b, dir)
+	wait() // the catch-up
 
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		for _, c := range chunks[i] {
-			f, err := os.OpenFile(filepath.Join(dir, c.name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := f.Write(c.data); err != nil {
-				b.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				b.Fatal(err)
-			}
-		}
+		appendHour(b, dir, chunks[i])
 		b.StartTimer()
-		select {
-		case step <- struct{}{}:
-		case <-exited:
-			b.Fatal("monitor stopped")
-		}
-		round()
+		step()
+		wait()
 	}
 	b.StopTimer()
 	want := int64(1)
@@ -203,4 +236,6 @@ func BenchmarkPublishRound(b *testing.B) {
 	if got := m.Snapshot().Epoch; got != want {
 		b.Fatalf("epoch %d after %d rounds, want %d", got, b.N, want)
 	}
+	b.ReportMetric(float64(liveHeap()-before)/1e6, "retained-MB")
+	runtime.KeepAlive(m)
 }

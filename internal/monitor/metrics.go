@@ -3,12 +3,14 @@ package monitor
 import (
 	"fmt"
 	"io"
+	"runtime/metrics"
 	"strconv"
 )
 
 // WriteMetrics renders the Prometheus text exposition of the monitor's
 // state: the live ingest counters (read lock-free from the tail loop's
-// atomics) and the study-level figures of the latest snapshot. It is
+// atomics), the process's live heap (runtime/metrics, read at render
+// time) and the study-level figures of the latest snapshot. It is
 // hand-rolled — the exposition format is a dozen lines of text and the
 // repo takes no dependencies — and holds no lock across the render:
 // everything study-derived comes from one immutable epoch loaded once.
@@ -23,6 +25,14 @@ func (m *Monitor) WriteMetrics(w io.Writer) {
 	counter(w, "unprotected_tail_truncations_total",
 		"Tailed files truncated, rotated or replaced under the tail, forcing a re-read from offset zero.",
 		float64(st.Truncations.Load()))
+	heap := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(heap)
+	var live float64
+	if heap[0].Value.Kind() == metrics.KindUint64 {
+		live = float64(heap[0].Value.Uint64())
+	}
+	gauge(w, "unprotected_heap_live_bytes",
+		"Heap bytes the last garbage collection found live in the monitor's process.", live)
 
 	snap := m.Snapshot()
 	if snap == nil {

@@ -13,18 +13,25 @@
 // reader delays nobody: it just keeps an old epoch alive.
 //
 // Snapshots are rebuilt incrementally, touching only the nodes a round
-// changed. Follow-mode delivers records in per-node arrival order, and a
-// fault is not final while the next appended record can still extend its
-// run, so the monitor keeps raw per-node state and, for every node that
-// changed, re-finalizes it the way the one-shot loader finalizes a file
-// (logstore.Finalize) and folds it into a per-node partial of the figure
-// accumulators. The partials are exact, so their Merge in any order gives
-// the figures one bundle fed the canonical stream gives. The canonical
-// dataset is spliced: the previous epoch's, less the changed nodes'
-// elements, merged with their fresh parts. At every epoch the snapshot
-// is therefore byte-identical to a one-shot Analyze over the same
-// directory — the equivalence DESIGN.md §13.3 argues and
-// TestMonitorQuiescenceEquivalence pins epoch by epoch.
+// changed, and each byte of history is held once. Follow-mode delivers
+// records in per-node arrival order, and a fault is not final while the
+// next appended record can still extend its run, so the monitor keeps
+// raw per-node state and, for every node that changed, re-finalizes its
+// faults the way the one-shot loader finalizes a file (logstore.Finalize)
+// into a per-node fault partial of the figure accumulators. A closed
+// session is final, so a publish takes the sessions each changed node
+// closed since the last one from its accounting, folds them once into the
+// node's session partial and keeps them only in the published dataset;
+// the node's open session is published as a truncated view, which adds
+// nothing to a figure, and the next publish replaces it. The partials are
+// exact, so their Merge in any order gives the figures one bundle fed the
+// canonical stream gives. The canonical dataset is spliced: the faults
+// are the previous epoch's, less the changed nodes', merged with their
+// fresh parts; the sessions are the previous epoch's, less the reset
+// nodes' and the replaced views, merged with the new closed sessions and
+// views. At every epoch the snapshot is therefore byte-identical to a
+// one-shot Analyze over the same directory — the equivalence DESIGN.md
+// §13.3 argues and TestMonitorQuiescenceEquivalence pins epoch by epoch.
 package monitor
 
 import (
@@ -111,28 +118,46 @@ type Monitor struct {
 	// Ingest state below is owned exclusively by the Run goroutine.
 	nodes map[cluster.NodeID]*nodeState
 	order []cluster.NodeID // sorted keys of nodes
+	// exclude lists the nodes every partial drops from the regimes: the
+	// controller, if any.
+	exclude []cluster.NodeID
 	// isDirty marks, by node index, the nodes ingested, reset, added or
 	// removed since the last publish, and dirty says whether any is (or
-	// no round has published yet). Record hosts are parsed and
-	// range-checked, so every index is below cluster.TotalNodes.
-	dirty   bool
-	isDirty [cluster.TotalNodes]bool
-	epoch   int64
+	// no round has published yet); wasReset marks the nodes reset since
+	// the last publish, whose published sessions all go. Record hosts are
+	// parsed and range-checked, so every index is below
+	// cluster.TotalNodes.
+	dirty    bool
+	isDirty  [cluster.TotalNodes]bool
+	wasReset [cluster.TotalNodes]bool
+	epoch    int64
 }
 
 // nodeState is one node's incremental §II-C pipeline: records fold in as
-// they arrive, snapshots read it non-destructively. The fields below the
+// they arrive, and a publish reads the collapser non-destructively and
+// takes the sessions the accounting closed, so between publishes the
+// accounting holds only the node's open session. The fields below the
 // pipeline are the node's figures as of the last publish that found it
 // dirty.
 type nodeState struct {
 	col  *extract.Collapser
 	acct *eventlog.Accounting
 
-	part *analysis.Accumulators // the node's figure partial, unsealed
+	// part is the node's fault partial, rebuilt by every publish that
+	// finds the node dirty; sess is its session partial, which folds each
+	// closed session once, at the publish that takes it. Both unsealed.
+	part, sess *analysis.Accumulators
+	// view is the node's open session as the last publish saw it, closed
+	// as if truncated, if hasView: the one published session that a later
+	// publish replaces.
+	view    eventlog.Session
+	hasView bool
 	// rawLogs counts the node's ERROR records; logs sums its faults'
 	// collapsed record counts, its entry in Dataset.RawLogsByNode.
-	rawLogs, logs  int64
-	faults         int
+	rawLogs, logs int64
+	faults        int
+	// sessions counts the node's published sessions and open the
+	// truncated ones, the view included.
 	sessions, open int
 }
 
@@ -146,6 +171,9 @@ func New(dir string, opts ...Option) (*Monitor, error) {
 		if err := opt(m); err != nil {
 			return nil, err
 		}
+	}
+	if m.controllerID != (cluster.NodeID{}) {
+		m.exclude = []cluster.NodeID{m.controllerID}
 	}
 	m.follow = append(m.follow, logstore.FollowWithStats(&m.stats))
 	return m, nil
@@ -192,7 +220,7 @@ func (m *Monitor) Run(ctx context.Context) error {
 func (m *Monitor) ingest(rec eventlog.Record) {
 	ns, ok := m.nodes[rec.Host]
 	if !ok {
-		ns = &nodeState{col: extract.NewCollapser(), acct: eventlog.NewAccounting()}
+		ns = &nodeState{col: extract.NewCollapser(), acct: eventlog.NewAccounting(), sess: analysis.NewAccumulators(m.exclude...)}
 		m.nodes[rec.Host] = ns
 		i := sort.Search(len(m.order), func(i int) bool {
 			return compareNodes(m.order[i], rec.Host) >= 0
@@ -226,6 +254,7 @@ func (m *Monitor) reset(host cluster.NodeID) {
 		return compareNodes(m.order[i], host) >= 0
 	})
 	m.order = append(m.order[:i], m.order[i+1:]...)
+	m.wasReset[host.Index()] = true
 	m.markDirty(host)
 }
 
@@ -259,36 +288,39 @@ func (m *Monitor) publish() {
 
 // rebuild is the one path from the per-node state to a Study, the
 // catch-up round included (there every node is dirty and the previous
-// dataset empty). It re-finalizes each dirty node through the one-shot
-// loader's own per-node tail — the non-destructive snapshots of its
-// collapser and accounting go through logstore.Finalize, so ingest resumes
-// untouched — and rebuilds the node's partial from the part. The Study's
-// figures are the Merge of every node's partial; its dataset is the
-// previous epoch's with the dirty nodes' parts spliced in.
+// dataset empty). Each dirty node re-finalizes its faults through the
+// one-shot loader's own per-node tail — the collapser's non-destructive
+// snapshot goes through logstore.Finalize, so ingest resumes untouched —
+// and hands over the sessions it closed since the last publish, which
+// refresh folds once. The Study's figures are the Merge of every node's
+// two partials. Its faults are the previous epoch's with the dirty nodes'
+// parts spliced in; its sessions are the previous epoch's less the reset
+// nodes' and the replaced views, merged with the new closed sessions and
+// views.
 func (m *Monitor) rebuild() *core.Study {
 	prev := &analysis.Dataset{}
 	if s := m.snap.Load(); s != nil {
 		prev = s.Study.Dataset
 	}
-	var exclude []cluster.NodeID
-	if m.controllerID != (cluster.NodeID{}) {
-		exclude = append(exclude, m.controllerID)
-	}
 	var freshFaults [cluster.TotalNodes][]extract.Fault
-	var freshSessions [cluster.TotalNodes][]eventlog.Session
+	var newSessions [cluster.TotalNodes][]eventlog.Session
+	var staleViews []eventlog.Session
 	for _, id := range m.order {
 		i := id.Index()
 		if !m.isDirty[i] {
 			continue
 		}
 		ns := m.nodes[id]
-		runs, raw := ns.col.Snapshot()
-		part := logstore.Finalize(runs, raw, ns.acct.Snapshot(nil))
-		ns.refresh(part, raw, exclude)
-		freshFaults[i], freshSessions[i] = part.Faults(), part.Sessions()
+		if ns.hasView {
+			staleViews = append(staleViews, ns.view)
+		}
+		freshFaults[i], newSessions[i] = ns.refresh(m.exclude)
 	}
+	sort.Slice(staleViews, func(i, j int) bool {
+		return eventlog.CompareSessions(&staleViews[i], &staleViews[j]) < 0
+	})
 
-	figs := analysis.NewAccumulators(exclude...)
+	figs := analysis.NewAccumulators(m.exclude...)
 	ds := &analysis.Dataset{
 		RawLogsByNode:  make(map[cluster.NodeID]int64),
 		Topo:           cluster.PaperTopology(),
@@ -298,6 +330,7 @@ func (m *Monitor) rebuild() *core.Study {
 	for _, id := range m.order {
 		ns := m.nodes[id]
 		figs.Merge(ns.part)
+		figs.Merge(ns.sess)
 		ds.RawLogs += ns.rawLogs
 		if ns.faults > 0 {
 			ds.RawLogsByNode[id] = ns.logs
@@ -308,24 +341,44 @@ func (m *Monitor) rebuild() *core.Study {
 	_ = figs.Finish() // never fails
 
 	ds.Faults = splice(prev.Faults, &m.isDirty, &freshFaults, faults, faultNode, extract.Key, extract.Compare)
-	ds.Sessions = splice(prev.Sessions, &m.isDirty, &freshSessions, sessions, sessionNode, eventlog.SessionKey, eventlog.CompareSessions)
-	m.isDirty, m.dirty = [cluster.TotalNodes]bool{}, false
+	ds.Sessions = spliceSessions(prev.Sessions, &m.wasReset, staleViews, &newSessions, sessions)
+	m.isDirty, m.wasReset, m.dirty = [cluster.TotalNodes]bool{}, [cluster.TotalNodes]bool{}, false
 	return &core.Study{Dataset: ds, Figures: figs}
 }
 
-// refresh rebuilds the node's partial and counts from its finalized part.
-func (ns *nodeState) refresh(part logstore.Part, raw int64, exclude []cluster.NodeID) {
-	ns.part = analysis.NewAccumulators(exclude...)
-	ns.rawLogs, ns.logs = raw, 0
-	ns.faults, ns.sessions, ns.open = len(part.Faults()), len(part.Sessions()), 0
-	for _, f := range part.Faults() {
-		ns.part.ObserveFault(f)
-		ns.logs += int64(f.Logs)
+// refresh brings a dirty node up to date for a publish and returns its
+// faults and its new sessions, each in canonical order. The fault partial
+// and counts are rebuilt from the collapser's snapshot. The sessions the
+// accounting closed since the last publish are taken from it and folded
+// into the session partial once; with the open session's new view they
+// are the node's new sessions. The view replaces the previous one, and
+// since it is truncated it adds nothing to a figure.
+func (ns *nodeState) refresh(exclude []cluster.NodeID) ([]extract.Fault, []eventlog.Session) {
+	closed := ns.acct.TakeClosed()
+	// Snapshot appends the open set, closed as if truncated: one session
+	// at most, since the node's records all share its host.
+	fresh := ns.acct.Snapshot(closed)
+	if ns.hasView {
+		ns.sessions, ns.open = ns.sessions-1, ns.open-1 // the view is replaced
 	}
-	for _, s := range part.Sessions() {
-		ns.part.ObserveSession(s)
+	if ns.hasView = len(fresh) > len(closed); ns.hasView {
+		ns.view = fresh[len(closed)]
+	}
+	ns.sessions += len(fresh)
+	for _, s := range fresh {
+		ns.sess.ObserveSession(s) // a view is truncated: it adds nothing
 		if s.Truncated {
 			ns.open++
 		}
 	}
+
+	runs, raw := ns.col.Snapshot()
+	part := logstore.Finalize(runs, raw, fresh)
+	ns.part = analysis.NewAccumulators(exclude...)
+	ns.rawLogs, ns.logs, ns.faults = raw, 0, len(part.Faults())
+	for _, f := range part.Faults() {
+		ns.part.ObserveFault(f)
+		ns.logs += int64(f.Logs)
+	}
+	return part.Faults(), part.Sessions()
 }

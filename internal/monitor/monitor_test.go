@@ -6,9 +6,11 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 	"time"
+	"unsafe"
 
 	"unprotected/internal/analysis"
 	"unprotected/internal/campaign"
@@ -16,6 +18,7 @@ import (
 	"unprotected/internal/core"
 	"unprotected/internal/dram"
 	"unprotected/internal/eventlog"
+	"unprotected/internal/extract"
 	"unprotected/internal/logstore"
 	"unprotected/internal/thermal"
 	"unprotected/internal/timebase"
@@ -500,4 +503,51 @@ func TestMonitorRunSurfacesCorruptLine(t *testing.T) {
 	if err := m.Run(context.Background()); err == nil {
 		t.Fatal("corrupt line did not surface")
 	}
+}
+
+// TestMonitorHoldsHistoryOnce: the monitor keeps each byte of history
+// once. After the catch-up on the seed-42 fleet and after one appended
+// hour, no node's accounting holds a closed session — the published
+// dataset is their only copy — and the heap the monitor retains, over
+// what was live before it started, is at most twice the published
+// dataset's own bytes: the rest is per-node partials and collapsers.
+func TestMonitorHoldsHistoryOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("stages the seed-42 fleet")
+	}
+	files, err := loadPaperFleet()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	chunks := stageFleet(t, dir, files, 1)
+	before := liveHeap()
+	m, wait, step := startRounds(t, dir)
+	// Between wait and step the Run goroutine is parked in the ticker, so
+	// its ingest state is safe to read.
+	checkTaken := func(name string) {
+		t.Helper()
+		for id, ns := range m.nodes {
+			if n := len(ns.acct.Sessions); n > 0 {
+				t.Fatalf("%s: node %s's accounting holds %d closed sessions", name, id, n)
+			}
+		}
+	}
+	wait()
+	checkTaken("catch-up")
+	appendHour(t, dir, chunks[0])
+	step()
+	wait()
+	checkTaken("appended hour")
+
+	retained := liveHeap() - before
+	ds := m.Snapshot().Study.Dataset
+	data := int64(len(ds.Faults))*int64(unsafe.Sizeof(extract.Fault{})) +
+		int64(len(ds.Sessions))*int64(unsafe.Sizeof(eventlog.Session{}))
+	t.Logf("retained %.1f MB for a %.1f MB dataset (%d faults, %d sessions)",
+		float64(retained)/1e6, float64(data)/1e6, len(ds.Faults), len(ds.Sessions))
+	if retained > 2*data {
+		t.Fatalf("monitor retains %.1f MB, over twice its %.1f MB dataset", float64(retained)/1e6, float64(data)/1e6)
+	}
+	runtime.KeepAlive(m)
 }

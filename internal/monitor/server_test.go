@@ -134,6 +134,7 @@ func TestMonitorDaemonEndToEnd(t *testing.T) {
 		fmt.Sprintf("unprotected_independent_faults_total %d", nodes*perNode/4),
 		"unprotected_regime_days{regime=\"normal\"}",
 		"unprotected_worst_node_raw_share{node=",
+		"# TYPE unprotected_heap_live_bytes gauge\nunprotected_heap_live_bytes ",
 	} {
 		if !strings.Contains(metrics, want) {
 			t.Errorf("metrics missing %q:\n%s", want, metrics)

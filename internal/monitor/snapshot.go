@@ -239,8 +239,8 @@ func rate(num, den float64) float64 {
 }
 
 // verdicts classifies every node with a fault or a session, in node
-// order, from the nodes' partials; rawLogs is the fleet's raw ERROR
-// volume.
+// order, from the nodes' partials and counts; rawLogs is the fleet's raw
+// ERROR volume.
 func (m *Monitor) verdicts(rawLogs int64) []NodeVerdict {
 	out := make([]NodeVerdict, 0, len(m.order))
 	for _, id := range m.order {
@@ -248,11 +248,11 @@ func (m *Monitor) verdicts(rawLogs int64) []NodeVerdict {
 		if ns.faults == 0 && ns.sessions == 0 {
 			continue
 		}
-		h := ns.part.Headline.Headline(0, nil, nil)
+		h := ns.sess.Headline.Headline(0, nil, nil)
 		v := NodeVerdict{
 			Node:     id.String(),
 			Faults:   ns.faults,
-			MultiBit: h.MultiBitFaults,
+			MultiBit: ns.part.Headline.Headline(0, nil, nil).MultiBitFaults,
 			RawLogs:  ns.logs,
 			Sessions: ns.sessions,
 			Open:     ns.open,
