@@ -13,10 +13,11 @@
 // CSV files for external plotting.
 //
 // -from-logs replays a directory of per-node log files — the paper's
-// actual workflow — through the parallel streaming loader: files are
-// collapsed by a worker pool (-workers, default GOMAXPROCS), merged into
-// the canonical order and fed to the incremental figure accumulators in a
-// single pass. The report is byte-identical for every -workers value.
+// actual workflow — through the parallel loader: files are collapsed by a
+// worker pool (-workers, default GOMAXPROCS), and the same number of
+// workers folds them into the figure accumulators and merges them into
+// the canonical order. The report is byte-identical for every -workers
+// value, on every route.
 //
 // -store reads a binary fault store built by cmd/faultstore instead of
 // text logs: the same downstream flags apply and the report is

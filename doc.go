@@ -34,8 +34,9 @@
 //
 // Consumers with their own one-pass accumulators — RowHammer-style
 // reliability analyses, exporters, online policies — implement Observer
-// (or use FuncObserver) and ride the same single pass the internal
-// figures use; WithoutDataset drops the in-memory dataset for
+// (or use FuncObserver) and see the same canonical stream the internal
+// figures are folded from, on the caller's goroutine once the figures
+// are done; WithoutDataset drops the in-memory dataset for
 // pure-streaming runs:
 //
 //	var n int
@@ -166,11 +167,13 @@ func WithWorkers(n int) Option { return core.WithWorkers(n) }
 // overrides the profile's controller for simulations.
 func WithController(node string) Option { return core.WithController(node) }
 
-// WithObservers attaches external accumulators to the single pass.
+// WithObservers attaches external accumulators: each sees the canonical
+// stream on the caller's goroutine, after the figures are folded.
 func WithObservers(obs ...Observer) Option { return core.WithObservers(obs...) }
 
 // WithoutDataset makes Analyze a pure-streaming run: dataset slices stay
-// empty while figures and attached observers are still fed.
+// empty while figures and attached observers are still fed, and a
+// built-in source skips its session merge unless an observer needs it.
 func WithoutDataset() Option { return core.WithoutDataset() }
 
 // Simulate returns the Source that executes the campaign described by
@@ -214,10 +217,11 @@ type StoreHealth = core.StoreHealth
 // option.
 func WithDegraded(h *StoreHealth) Option { return core.WithDegraded(h) }
 
-// Analyze drains src once and assembles the Study: dataset slices
-// (unless WithoutDataset), incremental figure accumulators and every
-// attached Observer are fed from the same single pass in canonical
-// order. Cancelling ctx aborts the run leak-free and returns ctx.Err().
+// Analyze runs src once and assembles the Study: dataset slices (unless
+// WithoutDataset), figure accumulators, and every attached Observer, fed
+// in canonical order. A built-in source is assembled from its sorted
+// parts on its worker pool; an external one is drained element by
+// element. Cancelling ctx aborts the run leak-free and returns ctx.Err().
 func Analyze(ctx context.Context, src Source, opts ...Option) (*Study, error) {
 	return core.Analyze(ctx, src, opts...)
 }

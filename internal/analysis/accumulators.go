@@ -13,9 +13,10 @@ import (
 // yields the §III statistics that are computable online: the headline box,
 // hour-of-day and temperature distributions (Figs 5–8), the multi-bit
 // population, simultaneity (Fig 4, §III-C), the daily time series
-// (Figs 9–11) and the regime split (Fig 13). Every source feeds it through
-// the shared core sink, and the report and the CSV export read it, so
-// nothing iterates the dataset a second time for these figures.
+// (Figs 9–11) and the regime split (Fig 13). core.Analyze folds every
+// source into it — a built-in source as per-worker partials merged into
+// one bundle — and the report and the CSV export read it, so nothing
+// iterates the dataset a second time for these figures.
 //
 // Every figure is kept exact: counts as integers (or integer-valued
 // floats), session time in integer seconds and memory-time in integer

@@ -4,11 +4,12 @@
 // on a worker pool, and streams the study dataset every analysis consumes.
 //
 // The engine is a streaming pipeline (see DESIGN.md): each worker
-// simulates a node, extracts and sorts that node's faults locally, and a
-// deterministic k-way loser-tree merge interleaves the per-node streams
-// into the canonical global order. Events yields faults and sessions to
-// the caller one at a time, as a stream.Source iterator, without
-// materializing the merged dataset.
+// simulates a node, extracts and sorts that node's faults locally, and
+// Parts returns the per-node sorted streams. Events interleaves them with
+// a deterministic k-way loser-tree merge into the canonical global order
+// and yields faults and sessions to the caller one at a time, as a
+// stream.Source iterator, without materializing the merged dataset;
+// core.Analyze assembles its Study from the Parts directly.
 //
 // Determinism: each node draws from an independent RNG stream derived from
 // (campaign seed, node index); per-node streams are sorted by the total
@@ -87,24 +88,6 @@ type SwapSpec struct {
 	To cluster.NodeID
 }
 
-// Result is the assembled dataset.
-type Result struct {
-	Cfg *Config
-	// Faults are the independent memory errors of every characterized
-	// node, sorted by (time, node, address). The pathological node is
-	// excluded here, as in §III-B.
-	Faults []extract.Fault
-	// Sessions are all scanner sessions (including the pathological
-	// node's), for hours/TBh accounting.
-	Sessions []eventlog.Session
-	// RawLogs counts every ERROR record the scanner would have written.
-	RawLogs int64
-	// RawLogsByNode splits the raw volume per node.
-	RawLogsByNode map[cluster.NodeID]int64
-	// AllocFails counts sessions that could not allocate any memory.
-	AllocFails int
-}
-
 // nodeOutput is one worker's result.
 type nodeOutput struct {
 	runs       []extract.RawRun
@@ -128,16 +111,11 @@ type nodeStream struct {
 // Events executes the campaign and yields the merged stream as an
 // iterator honouring the internal/stream contract: a stats prologue, then
 // every characterized fault in extract.Compare order, then every session
-// in eventlog.CompareSessions order.
-//
-// Each node is simulated end to end and finalized in place on a
-// stream.Collect worker: the node's raw runs are sorted and classified
-// into faults there (so extraction parallelizes across the pool), and its
-// sessions are ordered by start time. Once every node has reported,
-// stream.Deliver's deterministic k-way merges (internal/kway, shared with
-// the log-replay loader) interleave the per-node streams into the
-// canonical global orders — the merged dataset is never materialized
-// here.
+// in eventlog.CompareSessions order. It is Parts followed by
+// stream.Deliver, whose deterministic k-way merges (internal/kway, shared
+// with the log-replay loader and the fault store) interleave the per-node
+// streams into the canonical global orders — the merged dataset is never
+// materialized here.
 //
 // Cancelling ctx aborts the campaign: unsimulated nodes are skipped, and
 // the pool exits before the iterator yields its final (zero Event,
@@ -147,19 +125,24 @@ type nodeStream struct {
 // per-event allocation.
 func Events(ctx context.Context, cfg *Config) iter.Seq2[stream.Event, error] {
 	return func(yield func(stream.Event, error) bool) {
-		stats, faultStreams, sessionStreams, err := collect(ctx, cfg)
+		p, err := Parts(ctx, cfg)
 		if err != nil {
 			yield(stream.Event{}, err)
 			return
 		}
-		stream.Deliver(ctx, yield, stats, faultStreams, sessionStreams)
+		stream.Deliver(ctx, yield, p.Stats, p.Faults, p.Sessions)
 	}
 }
 
-// collect simulates and finalizes every scanned node on stream.Collect
-// and gathers the per-node sorted streams, in node order, plus the scalar
-// stats.
-func collect(ctx context.Context, cfg *Config) (*stream.Stats, [][]extract.Fault, [][]eventlog.Session, error) {
+// Parts simulates and finalizes every scanned node on a stream.Collect
+// pool of cfg.Workers and returns the per-node sorted streams, in node
+// order, plus the scalar stats. Each node is simulated end to end and
+// finalized in place on its worker: the node's raw runs are sorted and
+// classified into faults there (so extraction parallelizes across the
+// pool), and its sessions are ordered by start time. Cancelling ctx
+// skips the unsimulated nodes and returns ctx.Err() once the pool has
+// exited.
+func Parts(ctx context.Context, cfg *Config) (stream.Parts, error) {
 	if cfg.Topo == nil {
 		cfg.Topo = cluster.PaperTopology()
 	}
@@ -185,28 +168,30 @@ func collect(ctx context.Context, cfg *Config) (*stream.Stats, [][]extract.Fault
 		return finalizeNode(simulateNode(cfg, n, plans[n.ID], sc)), nil
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return stream.Parts{}, err
 	}
 
-	stats := &stream.Stats{RawLogsByNode: make(map[cluster.NodeID]int64)}
-	faultStreams := make([][]extract.Fault, 0, len(outs))
-	sessionStreams := make([][]eventlog.Session, 0, len(outs))
+	p := stream.Parts{
+		Stats:    &stream.Stats{RawLogsByNode: make(map[cluster.NodeID]int64)},
+		Faults:   make([][]extract.Fault, 0, len(outs)),
+		Sessions: make([][]eventlog.Session, 0, len(outs)),
+	}
 	for _, out := range outs {
-		stats.Faults += len(out.faults)
-		stats.Sessions += len(out.sessions)
-		stats.RawLogs += out.rawLogs
+		p.Stats.Faults += len(out.faults)
+		p.Stats.Sessions += len(out.sessions)
+		p.Stats.RawLogs += out.rawLogs
 		if out.rawLogs > 0 {
-			stats.RawLogsByNode[out.node] += out.rawLogs
+			p.Stats.RawLogsByNode[out.node] += out.rawLogs
 		}
-		stats.AllocFails += out.allocFails
+		p.Stats.AllocFails += out.allocFails
 		if len(out.faults) > 0 {
-			faultStreams = append(faultStreams, out.faults)
+			p.Faults = append(p.Faults, out.faults)
 		}
 		if len(out.sessions) > 0 {
-			sessionStreams = append(sessionStreams, out.sessions)
+			p.Sessions = append(p.Sessions, out.sessions)
 		}
 	}
-	return stats, faultStreams, sessionStreams, nil
+	return p, nil
 }
 
 // finalizeNode turns a simulated node's raw output into its sorted stream

@@ -15,15 +15,25 @@ import (
 // --- streaming campaign tests ---
 // (k-way merge unit tests live with the merge in internal/kway)
 
+// collected is a campaign's dataset in local slices, with the stats
+// prologue's counters beside them.
+type collected struct {
+	Faults        []extract.Fault
+	Sessions      []eventlog.Session
+	RawLogs       int64
+	RawLogsByNode map[cluster.NodeID]int64
+	AllocFails    int
+}
+
 // legacyCollectAll is the pre-streaming engine: simulate every node
 // sequentially, buffer every run, classify once and globally sort. It is
 // the reference the streaming pipeline must reproduce byte for byte.
-func legacyCollectAll(cfg *Config) *Result {
+func legacyCollectAll(cfg *Config) *collected {
 	if cfg.Topo == nil {
 		cfg.Topo = cluster.PaperTopology()
 	}
 	plans := cfg.Profile.build(cfg)
-	res := &Result{Cfg: cfg, RawLogsByNode: make(map[cluster.NodeID]int64)}
+	res := &collected{RawLogsByNode: make(map[cluster.NodeID]int64)}
 	var allRuns []extract.RawRun
 	// One shared scratch across every node, like a single worker would
 	// use: the runs are copied out below before the next node overwrites
@@ -53,8 +63,9 @@ func sortSessionsLegacy(ss []eventlog.Session) {
 	})
 }
 
-// assertSameResult compares every dataset field of two campaign results.
-func assertSameResult(t *testing.T, label string, a, b *Result) {
+// assertSameResult compares every dataset field of two collected
+// campaigns.
+func assertSameResult(t *testing.T, label string, a, b *collected) {
 	t.Helper()
 	if len(a.Faults) != len(b.Faults) {
 		t.Fatalf("%s: fault counts %d vs %d", label, len(a.Faults), len(b.Faults))
@@ -83,11 +94,11 @@ func assertSameResult(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// run drains a campaign through Events into the collect-all Result the
+// run drains a campaign through Events into the local slices the
 // assertions read.
-func run(t testing.TB, cfg *Config) *Result {
+func run(t testing.TB, cfg *Config) *collected {
 	t.Helper()
-	res := &Result{Cfg: cfg}
+	res := &collected{}
 	for ev, err := range Events(context.Background(), cfg) {
 		if err != nil {
 			t.Fatal(err)

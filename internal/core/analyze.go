@@ -7,6 +7,7 @@ import (
 	"iter"
 	"time"
 
+	"unprotected/internal/analysis"
 	"unprotected/internal/campaign"
 	"unprotected/internal/cluster"
 	"unprotected/internal/eventlog"
@@ -93,9 +94,12 @@ func WithController(node string) Option {
 }
 
 // WithObservers attaches external one-pass accumulators to the stream:
-// each observer sees every fault and session in canonical order, in the
-// same single pass that feeds the internal figure accumulators, and its
-// Finish runs once the stream ends. A Finish error fails Analyze.
+// each observer sees every fault and session in canonical order, on the
+// caller's goroutine, and its Finish runs once the stream ends. For a
+// built-in source the observers run after the figures are folded, fed
+// from the dataset or, under WithoutDataset, from a block merge of the
+// source's parts; an external Source feeds them element by element
+// beside the figures. A Finish error fails Analyze.
 func WithObservers(obs ...stream.Observer) Option {
 	return func(o *options) error {
 		for _, ob := range obs {
@@ -110,9 +114,10 @@ func WithObservers(obs ...stream.Observer) Option {
 
 // WithoutDataset makes Analyze a pure-streaming run: the Study's dataset
 // slices stay empty (nothing is materialized per event) while the figure
-// accumulators and any WithObservers attachments are still fed. Use it
-// when the consumers are the observers themselves; report sections that
-// recompute from the slices will see an empty dataset.
+// accumulators and any WithObservers attachments are still fed. A
+// built-in source then skips the session merge unless an observer needs
+// it. Use it when the consumers are the observers themselves; report
+// sections that recompute from the slices will see an empty dataset.
 func WithoutDataset() Option {
 	return func(o *options) error {
 		o.noDataset = true
@@ -188,10 +193,16 @@ type configurableSource interface {
 	configure(o *options) (stream.Source, error)
 }
 
-// studySource describes the study metadata a built-in source knows.
-// topology is only required to be final after Events has been drained
-// (the campaign engine defaults it during the run).
+// studySource is a built-in source: Analyze builds its Study from the
+// sorted parts the source's worker pool produced (assemble) instead of
+// draining its Events, and takes the study metadata from it. topology is
+// only required to be final after parts has returned (the campaign
+// engine defaults it during the run).
 type studySource interface {
+	parts(ctx context.Context) (stream.Parts, error)
+	// workers is the source's pool size, which bounds the assembly too;
+	// zero selects GOMAXPROCS.
+	workers() int
 	controller() cluster.NodeID
 	pathological() cluster.NodeID
 	topology() *cluster.Topology
@@ -215,6 +226,12 @@ func (s *simSource) Events(ctx context.Context) iter.Seq2[stream.Event, error] {
 	}
 	return campaign.Events(ctx, s.cfg)
 }
+
+func (s *simSource) parts(ctx context.Context) (stream.Parts, error) {
+	return campaign.Parts(ctx, s.cfg)
+}
+
+func (s *simSource) workers() int { return s.cfg.Workers }
 
 func (s *simSource) configure(o *options) (stream.Source, error) {
 	if s.cfg == nil {
@@ -265,7 +282,7 @@ type logSource struct {
 // — the paper's actual workflow. Options accepted here carry the same
 // meaning as on Analyze, which may override them (WithObservers and
 // WithoutDataset only take effect through Analyze — a raw Events range
-// has no sink to feed); an invalid option surfaces as the error of the
+// has no Study to build); an invalid option surfaces as the error of the
 // first Events delivery (and from Analyze before the stream starts).
 func Logs(dir string, opts ...Option) stream.Source {
 	s := &logSource{dir: dir}
@@ -284,6 +301,12 @@ func (s *logSource) Events(ctx context.Context) iter.Seq2[stream.Event, error] {
 	}
 	return logstore.Events(ctx, s.dir, s.opts.workers)
 }
+
+func (s *logSource) parts(ctx context.Context) (stream.Parts, error) {
+	return logstore.Parts(ctx, s.dir, s.opts.workers)
+}
+
+func (s *logSource) workers() int { return s.opts.workers }
 
 func (s *logSource) configure(o *options) (stream.Source, error) {
 	if s.err != nil {
@@ -315,11 +338,18 @@ func (s *logSource) pathological() cluster.NodeID { return cluster.NodeID{} }
 // analyses know how to map.
 func (s *logSource) topology() *cluster.Topology { return cluster.PaperTopology() }
 
-// Analyze drains src once and assembles the Study: the dataset slices
-// (unless WithoutDataset), the incremental figure accumulators, and every
-// attached observer are all fed element by element from the same single
-// pass, in the canonical stream order. It is the one entry point both
-// dataset sources — and any external Source implementation — share.
+// Analyze runs src once and assembles the Study: the dataset slices
+// (unless WithoutDataset), the figure accumulators, and every attached
+// observer. It is the one entry point the built-in sources — and any
+// external Source implementation — share.
+//
+// A built-in source (Simulate, Logs, Store) is assembled from the sorted
+// parts its worker pool produced, on up to its worker count of
+// goroutines: sessions fold into per-worker partials, faults fold in
+// canonical order, typed merges fill the dataset, and the partials Merge
+// into Study.Figures. An external Source's Events stream is drained into
+// the dataset, the figures and the observers element by element. Either
+// way the Study's bytes are the same.
 //
 // Cancelling ctx aborts the run: the source winds its producers down
 // leak-free and Analyze returns ctx.Err(). Invalid options (negative
@@ -342,14 +372,61 @@ func Analyze(ctx context.Context, src stream.Source, opts ...Option) (*Study, er
 	}
 
 	var controller, pathological cluster.NodeID
-	meta, hasMeta := src.(studySource)
-	if hasMeta {
-		controller, pathological = meta.controller(), meta.pathological()
+	builtin, isBuiltin := src.(studySource)
+	if isBuiltin {
+		controller, pathological = builtin.controller(), builtin.pathological()
 	}
 	if o.hasController {
 		controller = o.controller
 	}
 
+	var study *Study
+	var err error
+	if isBuiltin {
+		study, err = analyzeParts(ctx, builtin, controller, pathological, &o)
+	} else {
+		study, err = analyzeEvents(ctx, src, controller, pathological, &o)
+	}
+	if err != nil {
+		return nil, err
+	}
+	study.Dataset.Topo = cluster.PaperTopology()
+	if isBuiltin {
+		if t := builtin.topology(); t != nil {
+			study.Dataset.Topo = t
+		}
+	}
+	if sim, ok := src.(*simSource); ok {
+		study.Config = sim.cfg
+	}
+	return study, nil
+}
+
+// analyzeParts assembles a built-in source's Study from its parts, then
+// runs the observers on the caller's goroutine, in canonical order.
+func analyzeParts(ctx context.Context, src studySource, controller, pathological cluster.NodeID, o *options) (*Study, error) {
+	p, err := src.parts(ctx)
+	if err != nil {
+		return nil, err
+	}
+	d := &analysis.Dataset{
+		ControllerNode:   controller,
+		PathologicalNode: pathological,
+		RawLogs:          p.Stats.RawLogs,
+		RawLogsByNode:    p.Stats.RawLogsByNode,
+	}
+	figures, err := assemble(ctx, p, src.workers(), !o.noDataset, d)
+	if err != nil {
+		return nil, err
+	}
+	if err := observe(ctx, o.observers, p, d, !o.noDataset); err != nil {
+		return nil, err
+	}
+	return &Study{Dataset: d, Figures: figures}, nil
+}
+
+// analyzeEvents drains an external Source's Events into the stream sink.
+func analyzeEvents(ctx context.Context, src stream.Source, controller, pathological cluster.NodeID, o *options) (*Study, error) {
 	sink := newStreamSink(controller, pathological)
 	sink.collect = !o.noDataset
 	sink.observers = o.observers
@@ -384,31 +461,5 @@ func Analyze(ctx context.Context, src stream.Source, opts ...Option) (*Study, er
 			return nil, fmt.Errorf("unprotected: Analyze: observer: %w", err)
 		}
 	}
-
-	topo := cluster.PaperTopology()
-	if hasMeta {
-		if t := meta.topology(); t != nil {
-			topo = t
-		}
-	}
-	study := sink.study(topo, st.RawLogs, st.RawLogsByNode)
-	if sim, ok := src.(*simSource); ok {
-		// Simulation studies carry the campaign view — except under
-		// WithoutDataset, where a
-		// Result whose slices are deliberately empty but whose raw-log
-		// counters are full would be internally inconsistent; it stays
-		// nil, like a replayed study's.
-		study.Config = sim.cfg
-		if sink.collect {
-			study.Result = &campaign.Result{
-				Cfg:           sim.cfg,
-				Faults:        study.Dataset.Faults,
-				Sessions:      study.Dataset.Sessions,
-				RawLogs:       st.RawLogs,
-				RawLogsByNode: st.RawLogsByNode,
-				AllocFails:    st.AllocFails,
-			}
-		}
-	}
-	return study, nil
+	return sink.study(st.RawLogs, st.RawLogsByNode), nil
 }

@@ -7,6 +7,7 @@ import (
 	"iter"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -59,7 +60,7 @@ func TestAnalyzeLogsMatchesStudyFromLogs(t *testing.T) {
 
 // TestAnalyzeSimulateMatchesRunStudy: RunPaperStudy and Analyze(Simulate)
 // over the same seed render byte-identical reports, and a simulation
-// study carries its campaign-result view.
+// study carries its campaign configuration, with or without a dataset.
 func TestAnalyzeSimulateMatchesRunStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full campaign")
@@ -77,21 +78,13 @@ func TestAnalyzeSimulateMatchesRunStudy(t *testing.T) {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatal("Analyze(Simulate) report diverges from RunPaperStudy")
 	}
-	if study.Config == nil || study.Result == nil {
-		t.Fatal("simulation study lost its campaign view")
-	}
-	if study.Result.AllocFails != ref.Result.AllocFails {
-		t.Fatalf("AllocFails %d, want %d", study.Result.AllocFails, ref.Result.AllocFails)
+	if study.Config == nil {
+		t.Fatal("simulation study lost its campaign configuration")
 	}
 
-	// A pure-streaming simulation carries no Result: empty slices next to
-	// full raw-log counters would be an inconsistent campaign view.
 	lean, err := Analyze(context.Background(), Simulate(campaign.DefaultConfig(8)), WithoutDataset())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if lean.Result != nil {
-		t.Fatal("WithoutDataset simulation still built a campaign Result")
 	}
 	if lean.Config == nil || lean.Figures == nil {
 		t.Fatal("WithoutDataset simulation lost Config or Figures")
@@ -265,6 +258,20 @@ func TestAnalyzeCancelLeakFree(t *testing.T) {
 		t.Fatalf("observer fed %d faults after cancellation, want exactly 50", n)
 	}
 
+	// Cancel while the parts are assembled: the context turns cancelled
+	// at the assembly pool's second claim, once its first unit runs.
+	ctx3 := &armedCtx{}
+	ctx3.Context, ctx3.cancel = context.WithCancel(context.Background())
+	defer ctx3.cancel()
+	src := cancelInAssembly{simSource: &simSource{cfg: campaign.DefaultConfig(2)}, ctx: ctx3}
+	study, err = Analyze(ctx3, src)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("got (%v, %v), want context.Canceled", study, err)
+	}
+	if ctx3.checks.Load() < 2 {
+		t.Fatal("the assembly never ran")
+	}
+
 	deadline := time.Now().Add(5 * time.Second)
 	for runtime.NumGoroutine() > baseline {
 		if time.Now().After(deadline) {
@@ -273,6 +280,39 @@ func TestAnalyzeCancelLeakFree(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 }
+
+// armedCtx is a cancellable context that cancels itself on the second
+// Err check after it is armed.
+type armedCtx struct {
+	context.Context
+	cancel context.CancelFunc
+	armed  atomic.Bool
+	checks atomic.Int32
+}
+
+func (c *armedCtx) Err() error {
+	if c.armed.Load() && c.checks.Add(1) == 2 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
+// cancelInAssembly is a simulation source whose parts arm ctx once they
+// are ready, so the run is cancelled while Analyze assembles them.
+type cancelInAssembly struct {
+	*simSource
+	ctx *armedCtx
+}
+
+func (c cancelInAssembly) configure(*options) (stream.Source, error) { return c, nil }
+
+func (c cancelInAssembly) parts(ctx context.Context) (stream.Parts, error) {
+	p, err := c.simSource.parts(ctx)
+	c.ctx.armed.Store(true)
+	return p, err
+}
+
+func (c cancelInAssembly) workers() int { return 2 }
 
 // customSource is an external Source implementation: Analyze must accept
 // any iterator honouring the stream contract, not just the built-ins.

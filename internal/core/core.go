@@ -5,12 +5,14 @@
 // root unprotected package) rather than to the substrates directly.
 //
 // The entry point is Analyze(ctx, src): src is any stream.Source — the
-// campaign engine (Simulate), the log-replay loader (Logs), or an
-// external implementation — and every source feeds the same sink, which
-// collects the analysis dataset, drives the incremental figure
-// accumulators and fans out to attached observers, so every
-// online-computable §III statistic is ready the moment the stream ends,
-// after exactly one pass over the source.
+// campaign engine (Simulate), the log-replay loader (Logs), the fault
+// store (Store), or an external implementation. A built-in source is
+// assembled from the sorted parts its worker pool produced: figure
+// partials fold on the same number of workers and merge, and typed
+// merges fill the dataset. An external source's stream feeds one sink
+// that collects the dataset, drives the figure accumulators and fans out
+// to attached observers. Either way every online-computable §III
+// statistic is ready when Analyze returns, after one run of the source.
 package core
 
 import (
@@ -26,24 +28,23 @@ import (
 
 // Study is one executed campaign with its analysis-ready dataset.
 type Study struct {
-	Config *campaign.Config
-	// Result is the collected campaign output; nil for studies replayed
-	// from log files (the logs are the result) and for pure-streaming
-	// runs (WithoutDataset collects nothing).
-	Result  *campaign.Result
+	// Config is the simulated campaign's configuration; nil for studies
+	// replayed from log files or read from a fault store.
+	Config  *campaign.Config
 	Dataset *analysis.Dataset
-	// Figures holds the figure accumulators Analyze fed during the stream
-	// and sealed when it ended. They are the only source of the streamed
-	// figures (headline, Figs 4–11, 13): the report, the CSV export and
-	// the exported figure accessors all read them.
+	// Figures holds the figure accumulators Analyze folded and sealed.
+	// They are the only source of the streamed figures (headline,
+	// Figs 4–11, 13): the report, the CSV export and the exported figure
+	// accessors all read them.
 	Figures *analysis.Accumulators
 }
 
 // streamSink adapts a merged (faults, sessions) stream into a Study: it
 // collects the dataset slices (when collect is set), feeds the figure
 // accumulators, and fans out to any attached external observers, element
-// by element. Every Source delivers the canonical orders the
-// accumulators require.
+// by element. Analyze feeds it the Events of an external Source, which
+// delivers the canonical orders the accumulators require; the built-in
+// sources are assembled from their parts instead.
 type streamSink struct {
 	dataset   *analysis.Dataset
 	figures   *analysis.Accumulators
@@ -52,17 +53,12 @@ type streamSink struct {
 }
 
 func newStreamSink(controller, pathological cluster.NodeID) *streamSink {
-	var exclude []cluster.NodeID
-	var zero cluster.NodeID
-	if controller != zero {
-		exclude = append(exclude, controller)
-	}
 	return &streamSink{
 		dataset: &analysis.Dataset{
 			ControllerNode:   controller,
 			PathologicalNode: pathological,
 		},
-		figures: analysis.NewAccumulators(exclude...),
+		figures: analysis.NewAccumulators(excludedNodes(controller)...),
 		collect: true,
 	}
 }
@@ -89,10 +85,10 @@ func (s *streamSink) session(sess eventlog.Session) {
 
 // study finalizes the sink once the stream has ended. Sealing the figures
 // closes the trailing simultaneity group, so every figure read after this
-// is a pure read; the bundle's Finish never fails.
-func (s *streamSink) study(topo *cluster.Topology, rawLogs int64, rawLogsByNode map[cluster.NodeID]int64) *Study {
+// is a pure read; the bundle's Finish never fails. The caller sets the
+// dataset's topology.
+func (s *streamSink) study(rawLogs int64, rawLogsByNode map[cluster.NodeID]int64) *Study {
 	_ = s.figures.Finish()
-	s.dataset.Topo = topo
 	s.dataset.RawLogs = rawLogs
 	s.dataset.RawLogsByNode = rawLogsByNode
 	return &Study{Dataset: s.dataset, Figures: s.figures}
@@ -112,10 +108,12 @@ func RunPaperStudy(seed uint64) *Study {
 
 // ExcludedNodes returns the nodes MTBF-style analyses drop (§III-I): the
 // permanently failing controller node.
-func (s *Study) ExcludedNodes() []cluster.NodeID {
-	var zero cluster.NodeID
-	if s.Dataset.ControllerNode == zero {
+func (s *Study) ExcludedNodes() []cluster.NodeID { return excludedNodes(s.Dataset.ControllerNode) }
+
+// excludedNodes lists controller, unless it is the zero NodeID.
+func excludedNodes(controller cluster.NodeID) []cluster.NodeID {
+	if controller == (cluster.NodeID{}) {
 		return nil
 	}
-	return []cluster.NodeID{s.Dataset.ControllerNode}
+	return []cluster.NodeID{controller}
 }

@@ -4,29 +4,35 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"slices"
 	"sort"
 	"testing"
 
 	"unprotected/internal/campaign"
 	"unprotected/internal/cluster"
+	"unprotected/internal/dram"
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
+	"unprotected/internal/faultstore"
+	"unprotected/internal/logstore"
 	"unprotected/internal/stream"
+	"unprotected/internal/thermal"
 )
 
-// --- differential harness: batched delivery vs an independent reference ---
+// --- differential harness: Analyze vs an independent reference ---
 //
-// The batched, pooled delivery path (stream.Deliver via Analyze) must be
-// observationally identical to a reference that shares none of its
-// ordering machinery: referenceStudy collects the campaign's faults and
-// sessions, reverses them and re-sorts them with a plain stable sort under
-// the canonical comparators (both are total orders, so the sorted
-// sequence is unique), and feeds the sink Analyze uses element by element
-// — no k-way merge, no block layer, no pooled buffers and no iterator
-// plumbing in between. Each matrix cell renders the complete study —
-// every figure, table, chart and heatmap — from both paths and requires
-// the bytes to be equal.
+// Analyze builds a built-in source's Study from its sorted parts —
+// parallel figure folds and typed merges — and must be observationally
+// identical to a reference that shares none of its ordering machinery:
+// referenceStudy drains the source's Events, reverses the faults and
+// sessions and re-sorts them with a plain stable sort under the canonical
+// comparators (both are total orders, so the sorted sequence is unique),
+// and feeds the sink element by element — no parts, no k-way merge, no
+// partials and no pooled buffers in between. Each matrix cell renders the
+// complete study — every figure, table, chart and heatmap — from both
+// paths and requires the bytes to be equal.
 
 // diffConfig builds one matrix cell's campaign configuration.
 func diffConfig(seed uint64, blades int, counterFrac float64, workers int) *campaign.Config {
@@ -50,15 +56,25 @@ func topoWithBlades(n int) *cluster.Topology {
 	return topo
 }
 
-// referenceStudy assembles a Study from cfg's campaign through the
+// reference is a source's Study assembled through the reference path,
+// with the canonical sequences it fed the sink.
+type reference struct {
+	study    *Study
+	faults   []extract.Fault
+	sessions []eventlog.Session
+}
+
+// referenceStudy assembles a Study from src's Events through the
 // reference path described above, so any divergence in the rendered
-// report is attributable to the delivery layer alone.
-func referenceStudy(t *testing.T, cfg *campaign.Config) *Study {
+// report is attributable to Analyze's assembly alone. The study metadata
+// — controller, pathological node, topology — comes from the source, as
+// Analyze takes it.
+func referenceStudy(t *testing.T, src stream.Source) reference {
 	t.Helper()
 	var faults []extract.Fault
 	var sessions []eventlog.Session
 	var stats *stream.Stats
-	for ev, err := range campaign.Events(context.Background(), cfg) {
+	for ev, err := range src.Events(context.Background()) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,26 +92,17 @@ func referenceStudy(t *testing.T, cfg *campaign.Config) *Study {
 	sort.SliceStable(faults, func(i, j int) bool { return extract.Compare(&faults[i], &faults[j]) < 0 })
 	sort.SliceStable(sessions, func(i, j int) bool { return eventlog.CompareSessions(&sessions[i], &sessions[j]) < 0 })
 
-	var controller, pathological cluster.NodeID
-	if cfg.Profile != nil {
-		controller = cfg.Profile.ControllerNode
-		pathological = cfg.Profile.PathologicalNode
-	}
-	sink := newStreamSink(controller, pathological)
+	meta := src.(studySource)
+	sink := newStreamSink(meta.controller(), meta.pathological())
 	for _, f := range faults {
 		sink.fault(f)
 	}
 	for _, s := range sessions {
 		sink.session(s)
 	}
-	study := sink.study(cfg.Topo, stats.RawLogs, stats.RawLogsByNode)
-	study.Config = cfg
-	study.Result = &campaign.Result{
-		Cfg: cfg, Faults: study.Dataset.Faults, Sessions: study.Dataset.Sessions,
-		RawLogs: stats.RawLogs, RawLogsByNode: stats.RawLogsByNode,
-		AllocFails: stats.AllocFails,
-	}
-	return study
+	study := sink.study(stats.RawLogs, stats.RawLogsByNode)
+	study.Dataset.Topo = meta.topology()
+	return reference{study: study, faults: faults, sessions: sessions}
 }
 
 func renderFull(t *testing.T, s *Study) []byte {
@@ -105,26 +112,187 @@ func renderFull(t *testing.T, s *Study) []byte {
 	return buf.Bytes()
 }
 
-// TestDifferentialDeliveryMatrix: workers × blades × pattern, reference vs
-// batched delivery, byte for byte.
+// diffCase is one built-in source of the matrix and the reference its
+// every cell must reproduce. src builds a fresh source per run: a
+// campaign adjusts its own topology while it runs. A datasetOnly case
+// varies the campaign, not the assembly, so it skips the lean modes.
+type diffCase struct {
+	name        string
+	src         func() stream.Source
+	ref         reference
+	want        []byte
+	datasetOnly bool
+}
+
+func newDiffCase(t *testing.T, name string, src func() stream.Source) diffCase {
+	ref := referenceStudy(t, src())
+	return diffCase{name: name, src: src, ref: ref, want: renderFull(t, ref.study)}
+}
+
+// simCase builds the Simulate case of one campaign.
+func simCase(t *testing.T, seed uint64, blades int, frac float64) diffCase {
+	name := fmt.Sprintf("blades=%d/counter=%v", blades, frac)
+	return newDiffCase(t, name, func() stream.Source { return Simulate(diffConfig(seed, blades, frac, 0)) })
+}
+
+// replayCases builds the Logs and Store cases of a simulated campaign:
+// its export, and a store ingested from the export, replay what the
+// campaign delivered.
+func replayCases(t *testing.T, seed uint64, sim diffCase) []diffCase {
+	name := sim.name
+	dir := t.TempDir()
+	logs, storeDir := filepath.Join(dir, "logs"), filepath.Join(dir, "store")
+	if err := logstore.Export(sim.ref.sessions, sim.ref.faults, logs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := faultstore.Ingest(context.Background(), logs, storeDir); err != nil {
+		t.Fatal(err)
+	}
+	controller := campaign.DefaultConfig(seed).Profile.ControllerNode.String()
+	return []diffCase{
+		newDiffCase(t, "logs/"+name, func() stream.Source { return Logs(logs, WithController(controller)) }),
+		newDiffCase(t, "store/"+name, func() stream.Source { return Store(storeDir, WithController(controller)) }),
+	}
+}
+
+// foreignHostCase: a log file carrying a foreign host's ERROR at the same
+// FirstAt as a fault in that host's own file. The two faults form one
+// simultaneity group that two parts hold, so a fold that cut faults at
+// part boundaries would split it.
+func foreignHostCase(t *testing.T) diffCase {
+	sessions, faults, controller := replayFixture()
+	dir := t.TempDir()
+	if err := logstore.Export(sessions, faults, dir); err != nil {
+		t.Fatal(err)
+	}
+	carrier := cluster.NodeID{Blade: 1, SoC: 1}
+	own := faults[len(faults)/2]
+	for i := len(faults) / 2; own.Node == carrier; i++ {
+		own = faults[i]
+	}
+	foreign := eventlog.Record{
+		Kind: eventlog.KindError, At: own.FirstAt, Host: own.Node,
+		VAddr: dram.VirtAddr(4000), Expected: 0xffffffff, Actual: 0xfffffffe,
+		TempC: thermal.NoReading, LastAt: own.FirstAt + 30, Logs: 4,
+	}
+	f, err := os.OpenFile(filepath.Join(dir, logstore.FileName(carrier)), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteString(foreign.String() + "\n"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return newDiffCase(t, "logs/foreign-host", func() stream.Source { return Logs(dir, WithController(controller)) })
+}
+
+// splitGenerationCase: a store built by two additive ingests that both
+// hold a fault of one node at the same FirstAt, read before any compaction.
+// The node's simultaneity group spans two segments, which are two parts.
+func splitGenerationCase(t *testing.T) diffCase {
+	sessions, faults, controller := replayFixture()
+	own := faults[len(faults)/3]
+	second := extract.Classify(extract.RawRun{
+		Node: own.Node, Addr: own.Addr + 4000, FirstAt: own.FirstAt, LastAt: own.FirstAt + 20,
+		Logs: 2, Expected: 0xffffffff, Actual: 0xffff7fff, TempC: thermal.NoReading,
+	})
+	dir := t.TempDir()
+	storeDir := filepath.Join(dir, "store")
+	for i, batch := range [][]extract.Fault{faults, {second}} {
+		logs := filepath.Join(dir, fmt.Sprint("batch", i))
+		var ss []eventlog.Session
+		if i == 0 {
+			ss = sessions
+		}
+		if err := logstore.Export(ss, batch, logs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := faultstore.Ingest(context.Background(), logs, storeDir); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return newDiffCase(t, "store/split-generations", func() stream.Source { return Store(storeDir, WithController(controller)) })
+}
+
+// diffModes are the ways a cell runs Analyze: with the dataset, and
+// without it (WithoutDataset) with and without an observer. suffix ends
+// the cell's name.
+var diffModes = []struct {
+	suffix        string
+	lean, observe bool
+}{
+	{"", false, false},
+	{"/lean+observer", true, true},
+	{"/lean", true, false},
+}
+
+// TestDifferentialDeliveryMatrix: Simulate, Logs and Store sources ×
+// workers × dataset/observer mode, Analyze vs the reference, byte for
+// byte. Four simulated campaigns vary the cluster size and the
+// counter-mode share; the last also runs without its dataset, and the
+// Logs and Store cases replay it. Two small fixtures hold a
+// simultaneity group in two parts. A lean cell's Study carries no
+// dataset, so it renders with the observer's sequences (which must equal
+// the reference's element for element) or the reference's own in the
+// dataset's place: its figures are still Analyze's.
 func TestDifferentialDeliveryMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix of campaigns")
 	}
 	const seed = 1916
-	for _, workers := range []int{1, 4} {
-		for _, blades := range []int{2, 3} {
-			for _, frac := range []float64{0, 0.15} {
-				name := fmt.Sprintf("workers=%d/blades=%d/counter=%v", workers, blades, frac)
-				t.Run(name, func(t *testing.T) {
-					want := renderFull(t, referenceStudy(t, diffConfig(seed, blades, frac, workers)))
-					study, err := Analyze(context.Background(), Simulate(diffConfig(seed, blades, frac, workers)))
+	var cases []diffCase
+	for _, blades := range []int{2, 3} {
+		for _, frac := range []float64{0, 0.15} {
+			c := simCase(t, seed, blades, frac)
+			c.datasetOnly = true
+			cases = append(cases, c)
+		}
+	}
+	sim := &cases[len(cases)-1]
+	sim.datasetOnly = false
+	cases = append(cases, replayCases(t, seed, *sim)...)
+	cases = append(cases, foreignHostCase(t), splitGenerationCase(t))
+	for _, c := range cases {
+		for _, workers := range []int{1, 2, 4} {
+			for _, m := range diffModes {
+				if c.datasetOnly && m.lean {
+					continue
+				}
+				t.Run(fmt.Sprintf("workers=%d/%s%s", workers, c.name, m.suffix), func(t *testing.T) {
+					opts := []Option{WithWorkers(workers)}
+					if m.lean {
+						opts = append(opts, WithoutDataset())
+					}
+					obs := &countingObserver{}
+					if m.observe {
+						opts = append(opts, WithObservers(obs))
+					}
+					study, err := Analyze(context.Background(), c.src(), opts...)
 					if err != nil {
 						t.Fatal(err)
 					}
-					got := renderFull(t, study)
-					if !bytes.Equal(want, got) {
-						t.Fatalf("batched delivery changed the rendered study (%d vs %d bytes)", len(want), len(got))
+					if m.observe {
+						if !obs.finished {
+							t.Fatal("observer Finish never ran")
+						}
+						if !slices.Equal(obs.faults, c.ref.faults) || !slices.Equal(obs.sessions, c.ref.sessions) {
+							t.Fatalf("observer saw %d faults and %d sessions out of the reference's order (%d, %d)",
+								len(obs.faults), len(obs.sessions), len(c.ref.faults), len(c.ref.sessions))
+						}
+					}
+					if m.lean {
+						if study.Dataset.Faults != nil || study.Dataset.Sessions != nil {
+							t.Fatal("WithoutDataset still materialized the dataset")
+						}
+						study.Dataset.Faults, study.Dataset.Sessions = c.ref.faults, c.ref.sessions
+						if m.observe {
+							study.Dataset.Faults, study.Dataset.Sessions = obs.faults, obs.sessions
+						}
+					}
+					if got := renderFull(t, study); !bytes.Equal(c.want, got) {
+						t.Fatalf("Analyze changed the rendered study (%d vs %d bytes)", len(c.want), len(got))
 					}
 					if n := stream.LiveBatches(); n != 0 {
 						t.Fatalf("%d pooled delivery blocks leaked", n)

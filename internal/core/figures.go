@@ -7,9 +7,9 @@ import (
 
 // Exported figure accessors for programmatic consumers: the report, the
 // CSV export, and the fleet monitor's JSON report and metrics endpoint.
-// Each reads Study.Figures, which Analyze fed in its one pass and sealed
-// when the stream ended, so calling one never mutates the Study and
-// concurrent readers of one immutable snapshot need no coordination.
+// Each reads Study.Figures, which Analyze folded and sealed before it
+// returned, so calling one never mutates the Study and concurrent readers
+// of one immutable snapshot need no coordination.
 
 // Headline returns the §III-B headline numbers (raw volume, independent
 // faults, monitored node-hours, MTBF cadences, flip polarity).

@@ -54,18 +54,24 @@ func (s *storeSource) Events(ctx context.Context) iter.Seq2[stream.Event, error]
 		}
 	}
 	return func(yield func(stream.Event, error) bool) {
-		st, err := faultstore.Open(s.dir)
+		p, err := s.parts(ctx)
 		if err != nil {
-			yield(stream.Event{}, fmt.Errorf("unprotected: Store: %w", err))
+			yield(stream.Event{}, err)
 			return
 		}
-		for ev, err := range st.Events(ctx, s.query()) {
-			if !yield(ev, err) {
-				return
-			}
-		}
+		stream.Deliver(ctx, yield, p.Stats, p.Faults, p.Sessions)
 	}
 }
+
+func (s *storeSource) parts(ctx context.Context) (stream.Parts, error) {
+	st, err := faultstore.Open(s.dir)
+	if err != nil {
+		return stream.Parts{}, fmt.Errorf("unprotected: Store: %w", err)
+	}
+	return st.Parts(ctx, s.query())
+}
+
+func (s *storeSource) workers() int { return s.opts.workers }
 
 func (s *storeSource) configure(o *options) (stream.Source, error) {
 	if s.err != nil {

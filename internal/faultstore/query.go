@@ -176,21 +176,18 @@ func readSegmentFile(ctx context.Context, fsys iofault.FS, path string, budget *
 // Events reads the store as the standard stream contract: a stats
 // prologue sized to exactly what the query delivers, every matching
 // fault in extract.Compare order, then every matching session in
-// eventlog.CompareSessions order. Matching segments are decoded on
-// stream.Collect (descriptors metered by the store's budget) and k-way
-// merged through the shared block delivery layer; segments the index
-// rules out are never opened, and once a segment fails a strict query
-// starts no later one. Cancelling ctx winds the pool down and yields a
-// final (zero Event, ctx.Err()) pair, leak-free, exactly like the other
-// sources.
+// eventlog.CompareSessions order. It is Parts followed by stream.Deliver,
+// the shared block delivery layer. Cancelling ctx winds the pool down and
+// yields a final (zero Event, ctx.Err()) pair, leak-free, exactly like
+// the other sources.
 func (s *Store) Events(ctx context.Context, q Query) iter.Seq2[stream.Event, error] {
 	return func(yield func(stream.Event, error) bool) {
-		faultStreams, sessionStreams, stats, err := s.collect(ctx, q)
+		p, err := s.Parts(ctx, q)
 		if err != nil {
 			yield(stream.Event{}, err)
 			return
 		}
-		stream.Deliver(ctx, yield, stats, faultStreams, sessionStreams)
+		stream.Deliver(ctx, yield, p.Stats, p.Faults, p.Sessions)
 	}
 }
 
@@ -200,10 +197,15 @@ type decoded struct {
 	sessions []eventlog.Session
 }
 
-// collect prunes, decodes and filters the matching segments, returning
-// the per-segment sorted streams in manifest order plus the exact stats
-// of what survived the predicates.
-func (s *Store) collect(ctx context.Context, q Query) ([][]extract.Fault, [][]eventlog.Session, *stream.Stats, error) {
+// Parts prunes, decodes and filters the matching segments and returns
+// their sorted streams, one per segment in manifest order, plus the exact
+// stats of what survived the predicates. Matching segments are decoded on
+// stream.Collect (descriptors metered by the store's budget); segments the
+// index rules out are never opened, and once a segment fails a strict
+// query starts no later one. A node's faults may span segments — additive
+// ingests write one generation each — so only a merge of the fault
+// streams puts a simultaneity group together.
+func (s *Store) Parts(ctx context.Context, q Query) (stream.Parts, error) {
 	set := q.nodeSet()
 	var matched []*segMeta
 	for i := range s.man.segs {
@@ -214,7 +216,7 @@ func (s *Store) collect(ctx context.Context, q Query) ([][]extract.Fault, [][]ev
 		}
 	}
 
-	parts, err := stream.Collect(ctx, len(matched), q.Workers, func(i int) (decoded, error) {
+	segs, err := stream.Collect(ctx, len(matched), q.Workers, func(i int) (decoded, error) {
 		e := matched[i]
 		p, err := readSegmentFile(ctx, s.fs, filepath.Join(s.dir, e.name), s.budget, s.retry)
 		s.opened.Add(1)
@@ -236,28 +238,30 @@ func (s *Store) collect(ctx context.Context, q Query) ([][]extract.Fault, [][]ev
 		return decoded{}, fmt.Errorf("%s: %w", e.name, err)
 	})
 	if err != nil {
-		return nil, nil, nil, err
+		return stream.Parts{}, err
 	}
 
-	stats := &stream.Stats{RawLogsByNode: make(map[cluster.NodeID]int64)}
-	faultStreams := make([][]extract.Fault, 0, len(parts))
-	sessionStreams := make([][]eventlog.Session, 0, len(parts))
-	for i := range parts {
-		p := &parts[i]
-		if len(p.faults) > 0 {
-			faultStreams = append(faultStreams, p.faults)
-			stats.Faults += len(p.faults)
-			for j := range p.faults {
-				stats.RawLogs += int64(p.faults[j].Logs)
-				stats.RawLogsByNode[p.faults[j].Node] += int64(p.faults[j].Logs)
+	p := stream.Parts{
+		Stats:    &stream.Stats{RawLogsByNode: make(map[cluster.NodeID]int64)},
+		Faults:   make([][]extract.Fault, 0, len(segs)),
+		Sessions: make([][]eventlog.Session, 0, len(segs)),
+	}
+	for i := range segs {
+		seg := &segs[i]
+		if len(seg.faults) > 0 {
+			p.Faults = append(p.Faults, seg.faults)
+			p.Stats.Faults += len(seg.faults)
+			for j := range seg.faults {
+				p.Stats.RawLogs += int64(seg.faults[j].Logs)
+				p.Stats.RawLogsByNode[seg.faults[j].Node] += int64(seg.faults[j].Logs)
 			}
 		}
-		if len(p.sessions) > 0 {
-			sessionStreams = append(sessionStreams, p.sessions)
-			stats.Sessions += len(p.sessions)
+		if len(seg.sessions) > 0 {
+			p.Sessions = append(p.Sessions, seg.sessions)
+			p.Stats.Sessions += len(seg.sessions)
 		}
 	}
-	return faultStreams, sessionStreams, stats, nil
+	return p, nil
 }
 
 // filterFaults applies the exact per-record predicate in place (the

@@ -462,8 +462,8 @@ func Compact(dir string, opts ...CompactOption) (*CompactStats, error) {
 			}
 			obsolete = append(obsolete, e.name)
 		}
-		faults := collapseRuns(mergeSorted(faultStreams, genFaultKey, compareGenFaults))
-		sessions := mergeSorted(sessionStreams, eventlog.SessionKey, eventlog.CompareSessions)
+		faults := collapseRuns(kway.Merge(faultStreams, genFaultKey, compareGenFaults))
+		sessions := kway.Merge(sessionStreams, eventlog.SessionKey, eventlog.CompareSessions)
 		stats.FaultsAfter += len(faults)
 
 		buckets := make(map[int64]*bucket)
@@ -527,22 +527,6 @@ func compareGenFaults(a, b *genFault) int {
 
 // genFaultKey is compareGenFaults' leading key (extract.Key).
 func genFaultKey(g *genFault) int64 { return extract.Key(&g.Fault) }
-
-// mergeSorted k-way merges per-segment sorted streams into one canonical
-// sequence. The output is the merge's single block, so elements land in
-// place with no copy.
-func mergeSorted[T any](streams [][]T, key func(*T) int64, cmp func(a, b *T) int) []T {
-	total := 0
-	for _, s := range streams {
-		total += len(s)
-	}
-	out := make([]T, total)
-	if total == 0 {
-		return out // MergeBlocks rejects an empty block
-	}
-	kway.MergeBlocks(streams, key, cmp, out, func(v T) T { return v }, func([]T) bool { return true })
-	return out
-}
 
 // collapseRuns re-applies the §II-C run adjacency across batch
 // boundaries only: walking the canonical order, a fault whose (node,

@@ -1,13 +1,13 @@
 // Package kway implements a deterministic k-way merge of individually
-// sorted streams. It is the ordering backbone shared by the campaign
-// engine (merging per-node simulation streams) and the log-replay loader
-// (merging per-node log-file streams), plus fault-store compaction:
-// per-node sequences arrive already sorted from parallel workers, and the
-// merge interleaves them into the canonical global order without ever
-// materializing the merged sequence. MergeBlocks is the one merge loop: a
-// loser tree over the stream heads that fills caller-owned blocks, so the
-// hot path pays no per-element yield and, on distinct head keys, one
-// integer comparison per tree level.
+// sorted streams. It is the ordering backbone of every built-in batch
+// source: per-node (or per-segment) sequences arrive already sorted from
+// parallel workers, and the merge interleaves them into the canonical
+// global order — in blocks for stream delivery and observers, or into
+// one slice for the analysis dataset and fault-store compaction.
+// MergeBlocks is the one merge loop: a loser tree over the stream heads
+// that fills caller-owned blocks, so the hot path pays no per-element
+// yield and, on distinct head keys, one integer comparison per tree
+// level. Merge is its single-block form.
 package kway
 
 import "math"
@@ -127,6 +127,26 @@ leaves:
 	}
 	return true
 }
+
+// Merge merges k individually sorted streams into one new slice, in
+// MergeBlocks' order: the whole output is the merge's single block, so the
+// merged elements are written straight into their final positions. The
+// result has exactly the streams' total length and is never nil; the
+// streams themselves are not modified. key and cmp follow MergeBlocks'
+// rules.
+func Merge[T any](streams [][]T, key func(*T) int64, cmp func(a, b *T) int) []T {
+	total := 0
+	for _, s := range streams {
+		total += len(s)
+	}
+	out := make([]T, total)
+	if total > 0 { // MergeBlocks rejects an empty block
+		MergeBlocks(streams, key, cmp, out, identity[T], func([]T) bool { return true })
+	}
+	return out
+}
+
+func identity[T any](v T) T { return v }
 
 // entry is one stream's place in the loser tree: the stream's index and
 // its head's cached key.

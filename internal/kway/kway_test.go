@@ -23,9 +23,10 @@ func cmpInt(a, b *int) int {
 
 func keyInt(v *int) int64 { return int64(*v) }
 
-// merge drains MergeBlocks into a slice through an identity conversion
-// and a small block, so multi-block draining is exercised everywhere.
-func merge[T any](streams [][]T, key func(*T) int64, cmp func(a, b *T) int) []T {
+// mergeSmallBlocks drains MergeBlocks into a slice through an identity
+// conversion and a small block, so multi-block draining is exercised
+// everywhere.
+func mergeSmallBlocks[T any](streams [][]T, key func(*T) int64, cmp func(a, b *T) int) []T {
 	var out []T
 	MergeBlocks(streams, key, cmp, make([]T, 3), func(v T) T { return v }, func(b []T) bool {
 		out = append(out, b...)
@@ -41,7 +42,7 @@ func TestMergeOrders(t *testing.T) {
 		{},
 		{3, 6, 9, 11, 12},
 	}
-	got := merge(streams, keyInt, cmpInt)
+	got := mergeSmallBlocks(streams, keyInt, cmpInt)
 	want := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("merge order %v, want %v", got, want)
@@ -49,11 +50,11 @@ func TestMergeOrders(t *testing.T) {
 }
 
 func TestMergeEdgeCases(t *testing.T) {
-	got := append(merge(nil, keyInt, cmpInt), merge([][]int{{}, {}}, keyInt, cmpInt)...)
+	got := append(mergeSmallBlocks(nil, keyInt, cmpInt), mergeSmallBlocks([][]int{{}, {}}, keyInt, cmpInt)...)
 	if len(got) != 0 {
 		t.Fatalf("empty streams emitted %v", got)
 	}
-	if got := merge([][]int{{5, 6, 7}}, keyInt, cmpInt); !reflect.DeepEqual(got, []int{5, 6, 7}) {
+	if got := mergeSmallBlocks([][]int{{5, 6, 7}}, keyInt, cmpInt); !reflect.DeepEqual(got, []int{5, 6, 7}) {
 		t.Fatalf("single stream %v", got)
 	}
 }
@@ -76,7 +77,7 @@ func TestMergeStableOnTies(t *testing.T) {
 			return 0
 		}
 	}
-	got := merge(streams, func(v *kv) int64 { return int64(v.key) }, cmp)
+	got := mergeSmallBlocks(streams, func(v *kv) int64 { return int64(v.key) }, cmp)
 	want := []kv{{1, 0}, {1, 1}, {1, 2}, {2, 0}, {2, 1}, {2, 2}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("tie order %v, want %v", got, want)
@@ -98,12 +99,39 @@ func TestMergeRandomizedAgainstSort(t *testing.T) {
 			all = append(all, streams[i]...)
 		}
 		sort.Ints(all)
-		got := merge(streams, keyInt, cmpInt)
+		got := mergeSmallBlocks(streams, keyInt, cmpInt)
 		if len(got) == 0 && len(all) == 0 {
 			continue
 		}
 		if !reflect.DeepEqual(got, all) {
 			t.Fatalf("trial %d: merge %v, want %v (streams %v)", trial, got, all, streams)
+		}
+	}
+}
+
+// TestMergeIntoSlice: Merge is MergeBlocks' single-block form. Zero
+// streams, only empty streams and one stream are its edge cases; on
+// randomized ties it must give the oracle's order, and it must leave its
+// streams untouched.
+func TestMergeIntoSlice(t *testing.T) {
+	for _, streams := range [][][]int{nil, {}, {{}, {}}} {
+		if got := Merge(streams, keyInt, cmpInt); got == nil || len(got) != 0 {
+			t.Fatalf("Merge(%v) = %#v, want an empty non-nil slice", streams, got)
+		}
+	}
+	one := []int{5, 6, 7}
+	got := Merge([][]int{one}, keyInt, cmpInt)
+	if !reflect.DeepEqual(got, one) {
+		t.Fatalf("single stream %v", got)
+	}
+	if got[0] = 0; one[0] != 5 {
+		t.Fatal("single-stream Merge aliases its input")
+	}
+	for _, k := range []int{1, 2, 3, 13, 923} {
+		streams := itemStreams(k)
+		want := mergeSmallBlocks(streams, func(v *item) int64 { return v.t }, cmpItem)
+		if got := Merge(streams, func(v *item) int64 { return v.t }, cmpItem); !reflect.DeepEqual(got, want) {
+			t.Fatalf("k=%d: Merge diverges from MergeBlocks at %d", k, firstDiff(got, want))
 		}
 	}
 }
@@ -121,7 +149,7 @@ func TestMergeBlocksEarlyStop(t *testing.T) {
 	if drained || !reflect.DeepEqual(got, []int{1, 2, 3, 4}) {
 		t.Fatalf("stopped merge: drained=%v got=%v", drained, got)
 	}
-	if all := merge(streams, keyInt, cmpInt); !reflect.DeepEqual(all, []int{1, 2, 3, 4, 5, 6, 7, 8, 9}) {
+	if all := mergeSmallBlocks(streams, keyInt, cmpInt); !reflect.DeepEqual(all, []int{1, 2, 3, 4, 5, 6, 7, 8, 9}) {
 		t.Fatalf("re-merge delivered %v", all)
 	}
 }

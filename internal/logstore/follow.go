@@ -131,15 +131,21 @@ func FollowWithStats(st *FollowStats) FollowOption {
 //     the batch reader: an unterminated line that passes the limit ends
 //     the stream with an error naming the file and the line.
 //   - A file that was truncated, rotated or replaced after the follower
-//     consumed some of it — its size fell below the consumed offset, or
-//     Stat now describes a different file at the path (os.SameFile) — is
-//     re-read from offset zero. The offset is a line boundary, so cutting
-//     only a torn final line is no truncation. A KindReset event for the
-//     file's node precedes the re-read: every record previously
-//     delivered from the old content is invalid, and the consumer must
-//     discard that node's accumulated state before the file's current
-//     content arrives as fresh records. A tailed file that vanishes
-//     after delivering records resets the same way.
+//     consumed some of it is re-read from offset zero. Three signs give
+//     it away: its size fell below the consumed offset; Stat now
+//     describes a different file at the path (os.SameFile); or the bytes
+//     just before the offset no longer hash to what the tail consumed
+//     there — a copy-truncate that regrew the file past the offset
+//     within one round. Each drain of a grown file re-reads those
+//     checkLen bytes in its first read, so the check costs no extra call;
+//     a rewrite that leaves the file exactly at the offset is caught by
+//     the first drain that finds it grown. The offset is a line boundary,
+//     so cutting only a torn final line is no truncation. A KindReset
+//     event for the file's node precedes the re-read: every record
+//     previously delivered from the old content is invalid, and the
+//     consumer must discard that node's accumulated state before the
+//     file's current content arrives as fresh records. A tailed file that
+//     vanishes after delivering records resets the same way.
 //   - No descriptor outlives a drain: a file that grew is opened, read
 //     to the size its Stat reported and closed under one transient
 //     fdlimit.Shared token, so the follower holds at most one
@@ -175,7 +181,8 @@ func Follow(ctx context.Context, dir string, opts ...FollowOption) iter.Seq2[str
 				}
 			}
 		}
-		f := &follower{cfg: cfg, dir: dir, tails: make(map[string]*tail), buf: make([]byte, 64*1024)}
+		f := &follower{cfg: cfg, dir: dir, tails: make(map[string]*tail),
+			buf: make([]byte, 64*1024), win: make([]byte, 0, checkLen)}
 		for {
 			if !f.poll(ctx, yield) {
 				return
@@ -196,10 +203,14 @@ func Follow(ctx context.Context, dir string, opts ...FollowOption) iter.Seq2[str
 	}
 }
 
+// checkLen is how many bytes just before a tail's offset its sum
+// covers: a few log lines.
+const checkLen = 256
+
 // tail is the follower's per-file cursor. It holds no descriptor and no
-// bytes: every drain opens the file afresh and seeks to off, a line
-// boundary, and a torn final line stays on disk until a drain finds it
-// finished.
+// bytes: every drain opens the file afresh and seeks to checkLen bytes
+// before off, a line boundary, and a torn final line stays on disk until
+// a drain finds it finished.
 type tail struct {
 	path string
 	node cluster.NodeID
@@ -210,6 +221,10 @@ type tail struct {
 	info   fs.FileInfo
 	off    int64 // bytes consumed from the file, through its last complete line
 	lineNo int   // complete lines consumed
+	// sum is the FNV-1a hash of the min(checkLen, off) bytes before off,
+	// as the tail consumed them. A drain that re-reads different bytes
+	// there finds the file rewritten underneath the tail.
+	sum uint64
 }
 
 // follower tracks every tailed file.
@@ -221,6 +236,9 @@ type follower struct {
 	// straight out of it. It holds 64 KiB and grows, up to
 	// eventlog.MaxLine, only to fit a longer line.
 	buf []byte
+	// win holds the last checkLen bytes the current drain consumed, from
+	// which it sets its tail's sum.
+	win []byte
 }
 
 // poll runs one round: discover files, detect truncations, read every
@@ -323,11 +341,7 @@ func (f *follower) drain(ctx context.Context, t *tail, yield func(stream.Event, 
 		// offset forever, or read a replacement from the middle. off is a
 		// line boundary, so cutting only a torn final line is no
 		// truncation: the tail resumes where it was.
-		t.off, t.lineNo = 0, 0
-		if f.cfg.stats != nil {
-			f.cfg.stats.Truncations.Add(1)
-		}
-		if !yield(stream.ResetEvent(t.node), nil) {
+		if !f.reset(t, yield) {
 			return false
 		}
 	}
@@ -354,18 +368,23 @@ func (f *follower) drain(ctx context.Context, t *tail, yield func(stream.Event, 
 	if again, err := f.cfg.fsys.Stat(t.path); err != nil || !os.SameFile(info, again) {
 		return true
 	}
-	if _, err := file.Seek(t.off, io.SeekStart); err != nil {
+	// The first read starts back bytes early: they are what the tail
+	// consumed just before off, and must still hash to its sum.
+	back := min(int64(checkLen), t.off)
+	if _, err := file.Seek(t.off-back, io.SeekStart); err != nil {
 		yield(stream.Event{}, fmt.Errorf("logstore: follow %s: %w", t.path, err))
 		return false
 	}
+	f.win = f.win[:0]
 	// Read to the size the stat observed, not to EOF: a writer appending
 	// concurrently could otherwise keep this loop in one file while every
 	// other tail starves. What lands after the stat is next round's work.
-	// n counts the bytes of an unfinished line at the front of f.buf; the
-	// torn final line's bytes are dropped at the end and re-read by the
-	// drain that finds the line finished.
-	n := 0
-	for remain := size - t.off; remain > 0; {
+	// f.buf[:n] holds the bytes read but not yet consumed: first the
+	// check bytes still to verify, then an unfinished line. The torn
+	// final line's bytes are dropped at the end and re-read by the drain
+	// that finds the line finished.
+	n, check := 0, int(back)
+	for remain := size - t.off + back; remain > 0; {
 		if n == len(f.buf) {
 			if n >= eventlog.MaxLine {
 				yield(stream.Event{}, fmt.Errorf("logstore: follow %s: line %d: %w", t.path, t.lineNo+1, bufio.ErrTooLong))
@@ -374,14 +393,35 @@ func (f *follower) drain(ctx context.Context, t *tail, yield func(stream.Event, 
 			f.buf = append(f.buf, make([]byte, min(2*n, eventlog.MaxLine)-n)...)
 		}
 		rn, rerr := file.Read(f.buf[n : n+int(min(int64(len(f.buf)-n), remain))])
-		if rn > 0 {
-			remain -= int64(rn)
-			done, ok := f.deliver(t, f.buf[:n+rn], yield)
+		remain -= int64(rn)
+		n += rn
+		if check > 0 && n >= check {
+			if fnv64a(f.buf[:check]) != t.sum {
+				// Truncated in place and regrown past off since the last
+				// drain: reset, and re-read the file from the start.
+				if !f.reset(t, yield) {
+					return false
+				}
+				if _, err := file.Seek(0, io.SeekStart); err != nil {
+					yield(stream.Event{}, fmt.Errorf("logstore: follow %s: %w", t.path, err))
+					return false
+				}
+				n, check, remain = 0, 0, size
+				continue
+			}
+			f.keep(f.buf[:check])
+			n = copy(f.buf, f.buf[check:n])
+			check = 0
+		}
+		if check == 0 && rn > 0 {
+			done, ok := f.deliver(t, f.buf[:n], yield)
 			t.off += int64(done)
+			f.keep(f.buf[:done])
+			t.sum = fnv64a(f.win)
 			if !ok {
 				return false
 			}
-			n = copy(f.buf, f.buf[done:n+rn])
+			n = copy(f.buf, f.buf[done:n])
 		}
 		if rerr == io.EOF {
 			break
@@ -393,6 +433,38 @@ func (f *follower) drain(ctx context.Context, t *tail, yield func(stream.Event, 
 	}
 	t.info = info
 	return true
+}
+
+// reset restarts t at offset zero and tells the consumer to drop what it
+// folded from the file's old content.
+func (f *follower) reset(t *tail, yield func(stream.Event, error) bool) bool {
+	t.off, t.lineNo, t.sum = 0, 0, 0
+	if f.cfg.stats != nil {
+		f.cfg.stats.Truncations.Add(1)
+	}
+	return yield(stream.ResetEvent(t.node), nil)
+}
+
+// keep appends consumed bytes to f.win, which holds the last checkLen.
+func (f *follower) keep(b []byte) {
+	if len(b) >= checkLen {
+		f.win = append(f.win[:0], b[len(b)-checkLen:]...)
+		return
+	}
+	if drop := len(f.win) + len(b) - checkLen; drop > 0 {
+		f.win = f.win[:copy(f.win, f.win[drop:])]
+	}
+	f.win = append(f.win, b...)
+}
+
+// fnv64a is the 64-bit FNV-1a hash of b.
+func fnv64a(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 1099511628211
+	}
+	return h
 }
 
 // deliver yields every complete line of data as a KindRecord event and

@@ -357,6 +357,117 @@ func TestFollowTruncatedFileReopensFromZero(t *testing.T) {
 	}
 }
 
+// copyTruncate empties path in place and writes text to it, as
+// logrotate's copytruncate and the writer behind it do between two polls:
+// the file stays the same file, and it can regrow past the offset the
+// tail consumed.
+func copyTruncate(t *testing.T, path, text string) {
+	t.Helper()
+	if err := os.Truncate(path, 0); err != nil {
+		t.Fatal(err)
+	}
+	appendLines(t, path, text)
+}
+
+// checkCopyTruncate consumes old, copy-truncates the file to fresh —
+// longer than old, so its size never falls below the consumed offset —
+// and requires the next round to reset the node and deliver every fresh
+// record. Later appends, past the check window, must not reset again.
+func checkCopyTruncate(t *testing.T, a cluster.NodeID, old, fresh []eventlog.Record) {
+	t.Helper()
+	dir := t.TempDir()
+	path := filepath.Join(dir, FileName(a))
+	text := func(recs []eventlog.Record) string {
+		var b strings.Builder
+		for _, r := range recs {
+			b.WriteString(line(r))
+		}
+		return b.String()
+	}
+	appendLines(t, path, text(old))
+	if len(text(fresh)) <= len(text(old)) {
+		t.Fatal("fixture: the rewrite must regrow past the consumed offset")
+	}
+
+	var st FollowStats
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	step, evs, done := startFollow(ctx, dir, FollowWithStats(&st))
+	defer func() { cancel(); <-done }()
+	if recs := drainRound(t, evs); len(recs) != len(old) {
+		t.Fatalf("backlog %+v, want %d records", recs, len(old))
+	}
+
+	copyTruncate(t, path, text(fresh))
+	step <- struct{}{}
+	round := drainRoundEvents(t, evs) // fails on a stream error
+	if len(round) != 1+len(fresh) || round[0].Kind != stream.KindReset || round[0].Record.Host != a {
+		t.Fatalf("copy-truncate round %+v, want a reset and %d records", round, len(fresh))
+	}
+	for i, ev := range round[1:] {
+		if ev.Kind != stream.KindRecord || ev.Record.At != fresh[i].At {
+			t.Fatalf("copy-truncate round event %d: %+v, want record at %d", i+1, ev, fresh[i].At)
+		}
+	}
+	if got := st.Truncations.Load(); got != 1 {
+		t.Fatalf("truncations %d, want 1", got)
+	}
+
+	// Appends after the reset are plain growth, in rounds of one line and
+	// of more than checkLen bytes.
+	var more []eventlog.Record
+	for i := range 6 {
+		more = append(more, errRec(a, timebase.T(9000+10*i), dram.Addr(40+i)))
+	}
+	for _, batch := range [][]eventlog.Record{more[:1], more[1:]} {
+		appendLines(t, path, text(batch))
+		step <- struct{}{}
+		if recs := drainRound(t, evs); len(recs) != len(batch) || recs[0].At != batch[0].At {
+			t.Fatalf("append after the reset: %+v, want %d records from %d", recs, len(batch), batch[0].At)
+		}
+	}
+	if got := st.Truncations.Load(); got != 1 {
+		t.Fatalf("truncations %d after plain appends, want 1", got)
+	}
+}
+
+// TestFollowCopyTruncateSameLength: a consumed file truncated in place
+// and rewritten, within one round, with more lines of the same length.
+// Its size never falls below the offset and it is the same file, so only
+// the bytes before the offset tell: they must be re-checked, and the
+// node reset and re-read, not resumed at the stale offset (which skips
+// the fresh lines that fill it and keeps the stale records).
+func TestFollowCopyTruncateSameLength(t *testing.T) {
+	a := cluster.NodeID{Blade: 4, SoC: 6}
+	old := []eventlog.Record{errRec(a, 10, 1), errRec(a, 20, 2)}
+	fresh := []eventlog.Record{errRec(a, 30, 3), errRec(a, 40, 4), errRec(a, 50, 5)}
+	for _, r := range fresh {
+		if len(line(r)) != len(line(old[0])) {
+			t.Fatal("fixture: the fresh lines must have the old lines' length")
+		}
+	}
+	checkCopyTruncate(t, a, old, fresh)
+}
+
+// TestFollowCopyTruncateMidLine: the same race with longer lines, so the
+// stale offset lands inside a fresh line. Resuming there would parse a
+// line's tail as a malformed record and end the follow.
+func TestFollowCopyTruncateMidLine(t *testing.T) {
+	a := cluster.NodeID{Blade: 4, SoC: 7}
+	old := []eventlog.Record{errRec(a, 10, 1), errRec(a, 20, 2)}
+	var fresh []eventlog.Record
+	for i := range 3 {
+		r := errRec(a, timebase.T(30+10*i), dram.Addr(3+i))
+		r.TempC = 41.5 // a temperature reading lengthens the line
+		fresh = append(fresh, r)
+	}
+	off, width := 2*len(line(old[0])), len(line(fresh[0]))
+	if width == len(line(old[0])) || off%width == 0 {
+		t.Fatal("fixture: the stale offset must land mid-line")
+	}
+	checkCopyTruncate(t, a, old, fresh)
+}
+
 // renameOnOpen renames staged over the path an armed Open is asked for,
 // just before opening it: a replacement that lands between a drain's
 // Stat and its Open.

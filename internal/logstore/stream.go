@@ -47,51 +47,16 @@ func (p Part) Faults() []extract.Fault { return p.faults }
 // Sessions returns the part's sessions, in eventlog.CompareSessions order.
 func (p Part) Sessions() []eventlog.Session { return p.sessions }
 
-// deliver emits a replay's stream from its per-node parts, in file
-// order: it folds the parts' stats into the prologue and k-way merges
-// them through stream.Deliver.
-func deliver(ctx context.Context, yield func(stream.Event, error) bool, parts []Part) {
-	st := &stream.Stats{RawLogsByNode: make(map[cluster.NodeID]int64)}
-	faults := make([][]extract.Fault, 0, len(parts))
-	sessions := make([][]eventlog.Session, 0, len(parts))
-	for _, p := range parts {
-		st.Faults += len(p.faults)
-		st.Sessions += len(p.sessions)
-		st.RawLogs += p.rawLogs
-		// Every ERROR record lands in exactly one run, so Σ Logs over a
-		// part's faults is its raw volume, split by the true host= of
-		// each run rather than by the file name — a file holding a
-		// foreign host's records credits that host, matching faults.
-		for i := range p.faults {
-			st.RawLogsByNode[p.faults[i].Node] += int64(p.faults[i].Logs)
-		}
-		if len(p.faults) > 0 {
-			faults = append(faults, p.faults)
-		}
-		if len(p.sessions) > 0 {
-			sessions = append(sessions, p.sessions)
-		}
-	}
-	stream.Deliver(ctx, yield, st, faults, sessions)
-}
-
-// Events reads every node file under dir on a stream.Collect pool and
-// yields the extracted dataset as an iterator honouring the
-// internal/stream contract, mirroring the campaign engine: each worker
-// collapses one file and Finalizes it (so §II-C extraction parallelizes
-// across files), then the per-node streams are interleaved into
-// a stats prologue, faults in extract.Compare order and sessions in
-// eventlog.CompareSessions order. The merged dataset is never
-// materialized here.
+// Events reads every node file under dir and yields the extracted
+// dataset as an iterator honouring the internal/stream contract,
+// mirroring the campaign engine: it is Parts followed by stream.Deliver,
+// which interleaves the per-node streams into a stats prologue, faults in
+// extract.Compare order and sessions in eventlog.CompareSessions order.
+// The merged dataset is never materialized here.
 //
-// workers bounds the pool (0 or negative means GOMAXPROCS). Output is
-// byte-identical for any worker count: per-file work is independent, both
-// comparators are total orders, and the merge consumes streams in file
-// order, so scheduling can not reorder anything. A corrupt or unreadable
-// file fails the replay with the lowest-indexed failing file's error, and
-// once it fails the pool starts no later file. WithFS routes every file
-// operation through an iofault.FS.
-//
+// Output is byte-identical for any worker count: per-file work is
+// independent, both comparators are total orders, and the merge consumes
+// streams in file order, so scheduling can not reorder anything.
 // Cancelling ctx aborts the replay: unread files are skipped, and the pool
 // exits before the iterator yields its final (zero Event, ctx.Err())
 // pair, so an abandoned replay leaks no goroutines. By the first yield
@@ -100,29 +65,64 @@ func deliver(ctx context.Context, yield func(stream.Event, error) bool, parts []
 // allocation.
 func Events(ctx context.Context, dir string, workers int, opts ...Option) iter.Seq2[stream.Event, error] {
 	return func(yield func(stream.Event, error) bool) {
-		parts, err := load(ctx, dir, workers, opts)
+		p, err := Parts(ctx, dir, workers, opts...)
 		if err != nil {
 			yield(stream.Event{}, err)
 			return
 		}
-		deliver(ctx, yield, parts)
+		stream.Deliver(ctx, yield, p.Stats, p.Faults, p.Sessions)
 	}
 }
 
-// load lists the node files under dir and Finalizes each on the pool, in
-// file order.
-func load(ctx context.Context, dir string, workers int, opts []Option) ([]Part, error) {
+// Parts reads every node file under dir on a stream.Collect pool and
+// returns the per-node sorted streams, in file order, with the stats
+// they fold to: each worker collapses one file and Finalizes it, so §II-C
+// extraction parallelizes across files.
+//
+// workers bounds the pool (0 or negative means GOMAXPROCS). A corrupt or
+// unreadable file fails the replay with the lowest-indexed failing file's
+// error, and once it fails the pool starts no later file. Cancelling ctx
+// skips the unread files and returns ctx.Err() once the pool has exited.
+// WithFS routes every file operation through an iofault.FS.
+func Parts(ctx context.Context, dir string, workers int, opts ...Option) (stream.Parts, error) {
 	o, err := resolve(opts)
 	if err != nil {
-		return nil, fmt.Errorf("logstore: %w", err)
+		return stream.Parts{}, fmt.Errorf("logstore: %w", err)
 	}
 	files, err := listNodeFiles(o.fsys, dir)
 	if err != nil {
-		return nil, err
+		return stream.Parts{}, err
 	}
-	return stream.Collect(ctx, len(files), workers, func(i int) (Part, error) {
+	parts, err := stream.Collect(ctx, len(files), workers, func(i int) (Part, error) {
 		return loadNodeFile(o.fsys, files[i])
 	})
+	if err != nil {
+		return stream.Parts{}, err
+	}
+	p := stream.Parts{
+		Stats:    &stream.Stats{RawLogsByNode: make(map[cluster.NodeID]int64)},
+		Faults:   make([][]extract.Fault, 0, len(parts)),
+		Sessions: make([][]eventlog.Session, 0, len(parts)),
+	}
+	for _, part := range parts {
+		p.Stats.Faults += len(part.faults)
+		p.Stats.Sessions += len(part.sessions)
+		p.Stats.RawLogs += part.rawLogs
+		// Every ERROR record lands in exactly one run, so Σ Logs over a
+		// part's faults is its raw volume, split by the true host= of
+		// each run rather than by the file name — a file holding a
+		// foreign host's records credits that host, matching faults.
+		for i := range part.faults {
+			p.Stats.RawLogsByNode[part.faults[i].Node] += int64(part.faults[i].Logs)
+		}
+		if len(part.faults) > 0 {
+			p.Faults = append(p.Faults, part.faults)
+		}
+		if len(part.sessions) > 0 {
+			p.Sessions = append(p.Sessions, part.sessions)
+		}
+	}
+	return p, nil
 }
 
 // collapserPool recycles per-file collapsers — and with them the

@@ -1,9 +1,18 @@
 // Package stream defines the unified campaign event stream: the single
 // shape every dataset source in this module produces and every consumer
-// reads. A Source — the campaign simulator, the log-replay loader, or any
-// external implementation — yields one merged, canonically ordered
-// sequence of faults and sessions as a Go 1.23 range-over-func iterator;
-// an Observer is a pluggable one-pass accumulator fed from that sequence.
+// reads. A Source — the campaign simulator, the log-replay loader, the
+// fault store, or any external implementation — yields one merged,
+// canonically ordered sequence of faults and sessions as a Go 1.23
+// range-over-func iterator; an Observer is a pluggable one-pass
+// accumulator fed that sequence.
+//
+// The built-in sources produce it in two steps, each with a home here.
+// Collect runs their worker pool, which leaves Parts: the stats plus one
+// sorted fault and session stream per node (or per fault-store segment).
+// Deliver merges Parts into the stream. Their Events is the two steps in
+// a row; core.Analyze takes their Parts instead and merges only what
+// needs canonical order (the dataset slices, the fault fold and the
+// observers), so Deliver serves Events and external Sources.
 //
 // The contract (DESIGN.md §7):
 //
@@ -163,6 +172,20 @@ func putBatch(b *[]Event) {
 // right now; zero whenever no Deliver is in flight. Test instrumentation
 // for the pool-ownership contract (DESIGN.md §9).
 func LiveBatches() int64 { return liveBatches.Load() }
+
+// Parts is a built-in batch source's output before its merge: the stats
+// prologue plus the sorted streams its worker pool produced — one per
+// node for the campaign and the log replay, one per decoded segment for
+// the fault store. Every fault stream is in extract.Compare order, every
+// session stream in eventlog.CompareSessions order, and Stats counts
+// exactly the elements the streams hold. A source's Events Delivers its
+// Parts; core.Analyze assembles a Study from them directly, merging only
+// what needs canonical order.
+type Parts struct {
+	Stats    *Stats
+	Faults   [][]extract.Fault
+	Sessions [][]eventlog.Session
+}
 
 // Deliver emits the standard stream shape — stats prologue, merged
 // faults, merged sessions — from per-source sorted slices, so every
