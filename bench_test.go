@@ -1,8 +1,8 @@
 // Benchmarks regenerating the paper's tables and figures over a shared
 // full-scale campaign. BenchmarkAccumulators times the one pass that
-// computes every streamed figure (the headline, Figs 4–11 and Fig 13);
-// one bench each times the dataset-derived artifacts (Figs 1–3 and 12,
-// Tables I and II) and the full report; the Benchmark*Substrate group
+// computes every streamed figure (the headline, Figs 1–2, 4–11 and 13);
+// one bench each times the node grids (Figs 1–3), the dataset-derived
+// artifacts (Fig 12, Tables I and II) and the full report; the Benchmark*Substrate group
 // measures the hot building blocks (scanner pass, extraction, ECC decode,
 // strike sampling, campaign itself).
 //
@@ -47,7 +47,7 @@ func study(b *testing.B) *unprotected.Study {
 
 // BenchmarkAccumulators folds the seed-42 study's faults and sessions
 // through a fresh figure-accumulator bundle and seals it: the work Analyze
-// does per study for the headline, Figs 4–11 and Fig 13.
+// does per study for the headline, Figs 1–2, 4–11 and 13.
 func BenchmarkAccumulators(b *testing.B) {
 	d := study(b).Dataset
 	b.ReportAllocs()
@@ -73,7 +73,7 @@ func BenchmarkFig01Hours(b *testing.B) {
 	s := study(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if analysis.GridStats(analysis.HoursHeatmap(s.Dataset)).NonZero == 0 {
+		if analysis.GridStats(analysis.HoursHeatmap(s.Figures.Headline, s.Dataset.Topo)).NonZero == 0 {
 			b.Fatal("empty grid")
 		}
 	}
@@ -83,7 +83,7 @@ func BenchmarkFig02TBh(b *testing.B) {
 	s := study(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if analysis.GridStats(analysis.TBhHeatmap(s.Dataset)).NonZero == 0 {
+		if analysis.GridStats(analysis.TBhHeatmap(s.Figures.Headline, s.Dataset.Topo)).NonZero == 0 {
 			b.Fatal("empty grid")
 		}
 	}

@@ -174,6 +174,8 @@ func WithObservers(obs ...Observer) Option { return core.WithObservers(obs...) }
 // WithoutDataset makes Analyze a pure-streaming run: dataset slices stay
 // empty while figures and attached observers are still fed, and a
 // built-in source skips its session merge unless an observer needs it.
+// The streamed figures, Figs 1–2 among them, still render; the report
+// sections that recompute from the faults see an empty dataset.
 func WithoutDataset() Option { return core.WithoutDataset() }
 
 // Simulate returns the Source that executes the campaign described by

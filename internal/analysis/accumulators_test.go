@@ -343,6 +343,33 @@ func TestAccumulatorsMatchReference(t *testing.T) {
 	if h != wantH {
 		t.Errorf("headline:\n got %+v\nwant %+v", h, wantH)
 	}
+
+	// Figs 1–2: each node's hours and TBh from the integer seconds and
+	// byte-seconds of its own sessions, converted once; every other cell
+	// is zero.
+	type nodeSums struct{ secs, byteSecs int64 }
+	byNode := make(map[cluster.NodeID]nodeSums)
+	for _, s := range d.Sessions {
+		if !s.Truncated && s.To > s.From {
+			n := byNode[s.Host]
+			n.secs += int64(s.To - s.From)
+			n.byteSecs += s.AllocBytes * int64(s.To-s.From)
+			byNode[s.Host] = n
+		}
+	}
+	hoursGrid, tbhGrid := HoursHeatmap(a.Headline, nil), TBhHeatmap(a.Headline, nil)
+	for b, row := range hoursGrid.Values {
+		for soc := range row {
+			id := cluster.NodeID{Blade: b + 1, SoC: soc + 1}
+			n := byNode[id]
+			if got, want := hoursGrid.Values[b][soc], float64(n.secs)/3600; got != want {
+				t.Errorf("Fig 1 node %s: %v hours, want %v", id, got, want)
+			}
+			if got, want := tbhGrid.Values[b][soc], float64(n.byteSecs)/(1<<40)/3600; got != want {
+				t.Errorf("Fig 2 node %s: %v TBh, want %v", id, got, want)
+			}
+		}
+	}
 }
 
 // figureBytes renders every figure a sealed bundle serves. fmt prints a
@@ -351,6 +378,7 @@ func TestAccumulatorsMatchReference(t *testing.T) {
 func figureBytes(a *Accumulators, d *Dataset) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "headline %+v\n", a.Headline.Headline(d.RawLogs, d.RawLogsByNode, d.Topo))
+	fmt.Fprintf(&b, "fig 1 %v\nfig 2 %v\n", HoursHeatmap(a.Headline, nil).Values, TBhHeatmap(a.Headline, nil).Values)
 	fmt.Fprintf(&b, "hour of day %v\n", a.HourOfDay.Counts)
 	for c := 1; c <= 6; c++ {
 		fmt.Fprintf(&b, "temperature %d %v\n", c, a.Temperature.Hists[c].Counts)
@@ -374,7 +402,8 @@ func figureBytes(a *Accumulators, d *Dataset) string {
 // shuffled order. Some parts are sealed before they are merged, and the
 // parts fold as a random tree, into one of them or into a fresh bundle.
 // The fixture gains sessions of irregular lengths and sizes, whose hours
-// and TBh summed as floats would depend on the order.
+// and TBh, per node (Figs 1–2) and in total, summed as floats would
+// depend on the order.
 func TestAccumulatorsMergeOrderFree(t *testing.T) {
 	d := accumFixture()
 	r := rand.New(rand.NewPCG(18, 5))

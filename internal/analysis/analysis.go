@@ -2,13 +2,14 @@
 // The figures that stream are one-pass accumulators, bundled in
 // Accumulators and sealed by its Finish; their sums are exact, so bundles
 // over the parts of a stream Merge to the figures of the whole: the
-// §III-B headline,
+// §III-B headline with the per-node hours and TBh of Figs 1–2,
 // simultaneity (Fig 4 and §III-C), the multi-bit aggregates, hour-of-day
 // and temperature distributions (Figs 5–8), the daily series and their
 // correlation (Figs 9–11, §III-G) and the regime split (Fig 13). The rest
-// read a collected Dataset: heat maps of hours/TBh/errors per node
-// (Figs 1–3), the multi-bit table (Table I), top nodes and spatial
+// read a collected Dataset's faults: the heat map of errors per node
+// (Fig 3), the multi-bit table (Table I), top nodes and spatial
 // concentration (Fig 12, §III-H) and the isolated SDC events (§III-D).
+// No figure reads the Dataset's sessions.
 // The package is deliberately independent of the campaign package: the
 // stream and the Dataset can come from the simulator, from parsed log
 // files, or from a test fixture.
@@ -26,6 +27,9 @@ import (
 
 // Dataset is the analysis input: independent faults (§II-C extraction
 // already applied, pathological node excluded) plus session accounting.
+// No figure reads Sessions — the accumulators fold them as they stream —
+// but the batch sources fill it for the exporters (campaign -logdir and
+// -sessions); the live monitor's snapshots leave it empty.
 type Dataset struct {
 	Faults   []extract.Fault
 	Sessions []eventlog.Session
@@ -113,19 +117,31 @@ type Headline struct {
 	Zeros2Ones         int
 }
 
-// HeadlineAccum accumulates the §III-B summary: faults and sessions
-// stream in one at a time; Headline finalizes against the scalar raw-log
-// aggregates and topology. Monitored time is kept in integer seconds and
-// memory-time in integer byte-seconds, so the sums are exact and merge in
-// any order.
+// HeadlineAccum accumulates the §III-B summary and the per-node grids of
+// Figs 1–2: faults and sessions stream in one at a time; Headline
+// finalizes against the scalar raw-log aggregates and topology. Each
+// node's monitored time is kept in integer seconds and its memory-time in
+// integer byte-seconds, and the fleet's totals are their sum, so every
+// figure is exact and merges in any order. The per-node sums are keyed
+// sparsely: a bundle holds an entry only for the nodes it saw monitored.
 type HeadlineAccum struct {
 	faults          int
 	multiBit        int
 	ones2Zeros      int
 	zeros2Ones      int
-	seconds         int64
-	byteSecs        units.ByteSeconds
+	scanned         map[cluster.NodeID]nodeTime
 	nodesWithFaults map[cluster.NodeID]bool
+}
+
+// nodeTime is one node's exact monitored time and memory-time.
+type nodeTime struct {
+	seconds  int64
+	byteSecs units.ByteSeconds
+}
+
+// add returns t plus u.
+func (t nodeTime) add(u nodeTime) nodeTime {
+	return nodeTime{t.seconds + u.seconds, t.byteSecs.Add(u.byteSecs)}
 }
 
 // NewHeadlineAccum returns an empty accumulator.
@@ -145,14 +161,28 @@ func (a *HeadlineAccum) ObserveFault(f extract.Fault) {
 	a.nodesWithFaults[f.Node] = true
 }
 
-// ObserveSession folds one session into the hours/TBh accounting.
+// ObserveSession folds one session into its node's hours/TBh accounting.
 func (a *HeadlineAccum) ObserveSession(s eventlog.Session) {
 	secs := s.Seconds()
 	if secs == 0 {
 		return
 	}
-	a.seconds += secs
-	a.byteSecs = a.byteSecs.Add(units.ByteSecondsOf(s.AllocBytes, secs))
+	a.addTime(s.Host, nodeTime{secs, units.ByteSecondsOf(s.AllocBytes, secs)})
+}
+
+// addTime adds t to node id's monitored time.
+func (a *HeadlineAccum) addTime(id cluster.NodeID, t nodeTime) {
+	if a.scanned == nil {
+		a.scanned = make(map[cluster.NodeID]nodeTime)
+	}
+	a.scanned[id] = a.scanned[id].add(t)
+}
+
+// Node returns node id's monitored hours (Fig 1) and terabyte-hours of
+// memory analyzed (Fig 2), each converted once from its exact sum.
+func (a *HeadlineAccum) Node(id cluster.NodeID) (units.NodeHours, units.TBh) {
+	t := a.scanned[id]
+	return units.NodeHours(float64(t.seconds) / 3600), t.byteSecs.TBh()
 }
 
 // merge folds b's aggregates into a.
@@ -161,8 +191,9 @@ func (a *HeadlineAccum) merge(b *HeadlineAccum) {
 	a.multiBit += b.multiBit
 	a.ones2Zeros += b.ones2Zeros
 	a.zeros2Ones += b.zeros2Ones
-	a.seconds += b.seconds
-	a.byteSecs = a.byteSecs.Add(b.byteSecs)
+	for id, t := range b.scanned {
+		a.addTime(id, t)
+	}
 	if len(b.nodesWithFaults) > 0 && a.nodesWithFaults == nil {
 		a.nodesWithFaults = make(map[cluster.NodeID]bool, len(b.nodesWithFaults))
 	}
@@ -175,14 +206,18 @@ func (a *HeadlineAccum) merge(b *HeadlineAccum) {
 // scalar aggregates (they never stream — they are counted, not collected),
 // topo may be nil.
 func (a *HeadlineAccum) Headline(rawLogs int64, rawLogsByNode map[cluster.NodeID]int64, topo *cluster.Topology) Headline {
+	var total nodeTime
+	for _, t := range a.scanned {
+		total = total.add(t)
+	}
 	h := Headline{
 		RawLogs:           rawLogs,
 		IndependentFaults: a.faults,
 		MultiBitFaults:    a.multiBit,
 		Ones2Zeros:        a.ones2Zeros,
 		Zeros2Ones:        a.zeros2Ones,
-		NodeHours:         units.NodeHours(float64(a.seconds) / 3600),
-		TotalTBh:          a.byteSecs.TBh(),
+		NodeHours:         units.NodeHours(float64(total.seconds) / 3600),
+		TotalTBh:          total.byteSecs.TBh(),
 		NodesWithFaults:   len(a.nodesWithFaults),
 	}
 	var maxRaw int64

@@ -100,7 +100,8 @@ func TestBitClass(t *testing.T) {
 
 func TestHeatmaps(t *testing.T) {
 	d := fixture()
-	hours := HoursHeatmap(d)
+	a := accumulate(d)
+	hours := HoursHeatmap(a.Headline, d.Topo)
 	st := GridStats(hours)
 	if st.NonZero != 2 {
 		t.Fatalf("hours nonzero cells %d", st.NonZero)
@@ -108,7 +109,7 @@ func TestHeatmaps(t *testing.T) {
 	if st.Max != 10 {
 		t.Fatalf("hours max %v, want 10 (nodeB session)", st.Max)
 	}
-	tbh := TBhHeatmap(d)
+	tbh := TBhHeatmap(a.Headline, d.Topo)
 	if GridStats(tbh).NonZero != 2 {
 		t.Fatal("tbh cells")
 	}

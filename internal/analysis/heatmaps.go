@@ -7,12 +7,13 @@ import (
 	"unprotected/internal/render"
 )
 
-// nodeGrid builds a blades×SoCs grid over the monitored blades (the
-// paper's heat maps show 63 blades × 15 SoCs), filling each cell from f.
-func nodeGrid(d *Dataset, title string, log bool, f func(cluster.NodeID) float64) *render.Grid {
+// nodeGrid builds a blades×SoCs grid over topo's monitored blades (the
+// paper's heat maps show 63 blades × 15 SoCs), or every blade when topo
+// is nil, filling each cell from f.
+func nodeGrid(topo *cluster.Topology, title string, log bool, f func(cluster.NodeID) float64) *render.Grid {
 	blades := []int{}
-	if d.Topo != nil {
-		blades = d.Topo.MonitoredBlades()
+	if topo != nil {
+		blades = topo.MonitoredBlades()
 	} else {
 		for b := 1; b <= cluster.TotalBlades; b++ {
 			blades = append(blades, b)
@@ -33,31 +34,31 @@ func nodeGrid(d *Dataset, title string, log bool, f func(cluster.NodeID) float64
 	return g
 }
 
-// HoursHeatmap is Fig 1: hours each node was scanned for memory errors.
-func HoursHeatmap(d *Dataset) *render.Grid {
-	hours := make(map[cluster.NodeID]float64)
-	for _, s := range d.Sessions {
-		hours[s.Host] += s.Duration().Hours()
-	}
-	return nodeGrid(d, "Fig 1: hours of memory-error scanning per node", false,
-		func(id cluster.NodeID) float64 { return hours[id] })
+// HoursHeatmap is Fig 1: hours each node was scanned for memory errors,
+// read from the headline's exact per-node sums over the nodes of topo.
+func HoursHeatmap(h *HeadlineAccum, topo *cluster.Topology) *render.Grid {
+	return nodeGrid(topo, "Fig 1: hours of memory-error scanning per node", false,
+		func(id cluster.NodeID) float64 {
+			hours, _ := h.Node(id)
+			return float64(hours)
+		})
 }
 
-// TBhHeatmap is Fig 2: terabyte-hours of memory analyzed per node.
-func TBhHeatmap(d *Dataset) *render.Grid {
-	tbh := make(map[cluster.NodeID]float64)
-	for _, s := range d.Sessions {
-		tbh[s.Host] += float64(s.TBh())
-	}
-	return nodeGrid(d, "Fig 2: memory analyzed per node (terabyte-hours)", false,
-		func(id cluster.NodeID) float64 { return tbh[id] })
+// TBhHeatmap is Fig 2: terabyte-hours of memory analyzed per node, read
+// from the headline's exact per-node sums over the nodes of topo.
+func TBhHeatmap(h *HeadlineAccum, topo *cluster.Topology) *render.Grid {
+	return nodeGrid(topo, "Fig 2: memory analyzed per node (terabyte-hours)", false,
+		func(id cluster.NodeID) float64 {
+			_, tbh := h.Node(id)
+			return float64(tbh)
+		})
 }
 
 // ErrorsHeatmap is Fig 3: independent memory errors per node, on a log
 // color scale because counts span five orders of magnitude.
 func ErrorsHeatmap(d *Dataset) *render.Grid {
 	byNode := d.ByNode()
-	return nodeGrid(d, "Fig 3: independent memory errors per node (log scale)", true,
+	return nodeGrid(d.Topo, "Fig 3: independent memory errors per node (log scale)", true,
 		func(id cluster.NodeID) float64 { return float64(len(byNode[id])) })
 }
 

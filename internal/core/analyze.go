@@ -116,8 +116,10 @@ func WithObservers(obs ...stream.Observer) Option {
 // slices stay empty (nothing is materialized per event) while the figure
 // accumulators and any WithObservers attachments are still fed. A
 // built-in source then skips the session merge unless an observer needs
-// it. Use it when the consumers are the observers themselves; report
-// sections that recompute from the slices will see an empty dataset.
+// it. Use it when the consumers are the observers themselves. The report
+// sections read from the accumulators, Figs 1–2 among them, still
+// render; those that recompute from the faults (Figs 3 and 12, Tables I
+// and II, §III-D, the ECC ablation) will see an empty dataset.
 func WithoutDataset() Option {
 	return func(o *options) error {
 		o.noDataset = true

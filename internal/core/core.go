@@ -34,8 +34,8 @@ type Study struct {
 	Dataset *analysis.Dataset
 	// Figures holds the figure accumulators Analyze folded and sealed.
 	// They are the only source of the streamed figures (headline,
-	// Figs 4–11, 13): the report, the CSV export and the exported figure
-	// accessors all read them.
+	// Figs 1–2, 4–11, 13): the report, the CSV export and the exported
+	// figure accessors all read them.
 	Figures *analysis.Accumulators
 }
 

@@ -53,8 +53,8 @@ func (s *Study) WriteCSVs(dir string) error {
 		name string
 		grid *render.Grid
 	}{
-		{"fig1_hours.csv", analysis.HoursHeatmap(d)},
-		{"fig2_tbh.csv", analysis.TBhHeatmap(d)},
+		{"fig1_hours.csv", analysis.HoursHeatmap(fig.Headline, d.Topo)},
+		{"fig2_tbh.csv", analysis.TBhHeatmap(fig.Headline, d.Topo)},
 		{"fig3_errors.csv", analysis.ErrorsHeatmap(d)},
 	} {
 		if err := write(item.name, []string{"blade", "soc", "value"}, gridRows(item.grid)); err != nil {

@@ -18,8 +18,8 @@ type ReportOptions struct {
 }
 
 // FullReport renders every figure and table of the paper from the study.
-// The figures that stream (headline, Figs 4–11, 13) are read from
-// Study.Figures; the rest are computed from the dataset.
+// The figures that stream (headline, Figs 1–2, 4–11, 13) are read from
+// Study.Figures; the rest are computed from the dataset's faults.
 func (s *Study) FullReport(w io.Writer, opt ReportOptions) {
 	d, fig := s.Dataset, s.Figures
 
@@ -37,14 +37,14 @@ func (s *Study) FullReport(w io.Writer, opt ReportOptions) {
 	fmt.Fprintf(w, "bit flips 1->0:            %.1f%% (paper: ~90%%)\n\n", 100*h.Ones2ZerosFraction())
 
 	if opt.Heatmaps {
-		analysis.HoursHeatmap(d).Render(w)
+		analysis.HoursHeatmap(fig.Headline, d.Topo).Render(w)
 		fmt.Fprintln(w)
-		analysis.TBhHeatmap(d).Render(w)
+		analysis.TBhHeatmap(fig.Headline, d.Topo).Render(w)
 		fmt.Fprintln(w)
 		analysis.ErrorsHeatmap(d).Render(w)
 		fmt.Fprintln(w)
 	} else {
-		for _, g := range []*render.Grid{analysis.HoursHeatmap(d), analysis.TBhHeatmap(d), analysis.ErrorsHeatmap(d)} {
+		for _, g := range []*render.Grid{analysis.HoursHeatmap(fig.Headline, d.Topo), analysis.TBhHeatmap(fig.Headline, d.Topo), analysis.ErrorsHeatmap(d)} {
 			st := analysis.GridStats(g)
 			fmt.Fprintf(w, "%s: nodes>0=%d max=%.6g mean=%.6g\n", g.Title, st.NonZero, st.Max, st.Mean)
 		}

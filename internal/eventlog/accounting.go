@@ -114,14 +114,17 @@ func (a *Accounting) Observe(r Record) {
 // built or last handed them over, in closing order, and forgets them:
 // afterwards it holds only its open set, and Snapshot and Finish return
 // only what closes from then on. A closed session never changes, so a
-// consumer that keeps what it takes — the live monitor publishes each
-// closed session once and keeps it only in its published dataset — needs
-// no second copy here.
+// consumer that folds what it takes — the live monitor folds each closed
+// session once into its node's figures and keeps no copy — needs none
+// here.
 func (a *Accounting) TakeClosed() []Session {
 	closed := a.Sessions
 	a.Sessions = nil
 	return closed
 }
+
+// Open returns the number of open sessions: started and not yet closed.
+func (a *Accounting) Open() int { return len(a.open) }
 
 // Finish closes still-open sessions as truncated and returns all sessions.
 // It is Snapshot plus clearing the open set, the way Collapser.Close is
@@ -138,12 +141,13 @@ func (a *Accounting) Finish() []Session {
 // Snapshot appends every session Finish would return — closed ones plus
 // the still-open set closed as-if-truncated — to dst, without mutating
 // the accumulator: a later END still closes its session normally. It is
-// the follow-mode serving core's conservative view of a node mid-tail
-// (§II-B: an unfinished session contributes zero monitored time), and
-// Finish is this view made final. The open-set tail is sorted by
-// CompareSessions: the open set is a map, and letting map-iteration order
-// leak into the result would make every replay of the same logs order its
-// truncated sessions differently.
+// the conservative view of a log mid-tail (§II-B: an unfinished session
+// contributes zero monitored time), and Finish is this view made final;
+// the live monitor needs only its count, the closed sessions it took
+// plus Open, since a truncated session adds nothing to a figure. The
+// open-set tail is sorted by CompareSessions: the open set is a map, and
+// letting map-iteration order leak into the result would make every
+// replay of the same logs order its truncated sessions differently.
 func (a *Accounting) Snapshot(dst []Session) []Session {
 	dst = append(dst, a.Sessions...)
 	open := make([]Session, 0, len(a.open))

@@ -315,32 +315,23 @@ func writeManifest(fsys iofault.FS, dir string, m *manifest) error {
 var errSyncAfterCommit = errors.New("faultstore: manifest committed, directory sync failed")
 
 // Export renders the store back to a directory of per-node text log
-// files — the interchange format — via logstore.Export. The store's
-// canonical stream order matches the order the exporter's stable
-// per-node sort preserves, so a store ingested from a canonically
-// exported directory exports byte-identically (proved by the round-trip
-// tests and FuzzSegmentRoundTrip).
+// files — the interchange format — via logstore.Export. It merges the
+// store's sorted parts into the canonical fault and session orders, which
+// match the order the exporter's stable per-node sort preserves, so a
+// store ingested from a canonically exported directory exports
+// byte-identically (proved by the round-trip tests and
+// FuzzSegmentRoundTrip).
 func Export(ctx context.Context, storeDir, logDir string, workers int, opts ...StoreOption) error {
 	s, err := Open(storeDir, opts...)
 	if err != nil {
 		return err
 	}
-	var faults []extract.Fault
-	var sessions []eventlog.Session
-	for ev, err := range s.Events(ctx, Query{Workers: workers}) {
-		if err != nil {
-			return err
-		}
-		switch ev.Kind {
-		case stream.KindStats:
-			faults = make([]extract.Fault, 0, ev.Stats.Faults)
-			sessions = make([]eventlog.Session, 0, ev.Stats.Sessions)
-		case stream.KindFault:
-			faults = append(faults, ev.Fault)
-		case stream.KindSession:
-			sessions = append(sessions, ev.Session)
-		}
+	p, err := s.Parts(ctx, Query{Workers: workers})
+	if err != nil {
+		return err
 	}
+	faults := kway.Merge(p.Faults, extract.Key, extract.Compare)
+	sessions := kway.Merge(p.Sessions, eventlog.SessionKey, eventlog.CompareSessions)
 	if err := ctx.Err(); err != nil {
 		return err
 	}

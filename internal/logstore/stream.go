@@ -28,10 +28,10 @@ type Part struct {
 // classifies runs into sorted faults and sorts sessions in place. The
 // one-shot loader calls it on each file's Collapser.Close and
 // Accounting.Finish; the live monitor calls it, for every node a round
-// changed, on the collapser's non-destructive Snapshot and on the
-// sessions closed since its last publish plus the open one's view, which
-// is what makes each published epoch byte-identical to a replay of the
-// directory as it stands (DESIGN.md §13.3).
+// changed, on the collapser's non-destructive Snapshot and no sessions
+// (it folds those straight from the accounting), which is what makes
+// each published epoch's faults those of a replay of the directory as it
+// stands (DESIGN.md §13.3).
 func Finalize(runs []extract.RawRun, raw int64, sessions []eventlog.Session) Part {
 	p := Part{faults: extract.Faults(runs), sessions: sessions, rawLogs: raw}
 	extract.SortFaults(p.faults)

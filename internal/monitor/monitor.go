@@ -20,18 +20,17 @@
 // faults the way the one-shot loader finalizes a file (logstore.Finalize)
 // into a per-node fault partial of the figure accumulators. A closed
 // session is final, so a publish takes the sessions each changed node
-// closed since the last one from its accounting, folds them once into the
-// node's session partial and keeps them only in the published dataset;
-// the node's open session is published as a truncated view, which adds
-// nothing to a figure, and the next publish replaces it. The partials are
-// exact, so their Merge in any order gives the figures one bundle fed the
-// canonical stream gives. The canonical dataset is spliced: the faults
-// are the previous epoch's, less the changed nodes', merged with their
-// fresh parts; the sessions are the previous epoch's, less the reset
-// nodes' and the replaced views, merged with the new closed sessions and
-// views. At every epoch the snapshot is therefore byte-identical to a
-// one-shot Analyze over the same directory — the equivalence DESIGN.md
-// §13.3 argues and TestMonitorQuiescenceEquivalence pins epoch by epoch.
+// closed since the last one from its accounting and folds them once into
+// the node's session partial, which carries them into Figs 1–2 and the
+// headline; then they are dropped, and the node keeps only its open
+// session, which adds nothing to a figure. The partials are exact, so
+// their Merge in any order gives the figures one bundle fed the canonical
+// stream gives. The published dataset holds the faults, spliced: the
+// previous epoch's, less the changed nodes', merged with their fresh
+// parts; no report section reads sessions, so it holds none. At every
+// epoch the snapshot's report is therefore byte-identical to a one-shot
+// Analyze over the same directory — the equivalence DESIGN.md §13.3
+// argues and TestMonitorQuiescenceEquivalence pins epoch by epoch.
 package monitor
 
 import (
@@ -123,14 +122,11 @@ type Monitor struct {
 	exclude []cluster.NodeID
 	// isDirty marks, by node index, the nodes ingested, reset, added or
 	// removed since the last publish, and dirty says whether any is (or
-	// no round has published yet); wasReset marks the nodes reset since
-	// the last publish, whose published sessions all go. Record hosts are
-	// parsed and range-checked, so every index is below
-	// cluster.TotalNodes.
-	dirty    bool
-	isDirty  [cluster.TotalNodes]bool
-	wasReset [cluster.TotalNodes]bool
-	epoch    int64
+	// no round has published yet). Record hosts are parsed and
+	// range-checked, so every index is below cluster.TotalNodes.
+	dirty   bool
+	isDirty [cluster.TotalNodes]bool
+	epoch   int64
 }
 
 // nodeState is one node's incremental §II-C pipeline: records fold in as
@@ -147,18 +143,13 @@ type nodeState struct {
 	// finds the node dirty; sess is its session partial, which folds each
 	// closed session once, at the publish that takes it. Both unsealed.
 	part, sess *analysis.Accumulators
-	// view is the node's open session as the last publish saw it, closed
-	// as if truncated, if hasView: the one published session that a later
-	// publish replaces.
-	view    eventlog.Session
-	hasView bool
 	// rawLogs counts the node's ERROR records; logs sums its faults'
 	// collapsed record counts, its entry in Dataset.RawLogsByNode.
 	rawLogs, logs int64
 	faults        int
-	// sessions counts the node's published sessions and open the
-	// truncated ones, the view included.
-	sessions, open int
+	// closed counts the sessions taken from the accounting, and truncated
+	// those of them closed as truncated (START after START).
+	closed, truncated int
 }
 
 // New builds a Monitor over dir. Nothing is read until Run.
@@ -254,7 +245,6 @@ func (m *Monitor) reset(host cluster.NodeID) {
 		return compareNodes(m.order[i], host) >= 0
 	})
 	m.order = append(m.order[:i], m.order[i+1:]...)
-	m.wasReset[host.Index()] = true
 	m.markDirty(host)
 }
 
@@ -283,7 +273,8 @@ func compareNodes(a, b cluster.NodeID) int {
 func (m *Monitor) publish() {
 	study := m.rebuild()
 	m.epoch++
-	m.snap.Store(newSnapshot(m.epoch, study, m.verdicts(study.Dataset.RawLogs), &m.stats))
+	ds := study.Dataset
+	m.snap.Store(newSnapshot(m.epoch, study, m.verdicts(ds.RawLogs, len(ds.Faults)), &m.stats))
 }
 
 // rebuild is the one path from the per-node state to a Study, the
@@ -291,34 +282,20 @@ func (m *Monitor) publish() {
 // dataset empty). Each dirty node re-finalizes its faults through the
 // one-shot loader's own per-node tail — the collapser's non-destructive
 // snapshot goes through logstore.Finalize, so ingest resumes untouched —
-// and hands over the sessions it closed since the last publish, which
-// refresh folds once. The Study's figures are the Merge of every node's
-// two partials. Its faults are the previous epoch's with the dirty nodes'
-// parts spliced in; its sessions are the previous epoch's less the reset
-// nodes' and the replaced views, merged with the new closed sessions and
-// views.
+// and folds the sessions it closed since the last publish. The Study's
+// figures are the Merge of every node's two partials; its faults are the
+// previous epoch's with the dirty nodes' parts spliced in.
 func (m *Monitor) rebuild() *core.Study {
-	prev := &analysis.Dataset{}
+	var prev []extract.Fault
 	if s := m.snap.Load(); s != nil {
-		prev = s.Study.Dataset
+		prev = s.Study.Dataset.Faults
 	}
-	var freshFaults [cluster.TotalNodes][]extract.Fault
-	var newSessions [cluster.TotalNodes][]eventlog.Session
-	var staleViews []eventlog.Session
+	var fresh [cluster.TotalNodes][]extract.Fault
 	for _, id := range m.order {
-		i := id.Index()
-		if !m.isDirty[i] {
-			continue
+		if i := id.Index(); m.isDirty[i] {
+			fresh[i] = m.nodes[id].refresh(m.exclude)
 		}
-		ns := m.nodes[id]
-		if ns.hasView {
-			staleViews = append(staleViews, ns.view)
-		}
-		freshFaults[i], newSessions[i] = ns.refresh(m.exclude)
 	}
-	sort.Slice(staleViews, func(i, j int) bool {
-		return eventlog.CompareSessions(&staleViews[i], &staleViews[j]) < 0
-	})
 
 	figs := analysis.NewAccumulators(m.exclude...)
 	ds := &analysis.Dataset{
@@ -326,7 +303,7 @@ func (m *Monitor) rebuild() *core.Study {
 		Topo:           cluster.PaperTopology(),
 		ControllerNode: m.controllerID,
 	}
-	var faults, sessions int
+	var faults int
 	for _, id := range m.order {
 		ns := m.nodes[id]
 		figs.Merge(ns.part)
@@ -336,49 +313,36 @@ func (m *Monitor) rebuild() *core.Study {
 			ds.RawLogsByNode[id] = ns.logs
 		}
 		faults += ns.faults
-		sessions += ns.sessions
 	}
 	_ = figs.Finish() // never fails
 
-	ds.Faults = splice(prev.Faults, &m.isDirty, &freshFaults, faults, faultNode, extract.Key, extract.Compare)
-	ds.Sessions = spliceSessions(prev.Sessions, &m.wasReset, staleViews, &newSessions, sessions)
-	m.isDirty, m.wasReset, m.dirty = [cluster.TotalNodes]bool{}, [cluster.TotalNodes]bool{}, false
+	ds.Faults = splice(prev, &m.isDirty, &fresh, faults, faultNode, extract.Key, extract.Compare)
+	m.isDirty, m.dirty = [cluster.TotalNodes]bool{}, false
 	return &core.Study{Dataset: ds, Figures: figs}
 }
 
 // refresh brings a dirty node up to date for a publish and returns its
-// faults and its new sessions, each in canonical order. The fault partial
-// and counts are rebuilt from the collapser's snapshot. The sessions the
-// accounting closed since the last publish are taken from it and folded
-// into the session partial once; with the open session's new view they
-// are the node's new sessions. The view replaces the previous one, and
-// since it is truncated it adds nothing to a figure.
-func (ns *nodeState) refresh(exclude []cluster.NodeID) ([]extract.Fault, []eventlog.Session) {
+// faults in canonical order. The sessions the accounting closed since the
+// last publish are taken from it, counted and folded into the session
+// partial once. The fault partial and counts are rebuilt from the
+// collapser's snapshot.
+func (ns *nodeState) refresh(exclude []cluster.NodeID) []extract.Fault {
 	closed := ns.acct.TakeClosed()
-	// Snapshot appends the open set, closed as if truncated: one session
-	// at most, since the node's records all share its host.
-	fresh := ns.acct.Snapshot(closed)
-	if ns.hasView {
-		ns.sessions, ns.open = ns.sessions-1, ns.open-1 // the view is replaced
-	}
-	if ns.hasView = len(fresh) > len(closed); ns.hasView {
-		ns.view = fresh[len(closed)]
-	}
-	ns.sessions += len(fresh)
-	for _, s := range fresh {
-		ns.sess.ObserveSession(s) // a view is truncated: it adds nothing
+	ns.closed += len(closed)
+	for _, s := range closed {
+		ns.sess.ObserveSession(s)
 		if s.Truncated {
-			ns.open++
+			ns.truncated++
 		}
 	}
 
 	runs, raw := ns.col.Snapshot()
-	part := logstore.Finalize(runs, raw, fresh)
+	part := logstore.Finalize(runs, raw, nil)
 	ns.part = analysis.NewAccumulators(exclude...)
 	ns.rawLogs, ns.logs, ns.faults = raw, 0, len(part.Faults())
 	for _, f := range part.Faults() {
 		ns.part.ObserveFault(f)
 		ns.logs += int64(f.Logs)
 	}
-	return part.Faults(), part.Sessions()
+	return part.Faults()
 }

@@ -3,6 +3,7 @@ package monitor
 import (
 	"bytes"
 	"context"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -10,7 +11,6 @@ import (
 	"sort"
 	"testing"
 	"time"
-	"unsafe"
 
 	"unprotected/internal/analysis"
 	"unprotected/internal/campaign"
@@ -18,8 +18,8 @@ import (
 	"unprotected/internal/core"
 	"unprotected/internal/dram"
 	"unprotected/internal/eventlog"
-	"unprotected/internal/extract"
 	"unprotected/internal/logstore"
+	"unprotected/internal/render"
 	"unprotected/internal/thermal"
 	"unprotected/internal/timebase"
 )
@@ -126,7 +126,7 @@ func oracleVerdicts(d *analysis.Dataset) []NodeVerdict {
 		v.Hours = float64(n.secs) / 3600
 		v.TBh = float64(n.byteSecs) / (1 << 40) / 3600
 		switch {
-		case d.RawLogs > 0 && v.RawLogs*2 > d.RawLogs:
+		case d.RawLogs > 0 && v.RawLogs*2 > d.RawLogs && v.Faults*2 < len(d.Faults):
 			v.Class = ClassPathological
 		case v.MultiBit > 0:
 			v.Class = ClassMultiBit
@@ -142,7 +142,8 @@ func oracleVerdicts(d *analysis.Dataset) []NodeVerdict {
 
 // checkEpoch holds one published snapshot against what is on disk: its
 // full report must equal a one-shot Analyze(Logs(dir)) byte for byte, and
-// its verdicts must equal the dataset-walk oracle's.
+// its verdicts must equal the oracle's walk of the one-shot dataset (the
+// snapshot holds no sessions).
 func checkEpoch(t *testing.T, snap *Snapshot, dir string, opts ...core.Option) {
 	t.Helper()
 	oneShot, err := core.Analyze(context.Background(), core.Logs(dir), opts...)
@@ -152,7 +153,7 @@ func checkEpoch(t *testing.T, snap *Snapshot, dir string, opts ...core.Option) {
 	if want, got := reportBytes(oneShot), reportBytes(snap.Study); !bytes.Equal(want, got) {
 		t.Fatalf("epoch %d diverges from a one-shot replay:\n--- one-shot ---\n%s\n--- monitor ---\n%s", snap.Epoch, want, got)
 	}
-	if want := oracleVerdicts(snap.Study.Dataset); !reflect.DeepEqual(snap.Report.Nodes, want) {
+	if want := oracleVerdicts(oneShot.Dataset); !reflect.DeepEqual(snap.Report.Nodes, want) {
 		t.Fatalf("epoch %d verdicts:\n got %+v\nwant %+v", snap.Epoch, snap.Report.Nodes, want)
 	}
 }
@@ -174,11 +175,11 @@ func splitLines(raw []byte, frac float64) (head, tail []byte) {
 // at every epoch, the snapshot the incremental rebuild publishes is
 // byte-identical — every figure, every table — to a one-shot Analyze
 // replay of the directory as it stands, and its verdicts match a walk of
-// the dataset. The corpus is a subsampled simulated campaign (full fault
-// set, every 6th session) staged into the live directory in five epochs:
-// a backlog, partial per-file appends cut mid-file, late-arriving node
-// files, a faulty node's file rotated in place to a shorter one, and
-// another faulty node's file removed.
+// the replay's dataset. The corpus is a subsampled simulated campaign
+// (full fault set, every 6th session) staged into the live directory in
+// five epochs: a backlog, partial per-file appends cut mid-file,
+// late-arriving node files, a faulty node's file rotated in place to a
+// shorter one, and another faulty node's file removed.
 func TestMonitorQuiescenceEquivalence(t *testing.T) {
 	ds, err := core.Analyze(context.Background(), core.Simulate(campaign.DefaultConfig(7)))
 	if err != nil {
@@ -401,6 +402,36 @@ func TestMonitorVerdictClasses(t *testing.T) {
 	}
 }
 
+// TestMonitorVerdictMajorityFaulter: a node holding the majority of the
+// fleet's raw volume is pathological only while its faults are a
+// minority; one that also holds most of the fleet's faults is a faulty
+// node, however loud. The seed-42 export's excluded controller, 02-04,
+// is one: it holds 53,292 of the fleet's 58,307 faults and most of its
+// raw volume.
+func TestMonitorVerdictMajorityFaulter(t *testing.T) {
+	dir := t.TempDir()
+	loud := cluster.NodeID{Blade: 5, SoC: 2}
+	quiet := cluster.NodeID{Blade: 6, SoC: 1}
+	appendRecord(t, dir, startRec(loud, 0))
+	for i := range 3 {
+		rec := errorRec(loud, timebase.T(100+i), dram.Addr(20+i), 0xFFFFFFFE)
+		rec.LastAt, rec.Logs = 3000, 1000
+		appendRecord(t, dir, rec)
+	}
+	appendRecord(t, dir, endRec(loud, 3600))
+	appendRecord(t, dir, startRec(quiet, 0))
+	appendRecord(t, dir, errorRec(quiet, 200, 9, 0xFFFFFFFE))
+	appendRecord(t, dir, endRec(quiet, 3600))
+
+	m, _, cancel, _ := stepMonitor(t, dir)
+	snap := waitEpoch(t, m, 1)
+	cancel()
+	checkEpoch(t, snap, dir)
+	if v := snap.byNode[loud.String()]; v == nil || v.Faults != 3 || v.RawLogs != 3000 || v.Class != ClassFaulty {
+		t.Fatalf("majority faulter verdict %+v, want class %q with 3 faults and 3000 raw logs", v, ClassFaulty)
+	}
+}
+
 // TestMonitorIdleRoundsPublishNothing: rounds that ingest nothing must
 // not churn epochs — readers of a quiet fleet keep the same snapshot.
 // TestMonitorTruncationResetsNodeState: when a node's file is truncated
@@ -505,12 +536,12 @@ func TestMonitorRunSurfacesCorruptLine(t *testing.T) {
 	}
 }
 
-// TestMonitorHoldsHistoryOnce: the monitor keeps each byte of history
-// once. After the catch-up on the seed-42 fleet and after one appended
-// hour, no node's accounting holds a closed session — the published
-// dataset is their only copy — and the heap the monitor retains, over
-// what was live before it started, is at most twice the published
-// dataset's own bytes: the rest is per-node partials and collapsers.
+// TestMonitorHoldsHistoryOnce: the monitor keeps no session it has
+// folded. After the catch-up on the seed-42 fleet and after one appended
+// hour, no node's accounting holds a closed session, and the heap the
+// monitor retains, over what was live before it started, is at most
+// 20 MB: the published faults (about 4.7 MB), the per-node partials and
+// the collapsers. The seed-42 fleet's 584,214 sessions alone are 28 MB.
 func TestMonitorHoldsHistoryOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stages the seed-42 fleet")
@@ -541,13 +572,108 @@ func TestMonitorHoldsHistoryOnce(t *testing.T) {
 	checkTaken("appended hour")
 
 	retained := liveHeap() - before
-	ds := m.Snapshot().Study.Dataset
-	data := int64(len(ds.Faults))*int64(unsafe.Sizeof(extract.Fault{})) +
-		int64(len(ds.Sessions))*int64(unsafe.Sizeof(eventlog.Session{}))
-	t.Logf("retained %.1f MB for a %.1f MB dataset (%d faults, %d sessions)",
-		float64(retained)/1e6, float64(data)/1e6, len(ds.Faults), len(ds.Sessions))
-	if retained > 2*data {
-		t.Fatalf("monitor retains %.1f MB, over twice its %.1f MB dataset", float64(retained)/1e6, float64(data)/1e6)
+	snap := m.Snapshot()
+	t.Logf("retained %.1f MB (%d faults, no sessions)", float64(retained)/1e6, len(snap.Study.Dataset.Faults))
+	if n := len(snap.Study.Dataset.Sessions); n > 0 {
+		t.Fatalf("the snapshot publishes %d sessions", n)
+	}
+	if retained > 20e6 {
+		t.Fatalf("monitor retains %.1f MB, over 20 MB", float64(retained)/1e6)
 	}
 	runtime.KeepAlive(m)
+}
+
+// TestMonitorPublishSessionsMatchOracle: a publish folds the sessions
+// each changed node closed and keeps none, and what it serves equals an
+// oracle that never drains: one Accounting per node, fed every record
+// since the node's last reset. Each trial drives the monitor's own
+// ingest, reset and publish over a small node pool through rounds that
+// close sessions, open new ones, restart an open one (START after START,
+// at times at the same second), drop stray ENDs, add faults, reset nodes
+// and re-read them from earlier times, add nodes and remove them. After
+// every publish the verdicts must equal the oracle's walk of its
+// sessions and the snapshot's faults, each node's Figs 1–2 cells its
+// exact sums, and no node's accounting may keep a closed session.
+func TestMonitorPublishSessionsMatchOracle(t *testing.T) {
+	r := rand.New(rand.NewPCG(20, 1))
+	dir := t.TempDir() // never read: the test feeds the monitor itself
+	for trial := 0; trial < 300; trial++ {
+		m, err := New(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pool := make([]cluster.NodeID, 1+r.IntN(6))
+		for k := range pool {
+			pool[k] = cluster.NodeIDFromIndex(r.IntN(cluster.TotalNodes))
+		}
+		oracle := make(map[cluster.NodeID]*eventlog.Accounting)
+		clock := make(map[cluster.NodeID]timebase.T)
+		for round := 0; round < 8; round++ {
+			for range r.IntN(12) {
+				id, kind := pool[r.IntN(len(pool))], r.IntN(8)
+				if kind == 0 { // reset: the file is rewritten from an earlier time, or is gone
+					m.reset(id)
+					delete(oracle, id)
+					clock[id] = timebase.T(r.IntN(20))
+					continue
+				}
+				clock[id] += timebase.T(r.IntN(3))
+				rec := startRec(id, clock[id])
+				switch kind {
+				case 1, 2, 3:
+					rec = endRec(id, clock[id])
+				case 4:
+					rec = errorRec(id, clock[id], dram.Addr(r.IntN(3)), 0xFFFFFFFF^(1<<r.IntN(32)|1<<r.IntN(32)))
+				default:
+					rec.AllocBytes = int64(1 + r.IntN(2))
+				}
+				if oracle[id] == nil {
+					oracle[id] = eventlog.NewAccounting()
+				}
+				oracle[id].Observe(rec)
+				m.ingest(rec)
+			}
+			if !m.dirty {
+				continue
+			}
+			m.publish()
+			snap := m.Snapshot()
+			ds := snap.Study.Dataset
+			var sessions []eventlog.Session
+			for _, acct := range oracle {
+				sessions = acct.Snapshot(sessions)
+			}
+			want := oracleVerdicts(&analysis.Dataset{
+				Faults: ds.Faults, Sessions: sessions,
+				RawLogs: ds.RawLogs, RawLogsByNode: ds.RawLogsByNode,
+			})
+			if !reflect.DeepEqual(snap.Report.Nodes, want) {
+				t.Fatalf("trial %d round %d: verdicts\n got %+v\nwant %+v", trial, round, snap.Report.Nodes, want)
+			}
+			cells := make(map[cluster.NodeID][2]float64)
+			for _, v := range want {
+				id, err := cluster.ParseNodeID(v.Node)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cells[id] = [2]float64{v.Hours, v.TBh}
+			}
+			for fig, g := range []*render.Grid{analysis.HoursHeatmap(snap.Study.Figures.Headline, nil),
+				analysis.TBhHeatmap(snap.Study.Figures.Headline, nil)} {
+				for b, row := range g.Values {
+					for s, got := range row {
+						id := cluster.NodeID{Blade: b + 1, SoC: s + 1}
+						if want := cells[id][fig]; got != want {
+							t.Fatalf("trial %d round %d: %s cell %s = %v, want %v", trial, round, g.Title, id, got, want)
+						}
+					}
+				}
+			}
+			for id, ns := range m.nodes {
+				if len(ns.acct.Sessions) > 0 {
+					t.Fatalf("trial %d round %d: node %s keeps %d closed sessions", trial, round, id, len(ns.acct.Sessions))
+				}
+			}
+		}
+	}
 }

@@ -126,7 +126,8 @@ type NodeVerdict struct {
 
 // Verdict classes, from best to worst. A node is pathological when it
 // contributes the majority of the fleet's raw error volume while its
-// errors collapse to few independent faults — the paper's 38-03 profile.
+// errors collapse to a minority of the fleet's independent faults — the
+// paper's 38-03 profile.
 const (
 	ClassClean        = "clean"
 	ClassFaulty       = "faulty"
@@ -239,32 +240,36 @@ func rate(num, den float64) float64 {
 }
 
 // verdicts classifies every node with a fault or a session, in node
-// order, from the nodes' partials and counts; rawLogs is the fleet's raw
-// ERROR volume.
-func (m *Monitor) verdicts(rawLogs int64) []NodeVerdict {
+// order, from the nodes' partials and counts; rawLogs and faults are the
+// fleet's raw ERROR volume and independent faults. A node's sessions are
+// the ones taken from its accounting plus its open one, which counts as
+// truncated, as a replay of its file would close it.
+func (m *Monitor) verdicts(rawLogs int64, faults int) []NodeVerdict {
 	out := make([]NodeVerdict, 0, len(m.order))
 	for _, id := range m.order {
 		ns := m.nodes[id]
-		if ns.faults == 0 && ns.sessions == 0 {
+		open := ns.acct.Open()
+		if ns.faults == 0 && ns.closed+open == 0 {
 			continue
 		}
-		h := ns.sess.Headline.Headline(0, nil, nil)
+		hours, tbh := ns.sess.Headline.Node(id)
 		v := NodeVerdict{
 			Node:     id.String(),
 			Faults:   ns.faults,
 			MultiBit: ns.part.Headline.Headline(0, nil, nil).MultiBitFaults,
 			RawLogs:  ns.logs,
-			Sessions: ns.sessions,
-			Open:     ns.open,
-			Hours:    sanitize(float64(h.NodeHours)),
-			TBh:      sanitize(float64(h.TotalTBh)),
+			Sessions: ns.closed + open,
+			Open:     ns.truncated + open,
+			Hours:    sanitize(float64(hours)),
+			TBh:      sanitize(float64(tbh)),
 			Excluded: id == m.controllerID,
 		}
 		switch {
 		// The paper's pathological profile: the fleet's dominant raw-log
 		// source (>50% of all raw volume) whose flood collapses to few
-		// independent faults — exactly how 38-03 presented (§III-A).
-		case rawLogs > 0 && v.RawLogs*2 > rawLogs:
+		// independent faults (<50% of the fleet's) — exactly how 38-03
+		// presented (§III-A).
+		case rawLogs > 0 && v.RawLogs*2 > rawLogs && v.Faults*2 < faults:
 			v.Class = ClassPathological
 		case v.MultiBit > 0:
 			v.Class = ClassMultiBit

@@ -5,13 +5,11 @@ import (
 	"sort"
 
 	"unprotected/internal/cluster"
-	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
 	"unprotected/internal/kway"
 )
 
-func faultNode(f *extract.Fault) int      { return f.Node.Index() }
-func sessionNode(s *eventlog.Session) int { return s.Host.Index() }
+func faultNode(f *extract.Fault) int { return f.Node.Index() }
 
 // splice returns one dataset slice of the new epoch, in cmp order: prev,
 // the previous epoch's, with every dirty node's elements replaced by its
@@ -63,71 +61,10 @@ func splice[S any](prev []S, dirty *[cluster.TotalNodes]bool, fresh *[cluster.To
 		}
 	}
 	p := sort.Search(len(prev), func(j int) bool { return key(&prev[j]) >= cut })
-	return mergeFrom(prev, p, func(s *S) bool { return dirty[node(s)] }, tails, n, key, cmp)
-}
-
-// spliceSessions returns the new epoch's sessions in CompareSessions
-// order, as a delta of the previous epoch's: prev, less every session of
-// a node in reset and one copy of each session in drop, merged with the
-// sessions of add. drop is sorted and holds only sessions of prev, none
-// of a reset node; add[i] is node i's new sessions, sorted; n is the
-// output length.
-//
-// A closed session never changes, so prev already holds every closed
-// session of a node that was not reset, and what a round changes is the
-// few sessions it closed, the open sessions' views and the reset nodes.
-// Every session of drop and add keys at or after cut, the least key of
-// either, so prev's sessions below cut are the output's — unless one
-// belongs to a reset node — and are copied as one block; the rest of prev
-// is merged with add. Ties across the two sides are equal sessions, so
-// their order changes no byte, and the output is the sort of every
-// node's sessions.
-func spliceSessions(prev []eventlog.Session, reset *[cluster.TotalNodes]bool, drop []eventlog.Session,
-	add *[cluster.TotalNodes][]eventlog.Session, n int) []eventlog.Session {
-	cut := int64(math.MaxInt64)
-	if len(drop) > 0 {
-		cut = eventlog.SessionKey(&drop[0])
-	}
-	var parts [][]eventlog.Session
-	for _, a := range add {
-		if len(a) > 0 {
-			parts = append(parts, a)
-			cut = min(cut, eventlog.SessionKey(&a[0]))
-		}
-	}
-	p := sort.Search(len(prev), func(j int) bool { return eventlog.SessionKey(&prev[j]) >= cut })
-	if *reset != ([cluster.TotalNodes]bool{}) {
-		for j := range prev[:p] {
-			if reset[sessionNode(&prev[j])] {
-				p = j
-				break
-			}
-		}
-	}
-	d := 0
-	return mergeFrom(prev, p, func(s *eventlog.Session) bool {
-		if reset[sessionNode(s)] {
-			return true
-		}
-		if d < len(drop) && eventlog.CompareSessions(s, &drop[d]) == 0 {
-			d++
-			return true
-		}
-		return false
-	}, parts, n, eventlog.SessionKey, eventlog.CompareSessions)
-}
-
-// mergeFrom returns prev[:p], then the merge of prev[p:], less the
-// elements drop reports, with the kway.MergeBlocks merge of parts; n is
-// the output's capacity. Every element of parts must order after prev[:p].
-// drop sees each element of prev[p:] once, in order, so it may keep
-// state.
-func mergeFrom[S any](prev []S, p int, drop func(*S) bool, parts [][]S, n int,
-	key func(*S) int64, cmp func(a, b *S) int) []S {
 	out := append(make([]S, 0, n), prev[:p]...)
 	rest, r := prev[p:], 0
-	// keep appends rest's kept elements ordered before s, all of them for
-	// a nil s.
+	// keep appends rest's clean elements ordered before s, all of them
+	// for a nil s.
 	keep := func(s *S) {
 		for j := r; ; j++ {
 			if j == len(rest) || (s != nil && cmp(&rest[j], s) >= 0) {
@@ -135,13 +72,13 @@ func mergeFrom[S any](prev []S, p int, drop func(*S) bool, parts [][]S, n int,
 				r = j
 				return
 			}
-			if drop(&rest[j]) {
+			if dirty[node(&rest[j])] {
 				out = append(out, rest[r:j]...)
 				r = j + 1
 			}
 		}
 	}
-	kway.MergeBlocks(parts, key, cmp, make([]S, 512), func(s S) S { return s }, func(block []S) bool {
+	kway.MergeBlocks(tails, key, cmp, make([]S, 512), func(s S) S { return s }, func(block []S) bool {
 		for k := range block {
 			keep(&block[k])
 			out = append(out, block[k])
