@@ -219,12 +219,14 @@ func BenchmarkSubstrateCampaign(b *testing.B) {
 }
 
 // BenchmarkAnalyzeIterator runs the same full-scale campaign as
-// BenchmarkSubstrateCampaign but consumes it through the iterator Source —
-// the path Analyze drains — with a constant-memory counting consumer, so
-// the dataset is never materialized. ~56k faults plus ~1M sessions flow
-// per op; CI's alloc gate holds its allocs/op to the committed baseline,
-// which proves the delivery stack adds no per-event allocations
-// (kway.MergeBlocks' zero-alloc gate covers the merge itself).
+// BenchmarkSubstrateCampaign but consumes it through the public Events
+// iterator — what an external consumer ranges over; Analyze assembles a
+// built-in source from its parts instead — with a constant-memory
+// counting consumer, so the dataset is never materialized. ~56k faults
+// plus ~1M sessions flow per op; CI's alloc gate holds its allocs/op to
+// the committed baseline, which proves the delivery stack adds no
+// per-event allocations (kway.MergeBlocks' zero-alloc gate covers the
+// merge itself).
 func BenchmarkAnalyzeIterator(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -249,10 +251,12 @@ func BenchmarkAnalyzeIterator(b *testing.B) {
 	}
 }
 
-// BenchmarkSubstrateMerge measures delivery's k-way merge alone: the
-// seed-42 study's dataset, split per node into 26 fault and 923 session
-// streams outside the timer, merged by stream.Deliver into a consumer
-// that does nothing (~642k events per op).
+// BenchmarkSubstrateMerge measures Deliver alone — its two kway.Each
+// walks and the Event each element is wrapped in — on the seed-42
+// study's dataset, split per node into 26 fault and 923 session streams
+// outside the timer, delivered into a consumer that does nothing (~642k
+// events per op). Only the Events iterators run this path; Analyze and
+// faultstore.Ingest walk their parts typed.
 func BenchmarkSubstrateMerge(b *testing.B) {
 	d := study(b).Dataset
 	faultsBy := make([][]extract.Fault, cluster.TotalNodes)

@@ -42,9 +42,8 @@ import (
 	"time"
 
 	"unprotected/internal/cluster"
-	"unprotected/internal/dram"
-	"unprotected/internal/eventlog"
 	"unprotected/internal/faultstore"
+	"unprotected/internal/logstore"
 	"unprotected/internal/stream"
 	"unprotected/internal/timebase"
 )
@@ -194,15 +193,7 @@ func runQuery(ctx context.Context, args []string) error {
 		switch ev.Kind {
 		case stream.KindFault:
 			faults++
-			f := ev.Fault
-			rec := eventlog.Record{
-				Kind: eventlog.KindError, At: f.FirstAt, Host: f.Node,
-				VAddr:  dram.VirtAddr(f.Addr),
-				Actual: f.Actual, Expected: f.Expected,
-				TempC:    f.TempC,
-				PhysPage: dram.PhysPage(uint64(f.Node.Index()), f.Addr),
-				LastAt:   f.LastAt, Logs: max(f.Logs, 1),
-			}
+			rec := logstore.FaultRecord(ev.Fault)
 			line = append(rec.AppendText(line[:0]), '\n')
 			if _, err := os.Stdout.Write(line); err != nil {
 				return err

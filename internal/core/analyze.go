@@ -427,30 +427,43 @@ func analyzeParts(ctx context.Context, src studySource, controller, pathological
 	return &Study{Dataset: d, Figures: figures}, nil
 }
 
-// analyzeEvents drains an external Source's Events into the stream sink.
+// analyzeEvents drains an external Source's Events: each fault and
+// session, in the order the source delivers it, is appended to the
+// dataset (unless WithoutDataset), folded into the figures and handed to
+// the observers.
 func analyzeEvents(ctx context.Context, src stream.Source, controller, pathological cluster.NodeID, o *options) (*Study, error) {
-	sink := newStreamSink(controller, pathological)
-	sink.collect = !o.noDataset
-	sink.observers = o.observers
-
-	var st stream.Stats
+	d := &analysis.Dataset{ControllerNode: controller, PathologicalNode: pathological}
+	figures := analysis.NewAccumulators(excludedNodes(controller)...)
+	collect := !o.noDataset
 	for ev, err := range src.Events(ctx) {
 		if err != nil {
 			return nil, err
 		}
 		switch ev.Kind {
 		case stream.KindStats:
-			if ev.Stats != nil {
-				st = *ev.Stats
-				if sink.collect {
-					sink.dataset.Faults = make([]extract.Fault, 0, st.Faults)
-					sink.dataset.Sessions = make([]eventlog.Session, 0, st.Sessions)
+			if st := ev.Stats; st != nil {
+				d.RawLogs, d.RawLogsByNode = st.RawLogs, st.RawLogsByNode
+				if collect {
+					d.Faults = make([]extract.Fault, 0, st.Faults)
+					d.Sessions = make([]eventlog.Session, 0, st.Sessions)
 				}
 			}
 		case stream.KindFault:
-			sink.fault(ev.Fault)
+			if collect {
+				d.Faults = append(d.Faults, ev.Fault)
+			}
+			figures.ObserveFault(ev.Fault)
+			for _, ob := range o.observers {
+				ob.ObserveFault(ev.Fault)
+			}
 		case stream.KindSession:
-			sink.session(ev.Session)
+			if collect {
+				d.Sessions = append(d.Sessions, ev.Session)
+			}
+			figures.ObserveSession(ev.Session)
+			for _, ob := range o.observers {
+				ob.ObserveSession(ev.Session)
+			}
 		}
 	}
 	// Belt and braces: a well-behaved source surfaces cancellation as its
@@ -463,5 +476,8 @@ func analyzeEvents(ctx context.Context, src stream.Source, controller, pathologi
 			return nil, fmt.Errorf("unprotected: Analyze: observer: %w", err)
 		}
 	}
-	return sink.study(st.RawLogs, st.RawLogsByNode), nil
+	// Sealing the figures closes the trailing simultaneity group; the
+	// bundle's Finish never fails.
+	_ = figures.Finish()
+	return &Study{Dataset: d, Figures: figures}, nil
 }

@@ -12,10 +12,6 @@ import (
 	"unprotected/internal/stream"
 )
 
-// blockSize is the element count of the typed blocks the observers' and
-// the lean fault fold's merges move.
-const blockSize = 512
-
 // assemble folds a built-in source's parts into a sealed figure bundle
 // and, when collect is set, fills d's Faults and Sessions, on a
 // stream.Collect pool of workers. Every figure is exact and mergeable
@@ -57,7 +53,7 @@ func assemble(ctx context.Context, p stream.Parts, workers int, collect bool, d 
 			d.Faults = kway.Merge(p.Faults, extract.Key, extract.Compare)
 			each(d.Faults, fold)
 		} else {
-			mergeEach(p.Faults, extract.Key, extract.Compare, fold)
+			kway.Each(p.Faults, extract.Key, extract.Compare, fold)
 		}
 		return acc
 	})
@@ -94,7 +90,7 @@ func assemble(ctx context.Context, p stream.Parts, workers int, collect bool, d 
 
 // observe feeds every observer the canonical stream on the caller's
 // goroutine — every fault, then every session — from d's slices when the
-// dataset was collected and from block merges of the parts otherwise,
+// dataset was collected and from kway.Each walks of the parts otherwise,
 // checking ctx before every delivery, and then runs each Finish.
 func observe(ctx context.Context, obs []stream.Observer, p stream.Parts, d *analysis.Dataset, collect bool) error {
 	fault := deliverTo(ctx, obs, stream.Observer.ObserveFault)
@@ -104,8 +100,8 @@ func observe(ctx context.Context, obs []stream.Observer, p stream.Parts, d *anal
 	case collect:
 		_ = each(d.Faults, fault) && each(d.Sessions, session)
 	default:
-		_ = mergeEach(p.Faults, extract.Key, extract.Compare, fault) &&
-			mergeEach(p.Sessions, eventlog.SessionKey, eventlog.CompareSessions, session)
+		_ = kway.Each(p.Faults, extract.Key, extract.Compare, fault) &&
+			kway.Each(p.Sessions, eventlog.SessionKey, eventlog.CompareSessions, session)
 	}
 	if err := ctx.Err(); err != nil {
 		return err
@@ -144,13 +140,6 @@ func each[T any](xs []T, visit func(*T) bool) bool {
 		}
 	}
 	return true
-}
-
-// mergeEach is each over the kway merge of streams, moved in typed blocks
-// of blockSize elements.
-func mergeEach[T any](streams [][]T, key func(*T) int64, cmp func(a, b *T) int, visit func(*T) bool) bool {
-	return kway.MergeBlocks(streams, key, cmp, make([]T, blockSize), func(v T) T { return v },
-		func(block []T) bool { return each(block, visit) })
 }
 
 // splitStreams cuts streams into at most n contiguous runs that hold

@@ -9,10 +9,10 @@
 // store (Store), or an external implementation. A built-in source is
 // assembled from the sorted parts its worker pool produced: figure
 // partials fold on the same number of workers and merge, and typed
-// merges fill the dataset. An external source's stream feeds one sink
-// that collects the dataset, drives the figure accumulators and fans out
-// to attached observers. Either way every online-computable §III
-// statistic is ready when Analyze returns, after one run of the source.
+// merges fill the dataset. An external source's stream is drained element
+// by element into the dataset, the figure accumulators and the attached
+// observers. Either way every online-computable §III statistic is ready
+// when Analyze returns, after one run of the source.
 package core
 
 import (
@@ -21,9 +21,6 @@ import (
 	"unprotected/internal/analysis"
 	"unprotected/internal/campaign"
 	"unprotected/internal/cluster"
-	"unprotected/internal/eventlog"
-	"unprotected/internal/extract"
-	"unprotected/internal/stream"
 )
 
 // Study is one executed campaign with its analysis-ready dataset.
@@ -37,61 +34,6 @@ type Study struct {
 	// Figs 1–2, 4–11, 13): the report, the CSV export and the exported
 	// figure accessors all read them.
 	Figures *analysis.Accumulators
-}
-
-// streamSink adapts a merged (faults, sessions) stream into a Study: it
-// collects the dataset slices (when collect is set), feeds the figure
-// accumulators, and fans out to any attached external observers, element
-// by element. Analyze feeds it the Events of an external Source, which
-// delivers the canonical orders the accumulators require; the built-in
-// sources are assembled from their parts instead.
-type streamSink struct {
-	dataset   *analysis.Dataset
-	figures   *analysis.Accumulators
-	collect   bool
-	observers []stream.Observer
-}
-
-func newStreamSink(controller, pathological cluster.NodeID) *streamSink {
-	return &streamSink{
-		dataset: &analysis.Dataset{
-			ControllerNode:   controller,
-			PathologicalNode: pathological,
-		},
-		figures: analysis.NewAccumulators(excludedNodes(controller)...),
-		collect: true,
-	}
-}
-
-func (s *streamSink) fault(f extract.Fault) {
-	if s.collect {
-		s.dataset.Faults = append(s.dataset.Faults, f)
-	}
-	s.figures.ObserveFault(f)
-	for _, ob := range s.observers {
-		ob.ObserveFault(f)
-	}
-}
-
-func (s *streamSink) session(sess eventlog.Session) {
-	if s.collect {
-		s.dataset.Sessions = append(s.dataset.Sessions, sess)
-	}
-	s.figures.ObserveSession(sess)
-	for _, ob := range s.observers {
-		ob.ObserveSession(sess)
-	}
-}
-
-// study finalizes the sink once the stream has ended. Sealing the figures
-// closes the trailing simultaneity group, so every figure read after this
-// is a pure read; the bundle's Finish never fails. The caller sets the
-// dataset's topology.
-func (s *streamSink) study(rawLogs int64, rawLogsByNode map[cluster.NodeID]int64) *Study {
-	_ = s.figures.Finish()
-	s.dataset.RawLogs = rawLogs
-	s.dataset.RawLogsByNode = rawLogsByNode
-	return &Study{Dataset: s.dataset, Figures: s.figures}
 }
 
 // RunPaperStudy executes the full-scale study (923 nodes, 13 months) with

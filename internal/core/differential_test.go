@@ -10,6 +10,7 @@ import (
 	"sort"
 	"testing"
 
+	"unprotected/internal/analysis"
 	"unprotected/internal/campaign"
 	"unprotected/internal/cluster"
 	"unprotected/internal/dram"
@@ -25,14 +26,14 @@ import (
 //
 // Analyze builds a built-in source's Study from its sorted parts —
 // parallel figure folds and typed merges — and must be observationally
-// identical to a reference that shares none of its ordering machinery:
-// referenceStudy drains the source's Events, reverses the faults and
-// sessions and re-sorts them with a plain stable sort under the canonical
-// comparators (both are total orders, so the sorted sequence is unique),
-// and feeds the sink element by element — no parts, no k-way merge, no
-// partials and no pooled buffers in between. Each matrix cell renders the
-// complete study — every figure, table, chart and heatmap — from both
-// paths and requires the bytes to be equal.
+// identical to a reference that shares none of its ordering or assembly
+// machinery: referenceStudy drains the source's Events, reverses the
+// faults and sessions and re-sorts them with a plain stable sort under the
+// canonical comparators (both are total orders, so the sorted sequence is
+// unique), and folds them into one figure bundle of its own, element by
+// element — no parts, no k-way merge and no partials in between. Each
+// matrix cell renders the complete study — every figure, table, chart and
+// heatmap — from both paths and requires the bytes to be equal.
 
 // diffConfig builds one matrix cell's campaign configuration.
 func diffConfig(seed uint64, blades int, counterFrac float64, workers int) *campaign.Config {
@@ -57,7 +58,7 @@ func topoWithBlades(n int) *cluster.Topology {
 }
 
 // reference is a source's Study assembled through the reference path,
-// with the canonical sequences it fed the sink.
+// with the canonical sequences it folded.
 type reference struct {
 	study    *Study
 	faults   []extract.Fault
@@ -93,15 +94,23 @@ func referenceStudy(t *testing.T, src stream.Source) reference {
 	sort.SliceStable(sessions, func(i, j int) bool { return eventlog.CompareSessions(&sessions[i], &sessions[j]) < 0 })
 
 	meta := src.(studySource)
-	sink := newStreamSink(meta.controller(), meta.pathological())
+	figures := analysis.NewAccumulators(excludedNodes(meta.controller())...)
 	for _, f := range faults {
-		sink.fault(f)
+		figures.ObserveFault(f)
 	}
 	for _, s := range sessions {
-		sink.session(s)
+		figures.ObserveSession(s)
 	}
-	study := sink.study(stats.RawLogs, stats.RawLogsByNode)
-	study.Dataset.Topo = meta.topology()
+	_ = figures.Finish()
+	study := &Study{
+		Dataset: &analysis.Dataset{
+			Faults: faults, Sessions: sessions,
+			RawLogs: stats.RawLogs, RawLogsByNode: stats.RawLogsByNode,
+			ControllerNode: meta.controller(), PathologicalNode: meta.pathological(),
+			Topo: meta.topology(),
+		},
+		Figures: figures,
+	}
 	return reference{study: study, faults: faults, sessions: sessions}
 }
 
@@ -294,9 +303,6 @@ func TestDifferentialDeliveryMatrix(t *testing.T) {
 					if got := renderFull(t, study); !bytes.Equal(c.want, got) {
 						t.Fatalf("Analyze changed the rendered study (%d vs %d bytes)", len(c.want), len(got))
 					}
-					if n := stream.LiveBatches(); n != 0 {
-						t.Fatalf("%d pooled delivery blocks leaked", n)
-					}
 				})
 			}
 		}
@@ -305,9 +311,8 @@ func TestDifferentialDeliveryMatrix(t *testing.T) {
 
 // TestDifferentialCancelMidway: the cancellation cells of the matrix. A
 // context cancelled mid-stream must deliver exactly the uncancelled
-// prefix, then one (zero Event, ctx.Err()) pair and nothing else — and
-// the pooled delivery block must be back in the pool when the iterator
-// returns, no matter where inside a block the cancel landed.
+// prefix, then one (zero Event, ctx.Err()) pair and nothing else, no
+// matter where inside a merge block the cancel landed.
 func TestDifferentialCancelMidway(t *testing.T) {
 	if testing.Short() {
 		t.Skip("matrix of campaigns")
@@ -368,9 +373,6 @@ func TestDifferentialCancelMidway(t *testing.T) {
 							t.Fatalf("event %d: session diverges under cancellation", i)
 						}
 					}
-				}
-				if n := stream.LiveBatches(); n != 0 {
-					t.Fatalf("%d pooled delivery blocks leaked on cancellation", n)
 				}
 			})
 		}

@@ -15,7 +15,6 @@ import (
 	"unprotected/internal/iofault"
 	"unprotected/internal/kway"
 	"unprotected/internal/logstore"
-	"unprotected/internal/stream"
 )
 
 // IngestOption configures Ingest.
@@ -107,13 +106,14 @@ type bucket struct {
 	sessions []eventlog.Session
 }
 
-// Ingest streams the text log directory logDir through the replay
-// pipeline and writes its extracted dataset into the store at storeDir,
+// Ingest reads the text log directory logDir through the replay loader's
+// parts and writes its extracted dataset into the store at storeDir,
 // creating the store if needed and appending a new segment generation if
-// it already exists. Faults arrive from the loader in canonical
-// extract.Compare order and sessions in eventlog.CompareSessions order,
-// so every bucket — an order-preserving subsequence — is born sorted and
-// segments never need a sort of their own.
+// it already exists. Two kway.Each walks bucket the per-node parts'
+// faults in canonical extract.Compare order and their sessions in
+// eventlog.CompareSessions order, so every bucket — an order-preserving
+// subsequence — is born sorted and segments never need a sort of their
+// own.
 func Ingest(ctx context.Context, logDir, storeDir string, opts ...IngestOption) (*IngestStats, error) {
 	o := ingestOptions{shards: DefaultShards, windowSeconds: int64(DefaultWindow / time.Second), fsys: iofault.OS}
 	for _, opt := range opts {
@@ -153,26 +153,23 @@ func Ingest(ctx context.Context, logDir, storeDir string, opts ...IngestOption) 
 		}
 		return b
 	}
-	for ev, err := range logstore.Events(ctx, logDir, o.workers, logstore.WithFS(o.fsys)) {
-		if err != nil {
-			return nil, err
-		}
-		switch ev.Kind {
-		case stream.KindFault:
-			f := ev.Fault
-			k := bucketKey{shardOf(f.Node, o.shards), windowOf(f.FirstAt, o.windowSeconds)}
-			b := cell(k)
-			b.faults = append(b.faults, f)
-			stats.Faults++
-			stats.RawLogs += int64(f.Logs)
-		case stream.KindSession:
-			s := ev.Session
-			k := bucketKey{shardOf(s.Host, o.shards), windowOf(s.From, o.windowSeconds)}
-			b := cell(k)
-			b.sessions = append(b.sessions, s)
-			stats.Sessions++
-		}
+	p, err := logstore.Parts(ctx, logDir, o.workers, logstore.WithFS(o.fsys))
+	if err != nil {
+		return nil, err
 	}
+	kway.Each(p.Faults, extract.Key, extract.Compare, func(f *extract.Fault) bool {
+		b := cell(bucketKey{shardOf(f.Node, o.shards), windowOf(f.FirstAt, o.windowSeconds)})
+		b.faults = append(b.faults, *f)
+		stats.Faults++
+		stats.RawLogs += int64(f.Logs)
+		return true
+	})
+	kway.Each(p.Sessions, eventlog.SessionKey, eventlog.CompareSessions, func(s *eventlog.Session) bool {
+		b := cell(bucketKey{shardOf(s.Host, o.shards), windowOf(s.From, o.windowSeconds)})
+		b.sessions = append(b.sessions, *s)
+		stats.Sessions++
+		return true
+	})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -2,21 +2,18 @@
 // sorted streams. It is the ordering backbone of every built-in batch
 // source: per-node (or per-segment) sequences arrive already sorted from
 // parallel workers, and the merge interleaves them into the canonical
-// global order — in blocks for stream delivery and observers, or into
-// one slice for the analysis dataset and fault-store compaction.
-// MergeBlocks is the one merge loop: a loser tree over the stream heads
-// that fills caller-owned blocks, so the hot path pays no per-element
-// yield and, on distinct head keys, one integer comparison per tree
-// level. Merge is its single-block form.
+// global order. MergeBlocks is the one merge loop: a loser tree over the
+// stream heads that fills caller-owned blocks, so the hot path pays no
+// per-element yield and, on distinct head keys, one integer comparison
+// per tree level. Each walks it element by element, in typed blocks of
+// its own; Merge is its single-block form, which fills one slice.
 package kway
 
 import "math"
 
 // MergeBlocks deterministically merges k individually sorted streams into
 // one ordered sequence, moved in caller-owned blocks. Each merged element
-// is converted by conv (the delivery layer maps faults and sessions into
-// its Event sum type here, so blocks are built in one pass over the tree)
-// and appended to buf; emit is invoked once per full block and once for
+// is copied into buf; emit is invoked once per full block and once for
 // the final partial one, and must consume the block before returning —
 // buf is recycled for the next block. An emit returning false stops the
 // merge immediately; MergeBlocks reports whether the sequence was fully
@@ -31,18 +28,18 @@ import "math"
 // cmp runs: once per tie on key, never on distinct keys. A constant key
 // is valid and makes every step call cmp.
 //
-// Beyond the tree and its k cursors nothing is allocated — with a pooled
-// buf, block delivery is allocation-free in steady state. len(buf) is the
-// block size and must be at least 1.
-func MergeBlocks[S, T any](streams [][]S, key func(*S) int64, cmp func(a, b *S) int,
-	buf []T, conv func(S) T, emit func([]T) bool) bool {
+// Beyond the tree and its k cursors nothing is allocated, so the merge
+// costs no allocation per element. len(buf) is the block size and must be
+// at least 1.
+func MergeBlocks[T any](streams [][]T, key func(*T) int64, cmp func(a, b *T) int,
+	buf []T, emit func([]T) bool) bool {
 	if len(buf) == 0 {
 		panic("kway: MergeBlocks: empty block buffer")
 	}
 	// rest[i] is the unmerged tail of the i-th non-empty stream, so
 	// rest[i][0] is its head and a drained stream has an empty tail; the
 	// order of rest is stream order, so i is the index tiebreak.
-	rest := make([][]S, 0, len(streams))
+	rest := make([][]T, 0, len(streams))
 	for _, s := range streams {
 		if len(s) > 0 {
 			rest = append(rest, s)
@@ -99,7 +96,7 @@ leaves:
 	n := 0
 	for w := tree[0].src; len(rest[w]) > 0; {
 		s := rest[w]
-		buf[n] = conv(s[0])
+		buf[n] = s[0]
 		n++
 		e := entry{key: math.MaxInt64, src: w}
 		if len(s) > 1 {
@@ -128,6 +125,26 @@ leaves:
 	return true
 }
 
+// blockSize is the element count of the blocks Each moves: large enough
+// to amortize the block hand-off, small enough to stay cache-resident.
+const blockSize = 512
+
+// Each walks the merge of streams in MergeBlocks' order, calling visit on
+// every element until visit returns false; it reports whether the merge
+// was drained. The elements move in a block of blockSize that Each
+// allocates per call, and visit's pointer is valid only during the call.
+// key and cmp follow MergeBlocks' rules; the streams are not modified.
+func Each[T any](streams [][]T, key func(*T) int64, cmp func(a, b *T) int, visit func(*T) bool) bool {
+	return MergeBlocks(streams, key, cmp, make([]T, blockSize), func(block []T) bool {
+		for i := range block {
+			if !visit(&block[i]) {
+				return false
+			}
+		}
+		return true
+	})
+}
+
 // Merge merges k individually sorted streams into one new slice, in
 // MergeBlocks' order: the whole output is the merge's single block, so the
 // merged elements are written straight into their final positions. The
@@ -141,12 +158,10 @@ func Merge[T any](streams [][]T, key func(*T) int64, cmp func(a, b *T) int) []T 
 	}
 	out := make([]T, total)
 	if total > 0 { // MergeBlocks rejects an empty block
-		MergeBlocks(streams, key, cmp, out, identity[T], func([]T) bool { return true })
+		MergeBlocks(streams, key, cmp, out, func([]T) bool { return true })
 	}
 	return out
 }
-
-func identity[T any](v T) T { return v }
 
 // entry is one stream's place in the loser tree: the stream's index and
 // its head's cached key.

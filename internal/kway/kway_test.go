@@ -23,12 +23,11 @@ func cmpInt(a, b *int) int {
 
 func keyInt(v *int) int64 { return int64(*v) }
 
-// mergeSmallBlocks drains MergeBlocks into a slice through an identity
-// conversion and a small block, so multi-block draining is exercised
-// everywhere.
+// mergeSmallBlocks drains MergeBlocks into a slice through a small block,
+// so multi-block draining is exercised everywhere.
 func mergeSmallBlocks[T any](streams [][]T, key func(*T) int64, cmp func(a, b *T) int) []T {
 	var out []T
-	MergeBlocks(streams, key, cmp, make([]T, 3), func(v T) T { return v }, func(b []T) bool {
+	MergeBlocks(streams, key, cmp, make([]T, 3), func(b []T) bool {
 		out = append(out, b...)
 		return true
 	})
@@ -136,13 +135,43 @@ func TestMergeIntoSlice(t *testing.T) {
 	}
 }
 
+// TestEach: Each visits the merge's elements in the oracle's order, and a
+// visit returning false stops it after exactly that visit, mid-block or on
+// a block boundary.
+func TestEach(t *testing.T) {
+	key := func(v *item) int64 { return v.t }
+	streams := itemStreams(923)
+	want := flattenSorted(streams)
+	if len(want) <= blockSize {
+		t.Fatalf("fixture of %d elements fills no second block", len(want))
+	}
+	for _, stop := range []int{1, 2, blockSize - 1, blockSize, blockSize + 1, len(want)} {
+		var got []item
+		drained := Each(streams, key, cmpItem, func(v *item) bool {
+			got = append(got, *v)
+			return len(got) < stop
+		})
+		if drained || !reflect.DeepEqual(got, want[:stop]) {
+			t.Fatalf("stop=%d: drained=%v after %d visits, first difference at %d",
+				stop, drained, len(got), firstDiff(got, want[:stop]))
+		}
+	}
+	var got []item
+	if !Each(streams, key, cmpItem, func(v *item) bool { got = append(got, *v); return true }) || !reflect.DeepEqual(got, want) {
+		t.Fatalf("full walk: %d elements, first difference at %d", len(got), firstDiff(got, want))
+	}
+	if !Each(nil, key, cmpItem, func(*item) bool { t.Fatal("visit on an empty merge"); return true }) {
+		t.Fatal("empty merge reported undrained")
+	}
+}
+
 // TestMergeBlocksEarlyStop: an emit returning false stops the merge
 // mid-way and reports it undrained; the streams are untouched, so a fresh
 // merge over them still delivers everything.
 func TestMergeBlocksEarlyStop(t *testing.T) {
 	streams := [][]int{{1, 4, 7}, {2, 5, 8}, {3, 6, 9}}
 	var got []int
-	drained := MergeBlocks(streams, keyInt, cmpInt, make([]int, 4), func(v int) int { return v }, func(b []int) bool {
+	drained := MergeBlocks(streams, keyInt, cmpInt, make([]int, 4), func(b []int) bool {
 		got = append(got, b...)
 		return false
 	})
@@ -170,7 +199,6 @@ func TestMergeBlocksZeroAllocPerElement(t *testing.T) {
 		return streams
 	}
 	block := make([]int, 64)
-	ident := func(v int) int { return v }
 	var sink int
 	emit := func(b []int) bool {
 		for _, v := range b {
@@ -180,7 +208,7 @@ func TestMergeBlocksZeroAllocPerElement(t *testing.T) {
 	}
 	measure := func(streams [][]int) float64 {
 		return testing.AllocsPerRun(10, func() {
-			MergeBlocks(streams, keyInt, cmpInt, block, ident, emit)
+			MergeBlocks(streams, keyInt, cmpInt, block, emit)
 		})
 	}
 	small, large := measure(build(10)), measure(build(100_000))
@@ -247,25 +275,15 @@ func TestMergeBlocksMatchesMerge(t *testing.T) {
 		{"coarse", func(v *item) int64 { return v.t / 4 }},
 		{"constant", func(*item) int64 { return 0 }},
 	}
-	ident := func(v item) item { return v }
 	for _, k := range []int{1, 2, 3, 5, 8, 13, 64, 923} {
 		streams := itemStreams(k)
-		var want []item
-		for _, s := range streams {
-			want = append(want, s...)
-		}
-		sort.SliceStable(want, func(i, j int) bool {
-			if c := cmpItem(&want[i], &want[j]); c != 0 {
-				return c < 0
-			}
-			return want[i].stream < want[j].stream
-		})
+		want := flattenSorted(streams)
 		for _, kf := range keys {
 			t.Run(fmt.Sprintf("k=%d/%s", k, kf.name), func(t *testing.T) {
 				for _, size := range []int{1, 2, 3, 5, 12, 13, 64} {
 					var got []item
 					partial := false
-					drained := MergeBlocks(streams, kf.key, cmpItem, make([]item, size), ident, func(b []item) bool {
+					drained := MergeBlocks(streams, kf.key, cmpItem, make([]item, size), func(b []item) bool {
 						if len(b) > size {
 							t.Fatalf("size %d: oversized block of %d", size, len(b))
 						}
@@ -290,9 +308,21 @@ func TestMergeBlocksMatchesMerge(t *testing.T) {
 
 	// Empty input: no emit at all, trivially drained.
 	calls := 0
-	if !MergeBlocks(nil, keyInt, cmpInt, make([]int, 4), func(v int) int { return v }, func([]int) bool { calls++; return true }) || calls != 0 {
+	if !MergeBlocks(nil, keyInt, cmpInt, make([]int, 4), func([]int) bool { calls++; return true }) || calls != 0 {
 		t.Fatalf("empty merge: %d emits", calls)
 	}
+}
+
+// flattenSorted is the merge oracle: every stream concatenated in stream
+// order, then stable-sorted under cmpItem, so equal elements keep
+// stream-index order, the merge's tiebreak.
+func flattenSorted(streams [][]item) []item {
+	var all []item
+	for _, s := range streams {
+		all = append(all, s...)
+	}
+	sort.SliceStable(all, func(i, j int) bool { return cmpItem(&all[i], &all[j]) < 0 })
+	return all
 }
 
 // firstDiff is the first index at which got and want differ.
@@ -313,5 +343,85 @@ func TestMergeBlocksEmptyBufPanics(t *testing.T) {
 			t.Fatal("no panic on empty buffer")
 		}
 	}()
-	MergeBlocks([][]int{{1}}, keyInt, cmpInt, nil, func(v int) int { return v }, func([]int) bool { return true })
+	MergeBlocks([][]int{{1}}, keyInt, cmpInt, nil, func([]int) bool { return true })
+}
+
+// FuzzMergeBlocks drives the loser tree with adversarial shapes: 0–9
+// streams whose keys tie densely within and across streams, a key that
+// is exact, coarse or constant, a block length of 1–2048 and an early
+// stop. The flattened blocks must equal the flatten-and-stable-sort
+// oracle, or its prefix up to the block that stopped the merge, and Each
+// must stop after exactly the visit that returned false.
+func FuzzMergeBlocks(f *testing.F) {
+	f.Add(uint64(1), uint8(3), uint16(50), uint16(7), uint32(0))
+	f.Add(uint64(2), uint8(1), uint16(1), uint16(1), uint32(0))
+	f.Add(uint64(3), uint8(8), uint16(600), uint16(511), uint32(0))
+	f.Add(uint64(4), uint8(0), uint16(0), uint16(9), uint32(3))
+	f.Add(uint64(5), uint8(4), uint16(512), uint16(512), uint32(100))
+	f.Add(uint64(6), uint8(2), uint16(300), uint16(2047), uint32(1))
+
+	keys := []func(*item) int64{
+		func(v *item) int64 { return v.t },
+		func(v *item) int64 { return v.t / 4 },
+		func(*item) int64 { return 0 },
+	}
+	f.Fuzz(func(t *testing.T, seed uint64, streams uint8, perStream, block uint16, stop uint32) {
+		r := rand.New(rand.NewSource(int64(seed)))
+		in := make([][]item, streams%10)
+		n := int(perStream % 1500)
+		for i := range in {
+			s := make([]item, r.Intn(n+1))
+			for j := range s {
+				s[j] = item{t: int64(r.Intn(32) - 8), sub: r.Intn(3), stream: i}
+			}
+			if r.Intn(4) == 0 {
+				s = append(s, item{t: math.MaxInt64, sub: r.Intn(2), stream: i})
+			}
+			sort.SliceStable(s, func(a, b int) bool { return cmpItem(&s[a], &s[b]) < 0 })
+			for j := range s {
+				s[j].pos = j
+			}
+			in[i] = s
+		}
+		key := keys[seed%uint64(len(keys))]
+		want := flattenSorted(in)
+		// stopAt is the element count after which the merge is stopped;
+		// zero drains it.
+		stopAt := 0
+		if stop > 0 && len(want) > 0 {
+			stopAt = int(stop%uint32(len(want))) + 1
+		}
+
+		size := int(block%2048) + 1
+		var got []item
+		drained := MergeBlocks(in, key, cmpItem, make([]item, size), func(b []item) bool {
+			if len(b) == 0 || len(b) > size {
+				t.Fatalf("block of %d elements, block size %d", len(b), size)
+			}
+			got = append(got, b...)
+			return stopAt == 0 || len(got) < stopAt
+		})
+		wantLen := len(want)
+		if stopAt > 0 {
+			wantLen = min(len(want), (stopAt+size-1)/size*size)
+		}
+		if drained != (stopAt == 0) || len(got) != wantLen || !reflect.DeepEqual(got, want[:wantLen]) {
+			t.Fatalf("size %d, stop %d: drained=%v, %d of %d elements, first difference at %d",
+				size, stopAt, drained, len(got), wantLen, firstDiff(got, want[:wantLen]))
+		}
+
+		got = got[:0]
+		drained = Each(in, key, cmpItem, func(v *item) bool {
+			got = append(got, *v)
+			return stopAt == 0 || len(got) < stopAt
+		})
+		wantLen = len(want)
+		if stopAt > 0 {
+			wantLen = stopAt
+		}
+		if drained != (stopAt == 0) || !reflect.DeepEqual(got, want[:wantLen]) {
+			t.Fatalf("Each, stop %d: drained=%v after %d visits, first difference at %d",
+				stopAt, drained, len(got), firstDiff(got, want[:wantLen]))
+		}
+	})
 }

@@ -23,10 +23,10 @@ func faultNode(f *extract.Fault) int { return f.Node.Index() }
 // cut, the least key at which any dirty node's elements changed. Below cut
 // every node's old and fresh elements agree, so prev's elements below cut
 // are the output's and are copied as one block. From cut on, prev's clean
-// elements are merged two-way with the kway.MergeBlocks merge of the
-// fresh parts' tails. Both comparators order different nodes' elements
-// strictly, so no tie crosses the two sides, and the output is the full
-// merge of every node's part, element for element.
+// elements are merged two-way with the kway.Each walk of the fresh parts'
+// tails. Both comparators order different nodes' elements strictly, so no
+// tie crosses the two sides, and the output is the full merge of every
+// node's part, element for element.
 func splice[S any](prev []S, dirty *[cluster.TotalNodes]bool, fresh *[cluster.TotalNodes][]S, n int,
 	node func(*S) int, key func(*S) int64, cmp func(a, b *S) int) []S {
 	cut := int64(math.MaxInt64)
@@ -78,11 +78,9 @@ func splice[S any](prev []S, dirty *[cluster.TotalNodes]bool, fresh *[cluster.To
 			}
 		}
 	}
-	kway.MergeBlocks(tails, key, cmp, make([]S, 512), func(s S) S { return s }, func(block []S) bool {
-		for k := range block {
-			keep(&block[k])
-			out = append(out, block[k])
-		}
+	kway.Each(tails, key, cmp, func(s *S) bool {
+		keep(s)
+		out = append(out, *s)
 		return true
 	})
 	keep(nil)

@@ -5,24 +5,23 @@ import (
 	"testing"
 )
 
-// FuzzEventBatchRoundTrip drives the batched delivery path with
-// adversarial shapes — stream counts, per-stream lengths, block sizes and
-// a cancellation point — and checks it against the element-wise reference:
-// the flattened batched sequence must equal the unbatched one event for
-// event, cancellation must cut both at the same delivery, and nothing may
-// panic or leak a pooled block.
+// FuzzEventBatchRoundTrip drives Deliver with adversarial shapes — stream
+// counts, per-stream lengths and a cancellation point — and checks it
+// against the element-wise reference: the delivered sequence must equal
+// the reference's event for event, cancellation must cut both at the same
+// delivery, and nothing may panic. The merge's own block lengths are
+// FuzzMergeBlocks' subject, in internal/kway.
 func FuzzEventBatchRoundTrip(f *testing.F) {
-	f.Add(uint64(1), uint8(3), uint16(50), uint16(7), uint32(0))
-	f.Add(uint64(2), uint8(1), uint16(1), uint16(1), uint32(0))
-	f.Add(uint64(3), uint8(8), uint16(600), uint16(512), uint32(0))
-	f.Add(uint64(4), uint8(0), uint16(0), uint16(9), uint32(0))
-	f.Add(uint64(5), uint8(4), uint16(512), uint16(511), uint32(100))
-	f.Add(uint64(6), uint8(2), uint16(300), uint16(513), uint32(1))
+	f.Add(uint64(1), uint8(3), uint16(50), uint32(0))
+	f.Add(uint64(2), uint8(1), uint16(1), uint32(0))
+	f.Add(uint64(3), uint8(8), uint16(600), uint32(0))
+	f.Add(uint64(4), uint8(0), uint16(0), uint32(0))
+	f.Add(uint64(5), uint8(4), uint16(512), uint32(100))
+	f.Add(uint64(6), uint8(2), uint16(300), uint32(1))
 
-	f.Fuzz(func(t *testing.T, seed uint64, streams uint8, perStream, block uint16, cancelAfter uint32) {
+	f.Fuzz(func(t *testing.T, seed uint64, streams uint8, perStream uint16, cancelAfter uint32) {
 		nStreams := int(streams % 10)
 		n := int(perStream % 1500)
-		blockLen := int(block%2048) + 1
 		faults := synthFaultStreams(seed, nStreams, n)
 		sessions := synthSessionStreams(seed^0xabcdef, nStreams, n)
 		st := &Stats{Faults: nStreams * n, Sessions: nStreams * n}
@@ -32,9 +31,8 @@ func FuzzEventBatchRoundTrip(f *testing.F) {
 			want := record(func(y func(Event, error) bool) {
 				deliverUnbatched(context.Background(), y, st, faults, sessions)
 			})
-			buf := make([]Event, blockLen)
 			got := record(func(y func(Event, error) bool) {
-				deliverBatched(context.Background(), y, st, faults, sessions, buf)
+				Deliver(context.Background(), y, st, faults, sessions)
 			})
 			assertSameDeliveries(t, want, got)
 			return
@@ -56,16 +54,12 @@ func FuzzEventBatchRoundTrip(f *testing.F) {
 			})
 			return got
 		}
-		buf := make([]Event, blockLen)
 		want := run(func(ctx context.Context, y func(Event, error) bool) {
 			deliverUnbatched(ctx, y, st, faults, sessions)
 		})
 		got := run(func(ctx context.Context, y func(Event, error) bool) {
-			deliverBatched(ctx, y, st, faults, sessions, buf)
+			Deliver(ctx, y, st, faults, sessions)
 		})
 		assertSameDeliveries(t, want, got)
-		if live := LiveBatches(); live != 0 {
-			t.Fatalf("%d pooled batches leaked", live)
-		}
 	})
 }

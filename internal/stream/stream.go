@@ -9,10 +9,11 @@
 // The built-in sources produce it in two steps, each with a home here.
 // Collect runs their worker pool, which leaves Parts: the stats plus one
 // sorted fault and session stream per node (or per fault-store segment).
-// Deliver merges Parts into the stream. Their Events is the two steps in
-// a row; core.Analyze takes their Parts instead and merges only what
-// needs canonical order (the dataset slices, the fault fold and the
-// observers), so Deliver serves Events and external Sources.
+// Deliver merges Parts into the stream with two kway.Each walks, wrapping
+// each element as an Event only as it yields it. Their Events is the two
+// steps in a row. core.Analyze and faultstore.Ingest take Parts instead
+// and walk them typed, merging only what needs canonical order, so
+// Deliver serves only the Events iterators.
 //
 // The contract (DESIGN.md §7):
 //
@@ -36,8 +37,6 @@ package stream
 import (
 	"context"
 	"iter"
-	"sync"
-	"sync/atomic"
 
 	"unprotected/internal/cluster"
 	"unprotected/internal/eventlog"
@@ -136,43 +135,6 @@ func RecordEvent(r eventlog.Record) Event { return Event{Kind: KindRecord, Recor
 // SyncEvent marks a follow-mode poll-round boundary.
 func SyncEvent() Event { return Event{Kind: KindSync} }
 
-// batchSize is the internal delivery granularity: the k-way merges fill
-// []Event blocks of this many elements before the per-event yield loop
-// walks them. Large enough to amortize block handling, small enough that
-// one pooled block stays cache-resident (512 events ≈ 100 KiB now that
-// Event also carries the follow-mode Record variant).
-const batchSize = 512
-
-// batchPool recycles the []Event delivery blocks across Deliver calls —
-// one campaign, a replayed directory and every scenario of a sweep all
-// draw from the same pool, so steady-state block delivery allocates
-// nothing no matter how many sources run.
-var batchPool = sync.Pool{New: func() any {
-	b := make([]Event, batchSize)
-	return &b
-}}
-
-// liveBatches counts pool blocks currently checked out. It exists for the
-// leak gates: every Deliver return path — drained, consumer break,
-// cancellation mid-batch — must put its block back, and the tests pin
-// LiveBatches to zero after each of them.
-var liveBatches atomic.Int64
-
-func getBatch() *[]Event {
-	liveBatches.Add(1)
-	return batchPool.Get().(*[]Event)
-}
-
-func putBatch(b *[]Event) {
-	batchPool.Put(b)
-	liveBatches.Add(-1)
-}
-
-// LiveBatches reports how many pooled delivery blocks are checked out
-// right now; zero whenever no Deliver is in flight. Test instrumentation
-// for the pool-ownership contract (DESIGN.md §9).
-func LiveBatches() int64 { return liveBatches.Load() }
-
 // Parts is a built-in batch source's output before its merge: the stats
 // prologue plus the sorted streams its worker pool produced — one per
 // node for the campaign and the log replay, one per decoded segment for
@@ -192,54 +154,36 @@ type Parts struct {
 // built-in Source encodes the contract (ordering, per-delivery
 // cancellation check, yield-false handling) exactly once.
 //
-// Internally delivery is batched: the k-way merges move pooled []Event
-// blocks (kway.MergeBlocks) and the yield loop walks each block
-// element-wise. The observable sequence is the unbatched one — block
-// boundaries are invisible to consumers, and every delivery still gets
-// its own cancellation check; the tests hold Deliver against an
-// element-wise reference that shares none of its merge code.
-// Cancellation between deliveries yields a final (zero Event, ctx.Err())
-// pair; a false yield stops everything immediately. Either way the block
-// returns to the pool before Deliver does.
+// The faults and then the sessions are walked with kway.Each, which
+// moves each merge in typed blocks of its own; every element is wrapped
+// as an Event only as it is yielded, after its own cancellation check.
+// The tests hold Deliver against an element-wise reference that shares
+// none of its merge code. Cancellation between deliveries yields a final
+// (zero Event, ctx.Err()) pair; a false yield stops everything
+// immediately.
 func Deliver(ctx context.Context, yield func(Event, error) bool,
 	st *Stats, faultStreams [][]extract.Fault, sessionStreams [][]eventlog.Session) {
-	bp := getBatch()
-	defer putBatch(bp)
-	deliverBatched(ctx, yield, st, faultStreams, sessionStreams, *bp)
-}
-
-// deliverBatched is Deliver over an explicit block buffer; the fuzz gate
-// drives it with adversarial block sizes.
-func deliverBatched(ctx context.Context, yield func(Event, error) bool,
-	st *Stats, faultStreams [][]extract.Fault, sessionStreams [][]eventlog.Session, buf []Event) {
 	if !yield(StatsEvent(st), nil) {
 		return
 	}
-	emit := func(block []Event) bool { return yieldBlock(ctx, yield, block) }
-	if !kway.MergeBlocks(faultStreams, extract.Key, extract.Compare, buf, FaultEvent, emit) {
-		return
-	}
-	kway.MergeBlocks(sessionStreams, eventlog.SessionKey, eventlog.CompareSessions, buf, SessionEvent, emit)
-}
-
-// yieldBlock hands one merged block to the consumer element-wise,
-// preserving the per-delivery contract: a cancellation check before every
-// event (a mid-batch cancel delivers nothing further from the block) and
-// immediate stop on a false yield.
-func yieldBlock(ctx context.Context, yield func(Event, error) bool, block []Event) bool {
 	done := ctx.Done()
-	for _, ev := range block {
+	emit := func(ev Event) bool {
 		select {
 		case <-done:
 			yield(Event{}, ctx.Err())
 			return false
 		default:
 		}
-		if !yield(ev, nil) {
-			return false
-		}
+		return yield(ev, nil)
 	}
-	return true
+	if !kway.Each(faultStreams, extract.Key, extract.Compare, func(f *extract.Fault) bool {
+		return emit(FaultEvent(*f))
+	}) {
+		return
+	}
+	kway.Each(sessionStreams, eventlog.SessionKey, eventlog.CompareSessions, func(s *eventlog.Session) bool {
+		return emit(SessionEvent(*s))
+	})
 }
 
 // Source yields the merged campaign stream. The built-in implementations

@@ -155,9 +155,9 @@ func assertSameDeliveries(t *testing.T, want, got []delivery) {
 	}
 }
 
-// TestDeliverMatchesUnbatched: the tentpole equivalence — batched Deliver
-// produces the exact delivery sequence of the element-wise reference,
-// across stream shapes from empty to heavily tied.
+// TestDeliverMatchesUnbatched: Deliver produces the exact delivery
+// sequence of the element-wise reference, across stream shapes from empty
+// to heavily tied and across kway.Each's 512-element block boundaries.
 func TestDeliverMatchesUnbatched(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -168,8 +168,8 @@ func TestDeliverMatchesUnbatched(t *testing.T) {
 		{"one-element", 1, 1},
 		{"single-stream", 1, 300},
 		{"many-small", 16, 7},
-		{"block-boundary", 2, batchSize},   // fault merge ends exactly on a block
-		{"multi-block", 4, batchSize + 37}, // several full blocks + partial
+		{"block-boundary", 2, 512}, // fault merge ends exactly on a block
+		{"multi-block", 4, 549},    // several full blocks + partial
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -179,48 +179,17 @@ func TestDeliverMatchesUnbatched(t *testing.T) {
 			want := record(func(y func(Event, error) bool) { deliverUnbatched(ctx, y, st, faults, sessions) })
 			got := record(func(y func(Event, error) bool) { Deliver(ctx, y, st, faults, sessions) })
 			assertSameDeliveries(t, want, got)
-			if n := LiveBatches(); n != 0 {
-				t.Fatalf("%d pooled batches leaked", n)
-			}
 		})
 	}
 }
 
-// TestDeliverBlockSizes: block boundaries must be invisible for any block
-// size, including the degenerate size 1 and sizes straddling the stream
-// lengths.
-func TestDeliverBlockSizes(t *testing.T) {
-	ctx := context.Background()
-	st := &Stats{}
-	faults := synthFaultStreams(5, 3, 101)
-	sessions := synthSessionStreams(6, 3, 101)
-	want := record(func(y func(Event, error) bool) { deliverUnbatched(ctx, y, st, faults, sessions) })
-	for _, size := range []int{1, 2, 3, 100, 101, 302, 303, 304, 1024} {
-		buf := make([]Event, size)
-		got := record(func(y func(Event, error) bool) { deliverBatched(ctx, y, st, faults, sessions, buf) })
-		assertSameDeliveries(t, want, got)
-	}
-}
-
-// TestDeliverEmptyBlockPanics: a zero-length block buffer is a programming
-// error, not a silent stall.
-func TestDeliverEmptyBlockPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic on empty block buffer")
-		}
-	}()
-	deliverBatched(context.Background(), func(Event, error) bool { return true },
-		&Stats{}, synthFaultStreams(1, 1, 4), nil, nil)
-}
-
-// TestDeliverConsumerBreak: a false yield mid-block stops everything and
-// still returns the pooled block.
+// TestDeliverConsumerBreak: a false yield, mid-block or on a block
+// boundary, stops everything.
 func TestDeliverConsumerBreak(t *testing.T) {
 	st := &Stats{}
 	faults := synthFaultStreams(8, 4, 200)
 	sessions := synthSessionStreams(9, 4, 200)
-	for _, stop := range []int{0, 1, 50, batchSize, batchSize + 1, 799} {
+	for _, stop := range []int{0, 1, 50, 512, 513, 799} {
 		n := 0
 		Deliver(context.Background(), func(ev Event, err error) bool {
 			n++
@@ -229,16 +198,12 @@ func TestDeliverConsumerBreak(t *testing.T) {
 		if n != stop+1 {
 			t.Fatalf("stop=%d: %d deliveries after a false yield", stop, n)
 		}
-		if live := LiveBatches(); live != 0 {
-			t.Fatalf("stop=%d: %d pooled batches leaked", stop, live)
-		}
 	}
 }
 
 // TestDeliverCancelMidBatch: cancelling while a block is being walked must
 // deliver nothing further from that block — the consumer sees exactly the
-// pre-cancel prefix, one final (zero, ctx.Err()) pair, and the block goes
-// back to the pool.
+// pre-cancel prefix and one final (zero, ctx.Err()) pair.
 func TestDeliverCancelMidBatch(t *testing.T) {
 	st := &Stats{}
 	faults := synthFaultStreams(3, 4, 300)
@@ -247,7 +212,7 @@ func TestDeliverCancelMidBatch(t *testing.T) {
 		Deliver(context.Background(), y, st, faults, sessions)
 	})
 
-	for _, after := range []int{1, 17, batchSize - 1, batchSize, batchSize + 5} {
+	for _, after := range []int{1, 17, 511, 512, 517} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var got []delivery
 		Deliver(ctx, func(ev Event, err error) bool {
@@ -267,14 +232,12 @@ func TestDeliverCancelMidBatch(t *testing.T) {
 			t.Fatalf("after=%d: final delivery (%+v, %v), want (zero, context.Canceled)", after, last.ev, last.err)
 		}
 		assertSameDeliveries(t, full[:after], got[:after])
-		if live := LiveBatches(); live != 0 {
-			t.Fatalf("after=%d: %d pooled batches leaked on cancellation", after, live)
-		}
 	}
 }
 
-// TestDeliverAllocBudget: with a warm pool, delivering thousands of events
-// must cost only the two merges' loser trees — the per-event budget is zero.
+// TestDeliverAllocBudget: delivering thousands of events must cost only
+// the two merges' set-up — each a loser tree, its cursors and one typed
+// block — so the per-event budget is zero.
 func TestDeliverAllocBudget(t *testing.T) {
 	ctx := context.Background()
 	st := &Stats{}
@@ -294,10 +257,9 @@ func TestDeliverAllocBudget(t *testing.T) {
 			t.Fatalf("delivered %d events, want %d", n, events)
 		}
 	}
-	drain() // warm the batch pool
 	allocs := testing.AllocsPerRun(5, drain)
-	// Two loser trees with their cursors plus pool noise; 16k+ events
-	// must not show up.
+	// Two merges' set-up is six allocations; 16k+ events must not show
+	// up.
 	if allocs > 8 {
 		t.Fatalf("Deliver allocated %.0f times for %d events, budget 8 total", allocs, events)
 	}

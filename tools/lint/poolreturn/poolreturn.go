@@ -1,7 +1,6 @@
-// Package poolreturn enforces the pool-ownership contract of PR 6
-// (DESIGN.md §9) on every sync.Pool in the tree — in this repo: the
-// stream delivery blocks, logstore's extract.Collapser pool, and the
-// campaign nodeScratch pool. A pooled value is owned by exactly one
+// Package poolreturn enforces the pool-ownership contract (DESIGN.md §9)
+// on every sync.Pool in the tree — in this repo: logstore's
+// extract.Collapser pool and the campaign nodeScratch pool. A pooled value is owned by exactly one
 // goroutine between Get and Put; breaking the discipline corrupts a
 // *later, unrelated* campaign, which is the hardest class of
 // nondeterminism to bisect.
@@ -17,9 +16,7 @@
 //   - No use after Put: after a non-deferred Put(x), x must not be used
 //     again until reassigned.
 //   - No escape: a value obtained from a pool must not leave the
-//     function via return or channel send — except in packages named
-//     stream or kway, the delivery layer, whose whole job is moving
-//     pooled blocks between the merge and the yield loop.
+//     function via return or channel send, in any package.
 //
 // The analysis is intraprocedural and identifier-based: it follows the
 // variable a Get result is bound to, not arbitrary aliases. That is
@@ -40,12 +37,9 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "poolreturn",
 	Doc: "enforce the pool-ownership contract on sync.Pool values: Reset() before Put when the type has one, " +
-		"no use after Put, and no escape via return or channel send outside the delivery layer (stream/kway)",
+		"no use after Put, and no escape via return or channel send",
 	Run: run,
 }
-
-// deliveryPackages may move pooled values across function boundaries.
-var deliveryPackages = map[string]bool{"stream": true, "kway": true}
 
 func run(pass *analysis.Pass) error {
 	for _, f := range pass.Files {
@@ -179,29 +173,26 @@ func checkFunc(pass *analysis.Pass, body *ast.BlockStmt) {
 		}
 	}
 
-	// Clause 3: no escape via return or channel send outside the
-	// delivery layer.
-	if !deliveryPackages[pass.Pkg.Name()] {
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ReturnStmt:
-				for _, res := range n.Results {
-					if obj := astwalk.UsedObject(info, res); obj != nil && pooled[obj] {
-						pass.Reportf(res.Pos(),
-							"pooled %s escapes via return: ownership leaves the Get/Put scope, so the pool can recycle it while the caller still holds it",
-							obj.Name())
-					}
-				}
-			case *ast.SendStmt:
-				if obj := astwalk.UsedObject(info, n.Value); obj != nil && pooled[obj] {
-					pass.Reportf(n.Value.Pos(),
-						"pooled %s escapes via channel send: the receiver and the pool would own it concurrently (only the stream/kway delivery layer may move pooled values)",
+	// Clause 3: no escape via return or channel send.
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.ReturnStmt:
+			for _, res := range n.Results {
+				if obj := astwalk.UsedObject(info, res); obj != nil && pooled[obj] {
+					pass.Reportf(res.Pos(),
+						"pooled %s escapes via return: ownership leaves the Get/Put scope, so the pool can recycle it while the caller still holds it",
 						obj.Name())
 				}
 			}
-			return true
-		})
-	}
+		case *ast.SendStmt:
+			if obj := astwalk.UsedObject(info, n.Value); obj != nil && pooled[obj] {
+				pass.Reportf(n.Value.Pos(),
+					"pooled %s escapes via channel send: the receiver and the pool would own it concurrently",
+					obj.Name())
+			}
+		}
+		return true
+	})
 }
 
 // inDefer reports whether the innermost node of stack is inside a defer

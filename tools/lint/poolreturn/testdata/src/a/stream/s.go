@@ -1,6 +1,6 @@
-// Package stream is named after the repo's delivery layer: moving pooled
-// blocks across function boundaries is its whole job, so the escape
-// clause does not apply here.
+// Package stream carries the name of the repo's delivery layer, which
+// once moved pooled blocks between functions; a package name grants no
+// exemption, so both escapes are findings here as anywhere.
 package stream
 
 import "sync"
@@ -13,10 +13,10 @@ var blockPool = sync.Pool{New: func() any { return new(block) }}
 
 func next() *block {
 	b := blockPool.Get().(*block)
-	return b
+	return b // want `pooled b escapes via return`
 }
 
 func deliver(ch chan *block) {
 	b := blockPool.Get().(*block)
-	ch <- b
+	ch <- b // want `pooled b escapes via channel send`
 }
