@@ -123,6 +123,10 @@ type nodeStream struct {
 // of the range mid-merge releases everything immediately — by the first
 // yield the pool has already wound down. Delivery itself performs no
 // per-event allocation.
+//
+// A core.Simulate source's Events calls Parts and stream.Deliver itself,
+// so this iterator serves only the benchmark harness (bench/) and the
+// tests.
 func Events(ctx context.Context, cfg *Config) iter.Seq2[stream.Event, error] {
 	return func(yield func(stream.Event, error) bool) {
 		p, err := Parts(ctx, cfg)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"slices"
 	"time"
 
 	"unprotected/internal/analysis"
@@ -24,7 +25,9 @@ import (
 // silently clamping.
 type Option func(*options) error
 
-// options is the resolved option set.
+// options is the option set given in one place — a constructor or an
+// Analyze call — and, once resolve has laid the two together, the set one
+// run honours.
 type options struct {
 	workers       int
 	controller    cluster.NodeID
@@ -41,12 +44,9 @@ type options struct {
 	health   *faultstore.Health
 }
 
-// hasPredicates reports whether a store-only predicate option was set.
-func (o *options) hasPredicates() bool { return len(o.nodes) > 0 || o.hasRange }
-
 // hasStoreOnly reports whether any option only the Store source
 // understands was set.
-func (o *options) hasStoreOnly() bool { return o.hasPredicates() || o.degraded }
+func (o *options) hasStoreOnly() bool { return len(o.nodes) > 0 || o.hasRange || o.degraded }
 
 func (o *options) apply(opts []Option) error {
 	for _, opt := range opts {
@@ -185,100 +185,32 @@ func WithDegraded(h *faultstore.Health) Option {
 	}
 }
 
-// configurableSource lets Analyze exchange options with the built-in
-// sources: Analyze-level settings the source acts on (worker-pool size)
-// flow down, source-baked settings only Analyze can act on (observers,
-// WithoutDataset) flow up. configure returns the source to stream from —
-// a derived copy when something changed, so neither the caller's Config
-// nor a reusable Source is mutated by one Analyze call's options.
-type configurableSource interface {
-	configure(o *options) (stream.Source, error)
-}
+// sourceKind names the constructor that built a source; its errors say
+// which.
+type sourceKind string
 
-// studySource is a built-in source: Analyze builds its Study from the
-// sorted parts the source's worker pool produced (assemble) instead of
-// draining its Events, and takes the study metadata from it. topology is
-// only required to be final after parts has returned (the campaign
-// engine defaults it during the run).
-type studySource interface {
-	parts(ctx context.Context) (stream.Parts, error)
-	// workers is the source's pool size, which bounds the assembly too;
-	// zero selects GOMAXPROCS.
-	workers() int
-	controller() cluster.NodeID
-	pathological() cluster.NodeID
-	topology() *cluster.Topology
-}
+const (
+	simulated sourceKind = "Simulate"
+	replayed  sourceKind = "Logs"
+	stored    sourceKind = "Store"
+)
 
-// simSource adapts the campaign engine to the Source interface.
-type simSource struct {
-	cfg *campaign.Config
+// source is the one built-in Source: the campaign engine (Simulate), the
+// log-replay loader (Logs) or the binary fault store (Store). It holds
+// what its constructor was given — the Config or the directory, and the
+// options as given — and never changes: every run resolves the options
+// afresh, so one Analyze call's options never reach the next.
+type source struct {
+	kind sourceKind
+	cfg  *campaign.Config
+	dir  string
+	opts []Option
 }
 
 // Simulate returns the Source that executes the campaign described by
 // cfg. Pass it to Analyze, or range over Events directly for a custom
 // consumer.
-func Simulate(cfg *campaign.Config) stream.Source { return &simSource{cfg: cfg} }
-
-func (s *simSource) Events(ctx context.Context) iter.Seq2[stream.Event, error] {
-	if s.cfg == nil {
-		return func(yield func(stream.Event, error) bool) {
-			yield(stream.Event{}, errors.New("unprotected: Simulate: nil Config (use DefaultConfig)"))
-		}
-	}
-	return campaign.Events(ctx, s.cfg)
-}
-
-func (s *simSource) parts(ctx context.Context) (stream.Parts, error) {
-	return campaign.Parts(ctx, s.cfg)
-}
-
-func (s *simSource) workers() int { return s.cfg.Workers }
-
-func (s *simSource) configure(o *options) (stream.Source, error) {
-	if s.cfg == nil {
-		return nil, errors.New("Simulate: nil Config (use DefaultConfig)")
-	}
-	if o.hasStoreOnly() {
-		return nil, errors.New("Simulate: WithNodes/WithTimeRange/WithDegraded apply only to a Store source")
-	}
-	if o.workers > 0 && o.workers != s.cfg.Workers {
-		// Shallow-copy the Config so the override (and the engine's own
-		// defaulting) stays local to this Analyze call.
-		cfg := *s.cfg
-		cfg.Workers = o.workers
-		return &simSource{cfg: &cfg}, nil
-	}
-	return s, nil
-}
-
-func (s *simSource) controller() cluster.NodeID {
-	if s.cfg != nil && s.cfg.Profile != nil {
-		return s.cfg.Profile.ControllerNode
-	}
-	return cluster.NodeID{}
-}
-
-func (s *simSource) pathological() cluster.NodeID {
-	if s.cfg != nil && s.cfg.Profile != nil {
-		return s.cfg.Profile.PathologicalNode
-	}
-	return cluster.NodeID{}
-}
-
-func (s *simSource) topology() *cluster.Topology {
-	if s.cfg == nil {
-		return nil
-	}
-	return s.cfg.Topo
-}
-
-// logSource adapts the log-replay loader to the Source interface.
-type logSource struct {
-	dir  string
-	opts options
-	err  error // first constructor-option error, surfaced on use
-}
+func Simulate(cfg *campaign.Config) stream.Source { return &source{kind: simulated, cfg: cfg} }
 
 // Logs returns the Source that replays a directory of per-node log files
 // — the paper's actual workflow. Options accepted here carry the same
@@ -287,58 +219,146 @@ type logSource struct {
 // has no Study to build); an invalid option surfaces as the error of the
 // first Events delivery (and from Analyze before the stream starts).
 func Logs(dir string, opts ...Option) stream.Source {
-	s := &logSource{dir: dir}
-	s.err = s.opts.apply(opts)
-	if s.err == nil && s.opts.hasStoreOnly() {
-		s.err = errors.New("WithNodes/WithTimeRange/WithDegraded apply only to a Store source (replay the full directory or ingest it into a store first)")
-	}
-	return s
+	return &source{kind: replayed, dir: dir, opts: slices.Clone(opts)}
 }
 
-func (s *logSource) Events(ctx context.Context) iter.Seq2[stream.Event, error] {
-	if s.err != nil {
-		return func(yield func(stream.Event, error) bool) {
-			yield(stream.Event{}, fmt.Errorf("unprotected: Logs: %w", s.err))
+// Store returns the Source that reads a binary fault store directory
+// (see cmd/faultstore for building one from text logs). Options carry
+// the same meaning as on Analyze, which may add to them; WithNodes and
+// WithTimeRange prune whole segments via the store index before any
+// I/O, and each may be given either here or to Analyze but not both
+// (two restrictions of the same kind are a conflict, not a union). An
+// invalid option surfaces as the error of the first Events delivery
+// (and from Analyze before the stream starts).
+func Store(dir string, opts ...Option) stream.Source {
+	return &source{kind: stored, dir: dir, opts: slices.Clone(opts)}
+}
+
+// Events runs the source under its constructor's options alone and
+// delivers its parts as the stream (stream.Deliver).
+func (s *source) Events(ctx context.Context) iter.Seq2[stream.Event, error] {
+	return func(yield func(stream.Event, error) bool) {
+		o, err := s.resolve(&options{})
+		if err != nil {
+			yield(stream.Event{}, fmt.Errorf("unprotected: %w", err))
+			return
+		}
+		p, _, err := s.run(ctx, &o)
+		if err != nil {
+			yield(stream.Event{}, err)
+			return
+		}
+		stream.Deliver(ctx, yield, p.Stats, p.Faults, p.Sessions)
+	}
+}
+
+// resolve lays the constructor's options under call, Analyze's (none for
+// an Events range), into the options one run honours. call's workers,
+// when positive, and its controller win; a simulation's otherwise come
+// from its Config and its profile. Observers add up, call's first, and so
+// does WithoutDataset. A Store restriction or WithDegraded given in both
+// places is a conflict, and Simulate and Logs reject the store-only
+// options wherever they were given.
+func (s *source) resolve(call *options) (options, error) {
+	var o options
+	if s.kind == simulated && s.cfg == nil {
+		return o, errors.New("Simulate: nil Config (use DefaultConfig)")
+	}
+	if err := o.apply(s.opts); err != nil {
+		return o, fmt.Errorf("%s: %w", s.kind, err)
+	}
+	if s.kind != stored && (o.hasStoreOnly() || call.hasStoreOnly()) {
+		return o, fmt.Errorf("%s: WithNodes/WithTimeRange/WithDegraded apply only to a Store source", s.kind)
+	}
+	if s.kind == simulated {
+		// A nil Profile is an ambient-only campaign: no controller.
+		o.workers = s.cfg.Workers
+		if p := s.cfg.Profile; p != nil {
+			o.controller = p.ControllerNode
 		}
 	}
-	return logstore.Events(ctx, s.dir, s.opts.workers)
+	if call.workers > 0 {
+		o.workers = call.workers
+	}
+	if call.hasController {
+		o.controller = call.controller
+	}
+	o.observers = append(call.observers, o.observers...)
+	o.noDataset = o.noDataset || call.noDataset
+	conflict := func(option string) error {
+		return fmt.Errorf("Store: %s given both to Store and to Analyze", option)
+	}
+	if len(call.nodes) > 0 {
+		// Two node restrictions cannot union: WithNodes promises to
+		// restrict, and a union would silently widen the constructor's set.
+		if len(o.nodes) > 0 {
+			return o, conflict("WithNodes")
+		}
+		o.nodes = call.nodes
+	}
+	if call.hasRange {
+		if o.hasRange {
+			return o, conflict("WithTimeRange")
+		}
+		o.hasRange, o.from, o.to = true, call.from, call.to
+	}
+	if call.degraded {
+		// Two WithDegraded calls could carry two different health sinks.
+		if o.degraded {
+			return o, conflict("WithDegraded")
+		}
+		o.degraded, o.health = true, call.health
+	}
+	return o, nil
 }
 
-func (s *logSource) parts(ctx context.Context) (stream.Parts, error) {
-	return logstore.Parts(ctx, s.dir, s.opts.workers)
+// run runs the source under the resolved options o and returns its parts
+// with the Study they will fill: its raw-log counts, controller,
+// pathological node and topology, and a simulation's Config — a shallow
+// copy of the caller's when o overrides the worker count, so neither the
+// override nor the engine's own defaulting reaches the caller's.
+func (s *source) run(ctx context.Context, o *options) (stream.Parts, *Study, error) {
+	study := &Study{Dataset: &analysis.Dataset{ControllerNode: o.controller}}
+	d := study.Dataset
+	var p stream.Parts
+	var err error
+	switch s.kind {
+	case simulated:
+		cfg := s.cfg
+		if o.workers != cfg.Workers {
+			cp := *cfg
+			cp.Workers = o.workers
+			cfg = &cp
+		}
+		p, err = campaign.Parts(ctx, cfg)
+		study.Config, d.Topo = cfg, cfg.Topo
+		if prof := cfg.Profile; prof != nil {
+			d.PathologicalNode = prof.PathologicalNode
+		}
+	case replayed:
+		p, err = logstore.Parts(ctx, s.dir, o.workers)
+	case stored:
+		var st *faultstore.Store
+		if st, err = faultstore.Open(s.dir); err != nil {
+			return p, nil, fmt.Errorf("unprotected: Store: %w", err)
+		}
+		p, err = st.Parts(ctx, faultstore.Query{
+			Nodes: o.nodes, HasRange: o.hasRange, From: o.from, To: o.to,
+			Workers: o.workers, Degraded: o.degraded, Health: o.health,
+		})
+	}
+	if err != nil {
+		return p, nil, err
+	}
+	if d.Topo == nil {
+		// A replayed directory and a store carry record streams, not a
+		// topology, and the paper's is the only one the per-node analyses
+		// know how to map.
+		d.Topo = cluster.PaperTopology()
+	}
+	d.RawLogs, d.RawLogsByNode = p.Stats.RawLogs, p.Stats.RawLogsByNode
+	return p, study, nil
 }
-
-func (s *logSource) workers() int { return s.opts.workers }
-
-func (s *logSource) configure(o *options) (stream.Source, error) {
-	if s.err != nil {
-		return nil, fmt.Errorf("Logs: %w", s.err)
-	}
-	if o.hasStoreOnly() {
-		return nil, errors.New("Logs: WithNodes/WithTimeRange/WithDegraded apply only to a Store source (replay the full directory or ingest it into a store first)")
-	}
-	// Analyze-level options that the source cannot act on by itself flow
-	// the other way: observers and WithoutDataset baked into the Logs call
-	// join Analyze's own set, so both spellings are equivalent.
-	o.observers = append(o.observers, s.opts.observers...)
-	if s.opts.noDataset {
-		o.noDataset = true
-	}
-	if o.workers > 0 && o.workers != s.opts.workers {
-		cp := *s
-		cp.opts.workers = o.workers
-		return &cp, nil
-	}
-	return s, nil
-}
-
-func (s *logSource) controller() cluster.NodeID   { return s.opts.controller }
-func (s *logSource) pathological() cluster.NodeID { return cluster.NodeID{} }
-
-// topology returns the prototype's layout: a replayed directory carries
-// no topology of its own, and the paper's is the only one the per-node
-// analyses know how to map.
-func (s *logSource) topology() *cluster.Topology { return cluster.PaperTopology() }
 
 // Analyze runs src once and assembles the Study: the dataset slices
 // (unless WithoutDataset), the figure accumulators, and every attached
@@ -361,79 +381,39 @@ func Analyze(ctx context.Context, src stream.Source, opts ...Option) (*Study, er
 	if src == nil {
 		return nil, errors.New("unprotected: Analyze: nil Source")
 	}
-	var o options
-	if err := o.apply(opts); err != nil {
+	var call options
+	if err := call.apply(opts); err != nil {
 		return nil, fmt.Errorf("unprotected: Analyze: %w", err)
 	}
-	if cs, ok := src.(configurableSource); ok {
-		configured, err := cs.configure(&o)
-		if err != nil {
-			return nil, fmt.Errorf("unprotected: Analyze: %w", err)
-		}
-		src = configured
+	s, ok := src.(*source)
+	if !ok {
+		return analyzeEvents(ctx, src, &call)
 	}
-
-	var controller, pathological cluster.NodeID
-	builtin, isBuiltin := src.(studySource)
-	if isBuiltin {
-		controller, pathological = builtin.controller(), builtin.pathological()
+	o, err := s.resolve(&call)
+	if err != nil {
+		return nil, fmt.Errorf("unprotected: Analyze: %w", err)
 	}
-	if o.hasController {
-		controller = o.controller
-	}
-
-	var study *Study
-	var err error
-	if isBuiltin {
-		study, err = analyzeParts(ctx, builtin, controller, pathological, &o)
-	} else {
-		study, err = analyzeEvents(ctx, src, controller, pathological, &o)
-	}
+	p, study, err := s.run(ctx, &o)
 	if err != nil {
 		return nil, err
 	}
-	study.Dataset.Topo = cluster.PaperTopology()
-	if isBuiltin {
-		if t := builtin.topology(); t != nil {
-			study.Dataset.Topo = t
-		}
+	collect := !o.noDataset
+	if study.Figures, err = assemble(ctx, p, o.workers, collect, study.Dataset); err != nil {
+		return nil, err
 	}
-	if sim, ok := src.(*simSource); ok {
-		study.Config = sim.cfg
+	if err := observe(ctx, o.observers, p, study.Dataset, collect); err != nil {
+		return nil, err
 	}
 	return study, nil
-}
-
-// analyzeParts assembles a built-in source's Study from its parts, then
-// runs the observers on the caller's goroutine, in canonical order.
-func analyzeParts(ctx context.Context, src studySource, controller, pathological cluster.NodeID, o *options) (*Study, error) {
-	p, err := src.parts(ctx)
-	if err != nil {
-		return nil, err
-	}
-	d := &analysis.Dataset{
-		ControllerNode:   controller,
-		PathologicalNode: pathological,
-		RawLogs:          p.Stats.RawLogs,
-		RawLogsByNode:    p.Stats.RawLogsByNode,
-	}
-	figures, err := assemble(ctx, p, src.workers(), !o.noDataset, d)
-	if err != nil {
-		return nil, err
-	}
-	if err := observe(ctx, o.observers, p, d, !o.noDataset); err != nil {
-		return nil, err
-	}
-	return &Study{Dataset: d, Figures: figures}, nil
 }
 
 // analyzeEvents drains an external Source's Events: each fault and
 // session, in the order the source delivers it, is appended to the
 // dataset (unless WithoutDataset), folded into the figures and handed to
 // the observers.
-func analyzeEvents(ctx context.Context, src stream.Source, controller, pathological cluster.NodeID, o *options) (*Study, error) {
-	d := &analysis.Dataset{ControllerNode: controller, PathologicalNode: pathological}
-	figures := analysis.NewAccumulators(excludedNodes(controller)...)
+func analyzeEvents(ctx context.Context, src stream.Source, o *options) (*Study, error) {
+	d := &analysis.Dataset{ControllerNode: o.controller, Topo: cluster.PaperTopology()}
+	figures := analysis.NewAccumulators(excludedNodes(o.controller)...)
 	collect := !o.noDataset
 	for ev, err := range src.Events(ctx) {
 		if err != nil {

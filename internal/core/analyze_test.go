@@ -6,6 +6,7 @@ import (
 	"errors"
 	"iter"
 	"runtime"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -220,6 +221,149 @@ func TestAnalyzeObserversAndWithoutDataset(t *testing.T) {
 	}
 }
 
+// TestAnalyzeOptionPrecedence pins, for each kind of built-in source, how
+// Analyze lays its options over the constructor's: Analyze's controller
+// wins (its empty string disables the exclusion), observers add up —
+// Analyze's first, then the constructor's — and so does WithoutDataset,
+// a workers override runs on a copy of the caller's Config, and no call's
+// options reach the next call on the same source. Simulate's constructor
+// takes no options: its controller is the profile's.
+func TestAnalyzeOptionPrecedence(t *testing.T) {
+	ctx := context.Background()
+	logDir, storeDir := ingestFixtureStore(t)
+	cfg := diffConfig(1916, 2, 0, 2)
+	profile := cfg.Profile.ControllerNode
+	other := cluster.NodeID{Blade: 1, SoC: 2}
+
+	var finished []string
+	var seen map[string]int
+	obs := func(name string) stream.Observer {
+		return stream.FuncObserver{
+			Fault: func(extract.Fault) { seen[name]++ },
+			Done:  func() error { finished = append(finished, name); return nil },
+		}
+	}
+	kinds := []struct {
+		name string
+		src  func(opts ...Option) stream.Source // opts go to the constructor
+	}{
+		{"Simulate", func(...Option) stream.Source { return Simulate(cfg) }},
+		{"Logs", func(opts ...Option) stream.Source { return Logs(logDir, opts...) }},
+		{"Store", func(opts ...Option) stream.Source { return Store(storeDir, opts...) }},
+	}
+	// The calls run in order on one source, so each also checks that the
+	// calls before it left the source as it was built.
+	calls := []struct {
+		name       string
+		opts       []Option
+		controller cluster.NodeID
+		observers  []string // Analyze's, which Finish before the constructor's
+		lean       bool
+	}{
+		{"none", nil, profile, nil, false},
+		{"controller", []Option{WithController(other.String())}, other, nil, false},
+		{"no controller", []Option{WithController("")}, cluster.NodeID{}, nil, false},
+		{"observers", []Option{WithObservers(obs("a"), obs("b"))}, profile, []string{"a", "b"}, false},
+		{"workers", []Option{WithWorkers(1)}, profile, nil, false},
+		{"lean", []Option{WithoutDataset(), WithObservers(obs("a"))}, profile, []string{"a"}, true},
+		{"none again", nil, profile, nil, false},
+	}
+	for _, k := range kinds {
+		t.Run(k.name, func(t *testing.T) {
+			simulated := k.name == "Simulate"
+			// Logs and Store name the profile's controller, as Simulate's
+			// profile does, and bake in an observer.
+			src := k.src(WithController(profile.String()), WithObservers(obs("constructor")))
+			faults := -1
+			for _, c := range calls {
+				finished, seen = nil, map[string]int{}
+				study, err := Analyze(ctx, src, c.opts...)
+				if err != nil {
+					t.Fatalf("%s: %v", c.name, err)
+				}
+				if faults < 0 {
+					faults = len(study.Dataset.Faults)
+				}
+				if got := study.Dataset.ControllerNode; got != c.controller {
+					t.Errorf("%s: controller %v, want %v", c.name, got, c.controller)
+				}
+				want := c.observers
+				if !simulated {
+					want = append(slices.Clip(want), "constructor")
+				}
+				if !slices.Equal(finished, want) {
+					t.Errorf("%s: observers finished %v, want %v", c.name, finished, want)
+				}
+				for _, name := range want {
+					if seen[name] != faults {
+						t.Errorf("%s: observer %s saw %d faults, want %d", c.name, name, seen[name], faults)
+					}
+				}
+				if lean := study.Dataset.Faults == nil && study.Dataset.Sessions == nil; lean != c.lean {
+					t.Errorf("%s: dataset left empty %v, want %v", c.name, lean, c.lean)
+				}
+				switch {
+				case !simulated:
+					if study.Config != nil {
+						t.Errorf("%s: a %s study carries a campaign Config", c.name, k.name)
+					}
+				case c.name == "workers":
+					if study.Config == cfg || study.Config.Workers != 1 {
+						t.Errorf("workers: study ran on %d workers of the caller's Config (%v), want 1 on a copy",
+							study.Config.Workers, study.Config == cfg)
+					}
+				case study.Config != cfg:
+					t.Errorf("%s: study does not carry the caller's Config", c.name)
+				}
+			}
+			if cfg.Workers != 2 {
+				t.Errorf("a workers override changed the caller's Config to %d workers", cfg.Workers)
+			}
+			if simulated {
+				return
+			}
+			// WithoutDataset baked into the constructor empties the dataset
+			// as Analyze's does.
+			finished, seen = nil, map[string]int{}
+			study, err := Analyze(ctx, k.src(WithoutDataset(), WithObservers(obs("constructor"))))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if study.Dataset.Faults != nil || study.Dataset.Sessions != nil {
+				t.Error("WithoutDataset on the constructor still materialized the dataset")
+			}
+			if !slices.Equal(finished, []string{"constructor"}) || seen["constructor"] != faults {
+				t.Errorf("constructor observer finished %v and saw %d faults, want %d", finished, seen["constructor"], faults)
+			}
+		})
+	}
+	// A nil Profile is an ambient-only campaign: it names no controller
+	// and no pathological node, through Analyze and through Events.
+	t.Run("Simulate without profile", func(t *testing.T) {
+		ambient := diffConfig(1916, 2, 0, 2)
+		ambient.Profile = nil
+		study, err := Analyze(ctx, Simulate(ambient))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := study.Dataset; d.ControllerNode != (cluster.NodeID{}) || d.PathologicalNode != (cluster.NodeID{}) {
+			t.Errorf("controller %v and pathological node %v, want both zero", d.ControllerNode, d.PathologicalNode)
+		}
+		faults := 0
+		for ev, err := range Simulate(ambient).Events(ctx) {
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ev.Kind == stream.KindFault {
+				faults++
+			}
+		}
+		if faults != len(study.Dataset.Faults) {
+			t.Errorf("Events delivered %d faults, Analyze collected %d", faults, len(study.Dataset.Faults))
+		}
+	})
+}
+
 // TestAnalyzeCancelLeakFree is the goroutine-leak regression gate: a
 // cancelled Analyze must return ctx.Err() and leave the goroutine count
 // where it started, whether the cancellation lands during simulation
@@ -263,10 +407,18 @@ func TestAnalyzeCancelLeakFree(t *testing.T) {
 	ctx3 := &armedCtx{}
 	ctx3.Context, ctx3.cancel = context.WithCancel(context.Background())
 	defer ctx3.cancel()
-	src := cancelInAssembly{simSource: &simSource{cfg: campaign.DefaultConfig(2)}, ctx: ctx3}
-	study, err = Analyze(ctx3, src)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("got (%v, %v), want context.Canceled", study, err)
+	src := Simulate(campaign.DefaultConfig(2)).(*source)
+	o, err := src.resolve(&options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, study, err := src.run(ctx3, &o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx3.armed.Store(true)
+	if _, err := assemble(ctx3, p, 2, true, study.Dataset); !errors.Is(err, context.Canceled) {
+		t.Fatalf("assembly returned %v, want context.Canceled", err)
 	}
 	if ctx3.checks.Load() < 2 {
 		t.Fatal("the assembly never ran")
@@ -296,23 +448,6 @@ func (c *armedCtx) Err() error {
 	}
 	return c.Context.Err()
 }
-
-// cancelInAssembly is a simulation source whose parts arm ctx once they
-// are ready, so the run is cancelled while Analyze assembles them.
-type cancelInAssembly struct {
-	*simSource
-	ctx *armedCtx
-}
-
-func (c cancelInAssembly) configure(*options) (stream.Source, error) { return c, nil }
-
-func (c cancelInAssembly) parts(ctx context.Context) (stream.Parts, error) {
-	p, err := c.simSource.parts(ctx)
-	c.ctx.armed.Store(true)
-	return p, err
-}
-
-func (c cancelInAssembly) workers() int { return 2 }
 
 // customSource is an external Source implementation: Analyze must accept
 // any iterator honouring the stream contract, not just the built-ins.

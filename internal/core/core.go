@@ -6,13 +6,16 @@
 //
 // The entry point is Analyze(ctx, src): src is any stream.Source — the
 // campaign engine (Simulate), the log-replay loader (Logs), the fault
-// store (Store), or an external implementation. A built-in source is
-// assembled from the sorted parts its worker pool produced: figure
-// partials fold on the same number of workers and merge, and typed
-// merges fill the dataset. An external source's stream is drained element
-// by element into the dataset, the figure accumulators and the attached
-// observers. Either way every online-computable §III statistic is ready
-// when Analyze returns, after one run of the source.
+// store (Store), or an external implementation. The three constructors
+// build one source type, which keeps what it was given and, for every
+// run, lays its options under Analyze's by one rule (resolve) before it
+// runs its loader (run). A built-in source is assembled from the sorted
+// parts its worker pool produced: figure partials fold on the same number
+// of workers and merge, and typed merges fill the dataset. An external
+// source's stream is drained element by element into the dataset, the
+// figure accumulators and the attached observers. Either way every
+// online-computable §III statistic is ready when Analyze returns, after
+// one run of the source.
 package core
 
 import (

@@ -68,8 +68,9 @@ type reference struct {
 // referenceStudy assembles a Study from src's Events through the
 // reference path described above, so any divergence in the rendered
 // report is attributable to Analyze's assembly alone. The study metadata
-// — controller, pathological node, topology — comes from the source, as
-// Analyze takes it.
+// — controller, pathological node, topology — is read from what the
+// source's constructor was given: a campaign's profile and topology, or a
+// replay's options.
 func referenceStudy(t *testing.T, src stream.Source) reference {
 	t.Helper()
 	var faults []extract.Fault
@@ -93,8 +94,16 @@ func referenceStudy(t *testing.T, src stream.Source) reference {
 	sort.SliceStable(faults, func(i, j int) bool { return extract.Compare(&faults[i], &faults[j]) < 0 })
 	sort.SliceStable(sessions, func(i, j int) bool { return eventlog.CompareSessions(&sessions[i], &sessions[j]) < 0 })
 
-	meta := src.(studySource)
-	figures := analysis.NewAccumulators(excludedNodes(meta.controller())...)
+	s := src.(*source)
+	var o options
+	if err := o.apply(s.opts); err != nil {
+		t.Fatal(err)
+	}
+	controller, pathological, topo := o.controller, cluster.NodeID{}, cluster.PaperTopology()
+	if s.cfg != nil {
+		controller, pathological, topo = s.cfg.Profile.ControllerNode, s.cfg.Profile.PathologicalNode, s.cfg.Topo
+	}
+	figures := analysis.NewAccumulators(excludedNodes(controller)...)
 	for _, f := range faults {
 		figures.ObserveFault(f)
 	}
@@ -106,8 +115,7 @@ func referenceStudy(t *testing.T, src stream.Source) reference {
 		Dataset: &analysis.Dataset{
 			Faults: faults, Sessions: sessions,
 			RawLogs: stats.RawLogs, RawLogsByNode: stats.RawLogsByNode,
-			ControllerNode: meta.controller(), PathologicalNode: meta.pathological(),
-			Topo: meta.topology(),
+			ControllerNode: controller, PathologicalNode: pathological, Topo: topo,
 		},
 		Figures: figures,
 	}

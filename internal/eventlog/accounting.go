@@ -78,7 +78,9 @@ func (s Session) TBh() units.TBh {
 // different hosts may be interleaved; records of one host must be in time
 // order (as they are in per-node log files).
 type Accounting struct {
-	open map[cluster.NodeID]*Session
+	// open holds each host's open session by value, so a START allocates
+	// nothing once the map has room.
+	open map[cluster.NodeID]Session
 	// Sessions holds the closed sessions not yet handed over by
 	// TakeClosed, in closing order.
 	Sessions []Session
@@ -86,7 +88,7 @@ type Accounting struct {
 
 // NewAccounting returns an empty accumulator.
 func NewAccounting() *Accounting {
-	return &Accounting{open: make(map[cluster.NodeID]*Session)}
+	return &Accounting{open: make(map[cluster.NodeID]Session)}
 }
 
 // Observe consumes one record.
@@ -97,13 +99,13 @@ func (a *Accounting) Observe(r Record) {
 			// START after START: the node was hard-rebooted and the END
 			// lost. Close the previous session as truncated (0 hours).
 			prev.Truncated = true
-			a.Sessions = append(a.Sessions, *prev)
+			a.Sessions = append(a.Sessions, prev)
 		}
-		a.open[r.Host] = &Session{Host: r.Host, From: r.At, AllocBytes: r.AllocBytes}
+		a.open[r.Host] = Session{Host: r.Host, From: r.At, AllocBytes: r.AllocBytes}
 	case KindEnd:
 		if s, ok := a.open[r.Host]; ok {
 			s.To = r.At
-			a.Sessions = append(a.Sessions, *s)
+			a.Sessions = append(a.Sessions, s)
 			delete(a.open, r.Host)
 		}
 		// An END without a START is dropped: nothing can be accounted.
@@ -152,9 +154,8 @@ func (a *Accounting) Snapshot(dst []Session) []Session {
 	dst = append(dst, a.Sessions...)
 	open := make([]Session, 0, len(a.open))
 	for _, s := range a.open {
-		cp := *s
-		cp.Truncated = true
-		open = append(open, cp)
+		s.Truncated = true
+		open = append(open, s)
 	}
 	sort.Slice(open, func(i, j int) bool { return CompareSessions(&open[i], &open[j]) < 0 })
 	return append(dst, open...)

@@ -247,6 +247,29 @@ func TestAccountingEndWithoutStart(t *testing.T) {
 	}
 }
 
+// TestAccountingObserveZeroAlloc: the accounting holds its open sessions
+// by value, so once its map and Sessions have room, a START/END pair
+// allocates nothing. The replay loader runs Observe on every session of
+// every node file.
+func TestAccountingObserveZeroAlloc(t *testing.T) {
+	host := cluster.NodeID{Blade: 3, SoC: 3}
+	acc := NewAccounting()
+	acc.Sessions = make([]Session, 0, 512)
+	at := timebase.T(0)
+	pair := func() {
+		acc.Observe(Record{Kind: KindStart, At: at, Host: host, AllocBytes: 3 << 30})
+		acc.Observe(Record{Kind: KindEnd, At: at + 3600, Host: host})
+		at += 7200
+	}
+	pair()
+	if avg := testing.AllocsPerRun(200, pair); avg != 0 {
+		t.Fatalf("a START/END pair allocated %.1f times, want 0", avg)
+	}
+	if len(acc.Sessions) != 202 || acc.Open() != 0 {
+		t.Fatalf("accounting closed %d sessions with %d open, want 202 and 0", len(acc.Sessions), acc.Open())
+	}
+}
+
 func TestSessionTBh(t *testing.T) {
 	s := Session{Host: cluster.NodeID{Blade: 1, SoC: 2}, From: 0, To: timebase.T(3600), AllocBytes: 1 << 40}
 	if s.TBh() != 1 {

@@ -23,7 +23,7 @@
 // # Semantics
 //
 //   - Ingest streams a text log directory through the §II-C replay
-//     pipeline (logstore.Events) and buckets the extracted faults and
+//     pipeline (logstore.Parts) and buckets the extracted faults and
 //     sessions into segments. Ingest is additive: a second Ingest into
 //     the same store appends a new generation of segments.
 //   - Events replays the store as the standard stream contract — stats

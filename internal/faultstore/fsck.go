@@ -79,7 +79,6 @@ type FsckOption func(*fsckOptions) error
 
 type fsckOptions struct {
 	repair bool
-	fsys   iofault.FS
 }
 
 // WithRepair makes Fsck act on its findings: corrupt segments are moved
@@ -88,18 +87,6 @@ type fsckOptions struct {
 func WithRepair() FsckOption {
 	return func(o *fsckOptions) error {
 		o.repair = true
-		return nil
-	}
-}
-
-// WithFsckFS routes the check's I/O through fsys (default: the OS
-// passthrough).
-func WithFsckFS(fsys iofault.FS) FsckOption {
-	return func(o *fsckOptions) error {
-		if fsys == nil {
-			return fmt.Errorf("faultstore: nil FS")
-		}
-		o.fsys = fsys
 		return nil
 	}
 }
@@ -117,13 +104,13 @@ func WithFsckFS(fsys iofault.FS) FsckOption {
 // A missing or corrupt manifest is an error, not a finding: without the
 // index there is nothing to verify against.
 func Fsck(dir string, opts ...FsckOption) (*FsckReport, error) {
-	o := fsckOptions{fsys: iofault.OS}
+	var o fsckOptions
 	for _, opt := range opts {
 		if err := opt(&o); err != nil {
 			return nil, err
 		}
 	}
-	man, err := readManifest(o.fsys, dir)
+	man, err := readManifest(iofault.OS, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -135,13 +122,13 @@ func Fsck(dir string, opts ...FsckOption) (*FsckReport, error) {
 		e := &man.segs[i]
 		referenced[e.name] = true
 		rep.SegmentsChecked++
-		if err := verifySegment(o.fsys, dir, e); err != nil {
+		if err := verifySegment(iofault.OS, dir, e); err != nil {
 			rep.Corrupt = append(rep.Corrupt, FsckIssue{Segment: e.name, Err: err})
 			corrupt[e.name] = true
 		}
 	}
 
-	entries, err := o.fsys.ReadDir(dir)
+	entries, err := iofault.OS.ReadDir(dir)
 	if err != nil {
 		return nil, fmt.Errorf("faultstore: %w", err)
 	}
@@ -164,11 +151,11 @@ func Fsck(dir string, opts ...FsckOption) (*FsckReport, error) {
 	// rewrite the manifest without it, delete the litter.
 	if len(corrupt) > 0 {
 		qdir := filepath.Join(dir, QuarantineDir)
-		if err := o.fsys.MkdirAll(qdir, 0o755); err != nil {
+		if err := iofault.OS.MkdirAll(qdir, 0o755); err != nil {
 			return rep, fmt.Errorf("faultstore: repair: %w", err)
 		}
 		for _, c := range rep.Corrupt {
-			err := o.fsys.Rename(filepath.Join(dir, c.Segment), filepath.Join(qdir, c.Segment))
+			err := iofault.OS.Rename(filepath.Join(dir, c.Segment), filepath.Join(qdir, c.Segment))
 			switch {
 			case err == nil:
 				rep.Quarantined = append(rep.Quarantined, c.Segment)
@@ -180,13 +167,13 @@ func Fsck(dir string, opts ...FsckOption) (*FsckReport, error) {
 			}
 		}
 		man.segs = slices.DeleteFunc(man.segs, func(e segMeta) bool { return corrupt[e.name] })
-		if err := writeManifest(o.fsys, dir, man); err != nil {
+		if err := writeManifest(iofault.OS, dir, man); err != nil {
 			return rep, fmt.Errorf("faultstore: repair: %w", err)
 		}
 		rep.ManifestRewritten = true
 	}
 	for _, name := range rep.Orphans {
-		if err := o.fsys.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		if err := iofault.OS.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return rep, fmt.Errorf("faultstore: repair: %w", err)
 		}
 		rep.Removed = append(rep.Removed, name)

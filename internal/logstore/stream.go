@@ -63,6 +63,9 @@ func (p Part) Sessions() []eventlog.Session { return p.sessions }
 // the pool has already wound down, so breaking out of the range releases
 // everything immediately. Delivery itself performs no per-event
 // allocation.
+//
+// A core.Logs source's Events calls Parts and stream.Deliver itself, so
+// this iterator serves only the benchmark harness (bench/) and the tests.
 func Events(ctx context.Context, dir string, workers int, opts ...Option) iter.Seq2[stream.Event, error] {
 	return func(yield func(stream.Event, error) bool) {
 		p, err := Parts(ctx, dir, workers, opts...)

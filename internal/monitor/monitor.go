@@ -37,7 +37,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -115,8 +114,11 @@ type Monitor struct {
 	snap atomic.Pointer[Snapshot]
 
 	// Ingest state below is owned exclusively by the Run goroutine.
-	nodes map[cluster.NodeID]*nodeState
-	order []cluster.NodeID // sorted keys of nodes
+	// nodes holds each node's state by node index, nil for a node with
+	// none. Index order is (Blade, SoC) order, the order of the sorted
+	// file names the one-shot loader merges its parts in, so every walk
+	// of the table is in that order.
+	nodes [cluster.TotalNodes]*nodeState
 	// exclude lists the nodes every partial drops from the regimes: the
 	// controller, if any.
 	exclude []cluster.NodeID
@@ -154,7 +156,7 @@ type nodeState struct {
 
 // New builds a Monitor over dir. Nothing is read until Run.
 func New(dir string, opts ...Option) (*Monitor, error) {
-	m := &Monitor{dir: dir, nodes: make(map[cluster.NodeID]*nodeState), dirty: true}
+	m := &Monitor{dir: dir, dirty: true}
 	for _, opt := range opts {
 		if opt == nil {
 			return nil, errors.New("monitor: nil Option")
@@ -209,16 +211,11 @@ func (m *Monitor) Run(ctx context.Context) error {
 // their host= field — under the store's one-file-per-node layout this is
 // exactly the per-file state the one-shot loader keeps (DESIGN.md §13).
 func (m *Monitor) ingest(rec eventlog.Record) {
-	ns, ok := m.nodes[rec.Host]
-	if !ok {
+	i := rec.Host.Index()
+	ns := m.nodes[i]
+	if ns == nil {
 		ns = &nodeState{col: extract.NewCollapser(), acct: eventlog.NewAccounting(), sess: analysis.NewAccumulators(m.exclude...)}
-		m.nodes[rec.Host] = ns
-		i := sort.Search(len(m.order), func(i int) bool {
-			return compareNodes(m.order[i], rec.Host) >= 0
-		})
-		m.order = append(m.order, cluster.NodeID{})
-		copy(m.order[i+1:], m.order[i:])
-		m.order[i] = rec.Host
+		m.nodes[i] = ns
 	}
 	ns.acct.Observe(rec)
 	ns.col.Observe(rec)
@@ -237,35 +234,10 @@ func (m *Monitor) markDirty(node cluster.NodeID) {
 // fresh records — without the discard those re-delivered lines would be
 // double-counted and the quiescence equivalence would break.
 func (m *Monitor) reset(host cluster.NodeID) {
-	if _, ok := m.nodes[host]; !ok {
-		return
+	if i := host.Index(); m.nodes[i] != nil {
+		m.nodes[i] = nil
+		m.markDirty(host)
 	}
-	delete(m.nodes, host)
-	i := sort.Search(len(m.order), func(i int) bool {
-		return compareNodes(m.order[i], host) >= 0
-	})
-	m.order = append(m.order[:i], m.order[i+1:]...)
-	m.markDirty(host)
-}
-
-// compareNodes orders nodes the way sorted file paths do: FileName
-// zero-pads both coordinates, so lexicographic file order is (Blade, SoC)
-// order — the property that makes the snapshot's merge identical to the
-// one-shot loader's.
-func compareNodes(a, b cluster.NodeID) int {
-	if a.Blade != b.Blade {
-		if a.Blade < b.Blade {
-			return -1
-		}
-		return 1
-	}
-	switch {
-	case a.SoC < b.SoC:
-		return -1
-	case a.SoC > b.SoC:
-		return 1
-	}
-	return 0
 }
 
 // publish rebuilds the Study from the per-node state and swaps it in as
@@ -291,9 +263,9 @@ func (m *Monitor) rebuild() *core.Study {
 		prev = s.Study.Dataset.Faults
 	}
 	var fresh [cluster.TotalNodes][]extract.Fault
-	for _, id := range m.order {
-		if i := id.Index(); m.isDirty[i] {
-			fresh[i] = m.nodes[id].refresh(m.exclude)
+	for i, ns := range &m.nodes {
+		if ns != nil && m.isDirty[i] {
+			fresh[i] = ns.refresh(m.exclude)
 		}
 	}
 
@@ -304,13 +276,15 @@ func (m *Monitor) rebuild() *core.Study {
 		ControllerNode: m.controllerID,
 	}
 	var faults int
-	for _, id := range m.order {
-		ns := m.nodes[id]
+	for i, ns := range &m.nodes {
+		if ns == nil {
+			continue
+		}
 		figs.Merge(ns.part)
 		figs.Merge(ns.sess)
 		ds.RawLogs += ns.rawLogs
 		if ns.faults > 0 {
-			ds.RawLogsByNode[id] = ns.logs
+			ds.RawLogsByNode[cluster.NodeIDFromIndex(i)] = ns.logs
 		}
 		faults += ns.faults
 	}

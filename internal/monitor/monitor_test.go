@@ -558,9 +558,9 @@ func TestMonitorHoldsHistoryOnce(t *testing.T) {
 	// its ingest state is safe to read.
 	checkTaken := func(name string) {
 		t.Helper()
-		for id, ns := range m.nodes {
-			if n := len(ns.acct.Sessions); n > 0 {
-				t.Fatalf("%s: node %s's accounting holds %d closed sessions", name, id, n)
+		for i, ns := range &m.nodes {
+			if ns != nil && len(ns.acct.Sessions) > 0 {
+				t.Fatalf("%s: node %s's accounting holds %d closed sessions", name, cluster.NodeIDFromIndex(i), len(ns.acct.Sessions))
 			}
 		}
 	}
@@ -669,9 +669,9 @@ func TestMonitorPublishSessionsMatchOracle(t *testing.T) {
 					}
 				}
 			}
-			for id, ns := range m.nodes {
-				if len(ns.acct.Sessions) > 0 {
-					t.Fatalf("trial %d round %d: node %s keeps %d closed sessions", trial, round, id, len(ns.acct.Sessions))
+			for i, ns := range &m.nodes {
+				if ns != nil && len(ns.acct.Sessions) > 0 {
+					t.Fatalf("trial %d round %d: node %s keeps %d closed sessions", trial, round, cluster.NodeIDFromIndex(i), len(ns.acct.Sessions))
 				}
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"strconv"
 
 	"unprotected/internal/analysis"
+	"unprotected/internal/cluster"
 	"unprotected/internal/core"
 	"unprotected/internal/logstore"
 )
@@ -245,13 +246,18 @@ func rate(num, den float64) float64 {
 // the ones taken from its accounting plus its open one, which counts as
 // truncated, as a replay of its file would close it.
 func (m *Monitor) verdicts(rawLogs int64, faults int) []NodeVerdict {
-	out := make([]NodeVerdict, 0, len(m.order))
-	for _, id := range m.order {
-		ns := m.nodes[id]
+	// Sized for the whole fleet, and never nil: /nodes encodes a fleet
+	// with no verdict as [], not null.
+	out := make([]NodeVerdict, 0, cluster.TotalNodes)
+	for i, ns := range &m.nodes {
+		if ns == nil {
+			continue
+		}
 		open := ns.acct.Open()
 		if ns.faults == 0 && ns.closed+open == 0 {
 			continue
 		}
+		id := cluster.NodeIDFromIndex(i)
 		hours, tbh := ns.sess.Headline.Node(id)
 		v := NodeVerdict{
 			Node:     id.String(),

@@ -10,8 +10,11 @@
 // Collect runs their worker pool, which leaves Parts: the stats plus one
 // sorted fault and session stream per node (or per fault-store segment).
 // Deliver merges Parts into the stream with two kway.Each walks, wrapping
-// each element as an Event only as it yields it. Their Events is the two
-// steps in a row. core.Analyze and faultstore.Ingest take Parts instead
+// each element as an Event only as it yields it. Every built-in Events is
+// the two steps in a row: core's one source type (Simulate, Logs, Store)
+// calls the Parts of the loader its constructor named, and
+// campaign.Events, logstore.Events and (*faultstore.Store).Events each
+// wrap their own. core.Analyze and faultstore.Ingest take Parts instead
 // and walk them typed, merging only what needs canonical order, so
 // Deliver serves only the Events iterators.
 //
@@ -140,9 +143,10 @@ func SyncEvent() Event { return Event{Kind: KindSync} }
 // node for the campaign and the log replay, one per decoded segment for
 // the fault store. Every fault stream is in extract.Compare order, every
 // session stream in eventlog.CompareSessions order, and Stats counts
-// exactly the elements the streams hold. A source's Events Delivers its
-// Parts; core.Analyze assembles a Study from them directly, merging only
-// what needs canonical order.
+// exactly the elements the streams hold. campaign.Parts, logstore.Parts
+// and (*faultstore.Store).Parts produce them; a source's Events Delivers
+// them, and core.Analyze assembles a Study from them directly, merging
+// only what needs canonical order.
 type Parts struct {
 	Stats    *Stats
 	Faults   [][]extract.Fault
