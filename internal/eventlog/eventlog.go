@@ -137,12 +137,6 @@ func appendTemp(b []byte, t float64) []byte {
 // String renders the canonical line.
 func (r Record) String() string { return string(r.AppendText(nil)) }
 
-// Parse parses one canonical log line. It is a thin wrapper over the
-// allocation-free ParseBytes fast path.
-func Parse(line string) (Record, error) {
-	return ParseBytes([]byte(line))
-}
-
 // Field-presence bits: one per known key, for mandatory-field and
 // duplicate-field checks without a map.
 const (
@@ -163,8 +157,8 @@ const (
 // fields are scanned in place (no strings.Fields), timestamps go through the
 // fixed-layout codec (no time.Parse) and numbers through byte-slice parsers.
 // The slice is neither modified nor retained, so callers may hand it a
-// reused read buffer (bufio.Scanner's, in Reader). Only the error paths
-// allocate, and every error message copies what it needs out of the buffer.
+// reused read buffer, as Lines does. Only the error paths allocate, and
+// every error message copies what it needs out of the buffer.
 //
 // A field key appearing twice is an error (the last occurrence used to win
 // silently — corrupted or hand-edited logs must not be half-trusted).
@@ -444,62 +438,51 @@ func (lw *Writer) Count() int { return lw.n }
 // Flush flushes buffered output.
 func (lw *Writer) Flush() error { return lw.w.Flush() }
 
-// MaxLine bounds one log line, its '\n' included: a line that does not
-// fit fails the read with bufio.ErrTooLong. The batch Reader and the
-// follow-mode tailer share it, so a file one of them accepts the other
-// accepts too.
+// MaxLine bounds one log line, its '\n' included. Lines fails a line
+// that passes it with bufio.ErrTooLong, so the batch loader and the
+// follow-mode tailer, which both cut lines through Lines, accept the
+// same files.
 const MaxLine = 1 << 20
 
-// Reader streams records from text lines, skipping blank lines. Malformed
-// lines abort with a positioned error: silent log corruption must never
-// skew a reliability study.
-type Reader struct {
-	s    *bufio.Scanner
-	line int
-}
-
-// NewReader wraps r.
-func NewReader(r io.Reader) *Reader {
-	s := bufio.NewScanner(r)
-	s.Buffer(make([]byte, 64*1024), MaxLine)
-	return &Reader{s: s}
-}
-
-// Next returns the next record, io.EOF at end of input. Lines are parsed
-// straight out of the scanner's reused buffer through ParseBytes, so a
-// steady-state read loop performs no per-line allocations.
-func (lr *Reader) Next() (Record, error) {
-	for lr.s.Scan() {
-		lr.line++
-		text := bytes.TrimSpace(lr.s.Bytes())
+// Lines is the one line rule of the log format: it hands visit the
+// record of every complete line of data, in order, and returns how many
+// bytes those lines took. A line becomes a record once its '\n' is
+// written; the bytes after the last '\n' are an unfinished line, left
+// unconsumed for the caller to complete with more input. Blank lines are
+// skipped. A malformed line fails with its number, and consumed then
+// includes it. A line over MaxLine fails with its number and
+// bufio.ErrTooLong as soon as data holds MaxLine of its bytes, finished
+// or not, so a caller's read buffer never needs more than MaxLine
+// bytes. *line counts the lines consumed, across calls, so a caller that
+// feeds one file in chunks gets file line numbers. When visit returns
+// false Lines stops after that line with a nil error.
+//
+// Lines parses straight out of data through ParseBytes, so a caller
+// that reuses one read buffer reads without per-line allocations.
+func Lines(data []byte, line *int, visit func(Record) bool) (consumed int, err error) {
+	for {
+		i := bytes.IndexByte(data[consumed:], '\n')
+		if i < 0 {
+			if len(data)-consumed >= MaxLine {
+				return consumed, fmt.Errorf("line %d: %w", *line+1, bufio.ErrTooLong)
+			}
+			return consumed, nil
+		}
+		text := bytes.TrimSpace(data[consumed : consumed+i])
+		consumed += i + 1
+		*line++
+		if i >= MaxLine {
+			return consumed, fmt.Errorf("line %d: %w", *line, bufio.ErrTooLong)
+		}
 		if len(text) == 0 {
 			continue
 		}
 		rec, err := ParseBytes(text)
 		if err != nil {
-			return Record{}, fmt.Errorf("line %d: %w", lr.line, err)
+			return consumed, fmt.Errorf("line %d: %w", *line, err)
 		}
-		return rec, nil
-	}
-	if err := lr.s.Err(); err != nil {
-		return Record{}, err
-	}
-	return Record{}, io.EOF
-}
-
-// ReadAll consumes the stream into a slice (small logs only; the campaign
-// pipeline streams instead).
-func ReadAll(r io.Reader) ([]Record, error) {
-	lr := NewReader(r)
-	var out []Record
-	for {
-		rec, err := lr.Next()
-		if err == io.EOF {
-			return out, nil
+		if !visit(rec) {
+			return consumed, nil
 		}
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
 	}
 }

@@ -1,7 +1,9 @@
 package eventlog
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -25,7 +27,7 @@ func sampleRecords() []Record {
 func TestRecordRoundTrip(t *testing.T) {
 	for _, rec := range sampleRecords() {
 		line := rec.String()
-		back, err := Parse(line)
+		back, err := ParseBytes([]byte(line))
 		if err != nil {
 			t.Fatalf("parse %q: %v", line, err)
 		}
@@ -64,7 +66,7 @@ func TestRoundTripProperty(t *testing.T) {
 		if rec.TempC < -270 {
 			rec.TempC = thermal.NoReading
 		}
-		back, err := Parse(rec.String())
+		back, err := ParseBytes([]byte(rec.String()))
 		return err == nil && back == rec
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -83,8 +85,8 @@ func TestParseErrors(t *testing.T) {
 		"ERROR ts=2015-02-01T00:00:00Z host=01-01 malformed",
 	}
 	for _, line := range bad {
-		if _, err := Parse(line); err == nil {
-			t.Errorf("Parse(%q) accepted", line)
+		if _, err := ParseBytes([]byte(line)); err == nil {
+			t.Errorf("ParseBytes(%q) accepted", line)
 		}
 	}
 }
@@ -101,8 +103,8 @@ func TestParseRejectsDuplicateFields(t *testing.T) {
 		"ERROR ts=2015-02-01T00:00:00Z host=01-01 logs=1 logs=1",
 	}
 	for _, line := range lines {
-		if _, err := Parse(line); err == nil || !strings.Contains(err.Error(), "duplicate field") {
-			t.Errorf("Parse(%q) = %v, want duplicate-field error", line, err)
+		if _, err := ParseBytes([]byte(line)); err == nil || !strings.Contains(err.Error(), "duplicate field") {
+			t.Errorf("ParseBytes(%q) = %v, want duplicate-field error", line, err)
 		}
 	}
 }
@@ -150,6 +152,17 @@ func TestAppendTextZeroAlloc(t *testing.T) {
 	}
 }
 
+// readLines runs Lines over data in one call and collects its records.
+func readLines(data []byte) ([]Record, error) {
+	var out []Record
+	line := 0
+	_, err := Lines(data, &line, func(r Record) bool {
+		out = append(out, r)
+		return true
+	})
+	return out, err
+}
+
 func TestWriterReader(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -165,7 +178,7 @@ func TestWriterReader(t *testing.T) {
 	if w.Count() != len(recs) {
 		t.Fatalf("count %d", w.Count())
 	}
-	got, err := ReadAll(&buf)
+	got, err := readLines(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,15 +192,47 @@ func TestWriterReader(t *testing.T) {
 	}
 }
 
+// TestReaderSkipsBlanksReportsPosition: Lines skips blank lines but
+// counts them, so a malformed line fails with its line number in the
+// file, and consumed then includes the failing line. A visit that
+// returns false stops Lines after its line, with a nil error.
 func TestReaderSkipsBlanksReportsPosition(t *testing.T) {
-	input := "\n" + sampleRecords()[0].String() + "\n\n" + "JUNK line\n"
-	r := NewReader(strings.NewReader(input))
-	if _, err := r.Next(); err != nil {
-		t.Fatal(err)
-	}
-	_, err := r.Next()
+	first := sampleRecords()[0].String()
+	input := []byte("\n" + first + "\n \t\n" + "JUNK line\n" + first + "\n")
+	recs, line := 0, 0
+	n, err := Lines(input, &line, func(Record) bool {
+		recs++
+		return true
+	})
 	if err == nil || !strings.Contains(err.Error(), "line 4") {
 		t.Fatalf("want positioned error, got %v", err)
+	}
+	if recs != 1 || line != 4 || n != len(input)-len(first)-1 {
+		t.Fatalf("records %d, line %d, consumed %d; want 1, 4, %d", recs, line, n, len(input)-len(first)-1)
+	}
+	line = 0
+	n, err = Lines(input, &line, func(Record) bool { return false })
+	if err != nil || line != 2 || n != 1+len(first)+1 {
+		t.Fatalf("stopped visit: consumed %d, line %d, %v; want %d, 2, nil", n, line, err, 1+len(first)+1)
+	}
+}
+
+// TestLinesLineLimit: a line of MaxLine bytes, '\n' included, is a
+// record; one byte more fails with bufio.ErrTooLong and the line's
+// number, whether its '\n' is in data yet or not.
+func TestLinesLineLimit(t *testing.T) {
+	rec := sampleRecords()[1].String()
+	fits := rec + strings.Repeat(" ", MaxLine-1-len(rec)) + "\n"
+	if recs, err := readLines([]byte(fits + fits)); err != nil || len(recs) != 2 {
+		t.Fatalf("lines of MaxLine bytes: %d records, %v; want 2", len(recs), err)
+	}
+	over := " " + fits
+	for _, data := range []string{fits + over, fits + over[:MaxLine]} {
+		line := 0
+		_, err := Lines([]byte(data), &line, func(Record) bool { return true })
+		if !errors.Is(err, bufio.ErrTooLong) || !strings.Contains(err.Error(), "line 2") {
+			t.Fatalf("over-long line: %v, want ErrTooLong at line 2", err)
+		}
 	}
 }
 
@@ -280,11 +325,22 @@ func TestSessionTBh(t *testing.T) {
 	}
 }
 
+// TestReadAllError: a malformed line fails, empty input holds no
+// record, and an unterminated line is no record and no error — Lines
+// leaves it unconsumed, however it ends.
 func TestReadAllError(t *testing.T) {
-	if _, err := ReadAll(strings.NewReader("GARBAGE\n")); err == nil {
+	if _, err := readLines([]byte("GARBAGE\n")); err == nil {
 		t.Fatal("garbage accepted")
 	}
-	if recs, err := ReadAll(strings.NewReader("")); err != nil || len(recs) != 0 {
+	if recs, err := readLines(nil); err != nil || len(recs) != 0 {
 		t.Fatalf("empty input: %v %v", recs, err)
+	}
+	whole := sampleRecords()[1].String() + "\n"
+	for _, data := range []string{"GARBAGE", whole[:len(whole)-1], whole + whole[:len(whole)/2]} {
+		line := 0
+		n, err := Lines([]byte(data), &line, func(Record) bool { return true })
+		if err != nil || n != strings.LastIndexByte(data, '\n')+1 {
+			t.Fatalf("%q: consumed %d, %v; want %d, nil", data, n, err, strings.LastIndexByte(data, '\n')+1)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package eventlog
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"strconv"
@@ -136,17 +137,86 @@ func FuzzParse(f *testing.F) {
 	f.Add("ERROR ts= host=")
 	f.Add(strings.Repeat("a=b ", 100))
 	f.Fuzz(func(t *testing.T, line string) {
-		rec, err := Parse(line)
+		rec, err := ParseBytes([]byte(line))
 		if err != nil {
 			return
 		}
 		// Anything accepted must render and re-parse stably.
-		again, err := Parse(rec.String())
+		again, err := ParseBytes([]byte(rec.String()))
 		if err != nil {
 			t.Fatalf("accepted %q but re-parse of %q failed: %v", line, rec.String(), err)
 		}
 		if again.String() != rec.String() {
 			t.Fatalf("canonical form unstable:\n1: %s\n2: %s", rec.String(), again.String())
+		}
+	})
+}
+
+// FuzzLines holds the line rule to its chunking contract. Fed in
+// arbitrary chunks the way the batch loader and the follower feed it —
+// append a chunk, call Lines, keep the unconsumed tail — Lines must give
+// the records, line numbers and error of one call on the whole input,
+// and leave over exactly the bytes after the last '\n'.
+func FuzzLines(f *testing.F) {
+	var text string
+	for _, rec := range sampleRecords() {
+		text += rec.String() + "\n"
+	}
+	f.Add([]byte(text), []byte{0})
+	f.Add([]byte("\n\n"+text+" \t\n"+text[:40]), []byte{3, 200, 17})
+	f.Add([]byte(text+"JUNK\n"+text), []byte{90, 1})
+	f.Add([]byte("\r\n"+text[:len(text)-1]), []byte{})
+	f.Fuzz(func(t *testing.T, data, sizes []byte) {
+		type seen struct {
+			recs  []Record
+			lines []int
+		}
+		collect := func(s *seen, line *int) func(Record) bool {
+			return func(r Record) bool {
+				s.recs = append(s.recs, r)
+				s.lines = append(s.lines, *line)
+				return true
+			}
+		}
+		var whole seen
+		wholeLine := 0
+		n, wholeErr := Lines(data, &wholeLine, collect(&whole, &wholeLine))
+
+		var chunked seen
+		line := 0
+		var pending []byte
+		var err error
+		for off, c := 0, 0; off < len(data) && err == nil; c++ {
+			size := 1
+			if len(sizes) > 0 {
+				size += int(sizes[c%len(sizes)])
+			}
+			end := min(off+size, len(data))
+			pending = append(pending, data[off:end]...)
+			off = end
+			var k int
+			k, err = Lines(pending, &line, collect(&chunked, &line))
+			pending = pending[:copy(pending, pending[k:])]
+		}
+
+		if (err == nil) != (wholeErr == nil) || (err != nil && err.Error() != wholeErr.Error()) {
+			t.Fatalf("chunked error %v, whole-input error %v", err, wholeErr)
+		}
+		if line != wholeLine || len(chunked.recs) != len(whole.recs) {
+			t.Fatalf("chunked: %d records over %d lines; whole input: %d over %d",
+				len(chunked.recs), line, len(whole.recs), wholeLine)
+		}
+		for i := range whole.recs {
+			if !sameRecord(chunked.recs[i], whole.recs[i]) || chunked.lines[i] != whole.lines[i] {
+				t.Fatalf("record %d: chunked %+v at line %d, whole input %+v at line %d",
+					i, chunked.recs[i], chunked.lines[i], whole.recs[i], whole.lines[i])
+			}
+		}
+		if wholeErr == nil {
+			tail := data[bytes.LastIndexByte(data, '\n')+1:]
+			if !bytes.Equal(data[n:], tail) || !bytes.Equal(pending, tail) {
+				t.Fatalf("left over: whole input %q, chunked %q; want %q", data[n:], pending, tail)
+			}
 		}
 	})
 }
@@ -226,7 +296,7 @@ func FuzzRecordRender(f *testing.F) {
 		if thermal.HasReading(rec.TempC) {
 			rec.TempC = float64(int(rec.TempC*10)) / 10
 		}
-		back, err := Parse(rec.String())
+		back, err := ParseBytes([]byte(rec.String()))
 		if err != nil {
 			t.Fatalf("rendered record failed to parse: %v\n%s", err, rec.String())
 		}

@@ -88,7 +88,7 @@ func TestPreCollapsedRecordRoundTrip(t *testing.T) {
 		TempC: 33.4567890123, PhysPage: 0x42,
 		LastAt: 9000, Logs: 17,
 	}
-	back, err := Parse(rec.String())
+	back, err := ParseBytes([]byte(rec.String()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func TestPreCollapsedRecordRoundTrip(t *testing.T) {
 	}
 
 	// logs= without last=: the run ends where it starts.
-	r2, err := Parse("ERROR ts=2015-03-01T00:00:00Z host=01-01 vaddr=0x0 actual=0x0 expected=0x1 temp=NA ppage=0x0 logs=3")
+	r2, err := ParseBytes([]byte("ERROR ts=2015-03-01T00:00:00Z host=01-01 vaddr=0x0 actual=0x0 expected=0x1 temp=NA ppage=0x0 logs=3"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestPreCollapsedRecordRoundTrip(t *testing.T) {
 	}
 
 	// last= without logs=: a single-record run.
-	r3, err := Parse("ERROR ts=2015-03-01T00:00:00Z host=01-01 vaddr=0x0 actual=0x0 expected=0x1 temp=NA ppage=0x0 last=2015-03-01T00:01:00Z")
+	r3, err := ParseBytes([]byte("ERROR ts=2015-03-01T00:00:00Z host=01-01 vaddr=0x0 actual=0x0 expected=0x1 temp=NA ppage=0x0 last=2015-03-01T00:01:00Z"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestPreCollapsedRecordRoundTrip(t *testing.T) {
 		"ERROR ts=2015-03-01T00:00:00Z host=01-01 vaddr=0x0 actual=0x0 expected=0x1 temp=NA ppage=0x0 logs=-2",
 		"ERROR ts=2015-03-01T00:02:00Z host=01-01 vaddr=0x0 actual=0x0 expected=0x1 temp=NA ppage=0x0 last=2015-03-01T00:01:00Z",
 	} {
-		if _, err := Parse(line); err == nil {
+		if _, err := ParseBytes([]byte(line)); err == nil {
 			t.Fatalf("accepted malformed pre-collapsed line: %s", line)
 		}
 	}

@@ -507,6 +507,23 @@ func TestFsckFindsAndRepairs(t *testing.T) {
 	}
 }
 
+// TestFsckRetriesTransientRead: fsck reads a segment as every other
+// segment read does, so one transient EIO is retried and never marks a
+// healthy segment corrupt (which -repair would quarantine).
+func TestFsckRetriesTransientRead(t *testing.T) {
+	dir, _, _, _ := chaosStore(t)
+	man, err := readManifest(iofault.OS, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := &man.segs[0]
+	inj := iofault.NewInjector(nil)
+	inj.FailPath(e.name, 1, nil)
+	if err := verifySegment(inj, dir, e); err != nil {
+		t.Fatalf("verifySegment after one transient EIO: %v", err)
+	}
+}
+
 // FuzzDegradedRead pins the degraded-read panic-freedom contract: no
 // single-segment corruption — byte flips anywhere, truncation to any
 // length, including zero — may panic a degraded query or surface as a

@@ -331,6 +331,45 @@ func TestStoreCompactMergesSplitRuns(t *testing.T) {
 	}
 }
 
+// TestStoreCompactMixedShardCounts: a run split across two ingests with
+// different shard counts sits in two shards, and Compact still merges
+// it — its merge is store-wide, not per shard.
+func TestStoreCompactMixedShardCounts(t *testing.T) {
+	ctx := context.Background()
+	node := cluster.NodeID{Blade: 1, SoC: 2}
+	if shardOf(node, DefaultShards) == shardOf(node, 3) {
+		t.Fatalf("node %v falls in shard %d at both shard counts; the test proves nothing", node, shardOf(node, 3))
+	}
+	head := synthFault(1, 2, 100, 1000, 1050, 5, 0xffffffff, 0xfffffffe)
+	tail := synthFault(1, 2, 100, 1080, 1120, 3, 0xffffffff, 0xfffffffe)
+	storeDir := t.TempDir()
+	if _, err := Ingest(ctx, exportDir(t, []extract.Fault{head}, nil), storeDir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Ingest(ctx, exportDir(t, []extract.Fault{tail}, nil), storeDir, WithShards(3)); err != nil {
+		t.Fatal(err)
+	}
+
+	stats, err := Compact(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.FaultsBefore != 2 || stats.FaultsAfter != 1 {
+		t.Fatalf("compact collapsed %d -> %d faults, want 2 -> 1", stats.FaultsBefore, stats.FaultsAfter)
+	}
+	s, err := Open(storeDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, _, _ := drain(t, s, Query{})
+	if len(after) != 1 || after[0].FirstAt != 1000 || after[0].LastAt != 1120 || after[0].Logs != 8 {
+		t.Fatalf("compacted store %+v, want one run FirstAt=1000 LastAt=1120 Logs=8", after)
+	}
+	if e := s.man.segs[0]; len(s.man.segs) != 1 || e.shard != shardOf(node, DefaultShards) {
+		t.Fatalf("compacted index %+v, want one segment in the head's shard %d", s.man.segs, shardOf(node, DefaultShards))
+	}
+}
+
 // TestStoreCompactSingleGenerationIsPureRebucket pins the replay
 // contract inside compaction: pre-collapsed log lines map to runs
 // verbatim, so two same-(node, address, words) faults within the §II-C

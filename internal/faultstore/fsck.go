@@ -1,6 +1,7 @@
 package faultstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io/fs"
@@ -8,6 +9,7 @@ import (
 	"slices"
 	"strings"
 
+	"unprotected/internal/fdlimit"
 	"unprotected/internal/iofault"
 )
 
@@ -183,13 +185,11 @@ func Fsck(dir string, opts ...FsckOption) (*FsckReport, error) {
 
 // verifySegment checks one referenced segment file against its index
 // entry: readable, decodable (magic, layout, CRC) and consistent with
-// what the manifest claims about it.
+// what the manifest claims about it. It reads as every segment read
+// does, through readSegmentFile, so a transient error is retried before
+// it can mark a healthy segment corrupt.
 func verifySegment(fsys iofault.FS, dir string, e *segMeta) error {
-	data, err := fsys.ReadFile(filepath.Join(dir, e.name))
-	if err != nil {
-		return err
-	}
-	p, err := decodeSegment(data)
+	p, err := readSegmentFile(context.Background(), fsys, filepath.Join(dir, e.name), fdlimit.Shared, iofault.DefaultRetry)
 	if err != nil {
 		return err
 	}

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"path/filepath"
 	"slices"
+	"sort"
 	"time"
 
 	"unprotected/internal/eventlog"
@@ -100,10 +101,24 @@ type bucketKey struct {
 	window int64
 }
 
-// bucket accumulates one cell's payload during ingest.
+// bucket accumulates one cell's payload.
 type bucket struct {
 	faults   []extract.Fault
 	sessions []eventlog.Session
+}
+
+// cells is the payload one Ingest or Compact writes, by (shard, window)
+// cell.
+type cells map[bucketKey]*bucket
+
+// at returns cell k's bucket, creating it empty.
+func (c cells) at(k bucketKey) *bucket {
+	b, ok := c[k]
+	if !ok {
+		b = &bucket{}
+		c[k] = b
+	}
+	return b
 }
 
 // Ingest reads the text log directory logDir through the replay loader's
@@ -144,28 +159,20 @@ func Ingest(ctx context.Context, logDir, storeDir string, opts ...IngestOption) 
 	gen := man.nextGen()
 
 	stats := &IngestStats{}
-	buckets := make(map[bucketKey]*bucket)
-	cell := func(k bucketKey) *bucket {
-		b, ok := buckets[k]
-		if !ok {
-			b = &bucket{}
-			buckets[k] = b
-		}
-		return b
-	}
+	out := make(cells)
 	p, err := logstore.Parts(ctx, logDir, o.workers, logstore.WithFS(o.fsys))
 	if err != nil {
 		return nil, err
 	}
 	kway.Each(p.Faults, extract.Key, extract.Compare, func(f *extract.Fault) bool {
-		b := cell(bucketKey{shardOf(f.Node, o.shards), windowOf(f.FirstAt, o.windowSeconds)})
+		b := out.at(bucketKey{shardOf(f.Node, o.shards), windowOf(f.FirstAt, o.windowSeconds)})
 		b.faults = append(b.faults, *f)
 		stats.Faults++
 		stats.RawLogs += int64(f.Logs)
 		return true
 	})
 	kway.Each(p.Sessions, eventlog.SessionKey, eventlog.CompareSessions, func(s *eventlog.Session) bool {
-		b := cell(bucketKey{shardOf(s.Host, o.shards), windowOf(s.From, o.windowSeconds)})
+		b := out.at(bucketKey{shardOf(s.Host, o.shards), windowOf(s.From, o.windowSeconds)})
 		b.sessions = append(b.sessions, *s)
 		stats.Sessions++
 		return true
@@ -173,41 +180,49 @@ func Ingest(ctx context.Context, logDir, storeDir string, opts ...IngestOption) 
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	stats.Bytes, err = commit(o.fsys, storeDir, man, gen, out)
+	if err != nil {
+		return nil, err
+	}
+	stats.Segments = len(out)
+	return stats, nil
+}
 
-	keys := make([]bucketKey, 0, len(buckets))
-	for k := range buckets {
+// commit is the one write path of the store: it writes one segment per
+// cell, in key order, under generation gen, appends their index entries
+// to man and commits man. The manifest rename is the commit point. Until
+// it lands every segment commit wrote is provisional, and a failure
+// removes them again (best-effort — a crash also kills the cleanup,
+// which is exactly the orphan case fsck exists for). It returns the
+// bytes of the segments written.
+func commit(fsys iofault.FS, dir string, man *manifest, gen uint32, out cells) (int64, error) {
+	keys := make([]bucketKey, 0, len(out))
+	for k := range out {
 		keys = append(keys, k)
 	}
 	slices.SortFunc(keys, compareBucketKeys)
-	// Until the manifest rename commits, every segment this ingest wrote
-	// is provisional: on any error the written files are deleted again
-	// (best-effort — a crash also kills the cleanup, which is exactly the
-	// orphan case fsck exists for).
 	var written []string
-	cleanup := func() {
-		for _, name := range written {
-			o.fsys.Remove(filepath.Join(storeDir, name))
-		}
-	}
+	var size int64
+	var err error
 	for _, k := range keys {
-		b := buckets[k]
-		meta, n, err := writeSegment(o.fsys, storeDir, k.shard, k.window, gen, b.faults, b.sessions)
-		if err != nil {
-			cleanup()
-			return nil, err
+		var meta segMeta
+		var n int64
+		if meta, n, err = writeSegment(fsys, dir, k.shard, k.window, gen, out[k].faults, out[k].sessions); err != nil {
+			break
 		}
 		written = append(written, meta.name)
 		man.segs = append(man.segs, meta)
-		stats.Segments++
-		stats.Bytes += n
+		size += n
 	}
-	if err := writeManifest(o.fsys, storeDir, man); err != nil {
-		if !errors.Is(err, errSyncAfterCommit) {
-			cleanup()
+	if err == nil {
+		err = writeManifest(fsys, dir, man)
+	}
+	if err != nil && !errors.Is(err, errSyncAfterCommit) {
+		for _, name := range written {
+			fsys.Remove(filepath.Join(dir, name))
 		}
-		return nil, err
 	}
-	return stats, nil
+	return size, err
 }
 
 func compareBucketKeys(a, b bucketKey) int {
@@ -360,22 +375,25 @@ func WithCompactFS(fsys iofault.FS) CompactOption {
 	}
 }
 
-// Compact rewrites the store one shard at a time: every segment of the
-// shard is decoded, the fault streams are k-way merged back into the
-// canonical order, runs that ingest-batch boundaries split in two are
-// re-collapsed (same node, address, expected and actual word, next run
-// starting within the §II-C gap of the previous run's end, and — the
-// batch-boundary signature — coming from a different ingest generation
-// than the run it continues), and the shard is re-bucketed — using the
-// window length the manifest persists — into one segment per window under
-// a single fresh generation the current manifest does not reference. No
-// live segment file is ever overwritten, so the manifest swap at the end
-// stays the commit point: a crash mid-compact leaves the old manifest
-// pointing at the old, untouched files (plus unreferenced output orphans
-// that a re-run simply overwrites). Sessions are merged
-// order-preservingly and never coalesced. After the swap the superseded
-// segment files are deleted (best-effort — queries only open what the
-// manifest names).
+// Compact rewrites the store: every segment is decoded, the fault
+// streams of all of them are k-way merged back into the canonical order,
+// runs that ingest-batch boundaries split in two are re-collapsed (same
+// node, address, expected and actual word, next run starting within the
+// §II-C gap of the previous run's end, and — the batch-boundary
+// signature — coming from a different ingest generation than the run it
+// continues), and every fault returns to its segment's shard, a
+// collapsed run to its head's. The merge is store-wide because ingests
+// with different shard counts put one node's runs in different shards.
+// Sessions are merged per shard, order-preservingly, and never
+// coalesced. commit then re-buckets the lot — using the window length
+// the manifest persists — into one segment per (shard, window) cell
+// under a single fresh generation the current manifest does not
+// reference. No live segment file is ever overwritten, so the manifest
+// swap at the end stays the commit point: a crash mid-compact leaves the
+// old manifest pointing at the old, untouched files (plus unreferenced
+// output orphans that a re-run simply overwrites). After the swap the
+// superseded segment files are deleted (best-effort — queries only open
+// what the manifest names).
 //
 // The generation gate is what keeps compaction faithful to the replay
 // contract: ingested faults are pre-collapsed lines, and the Collapser
@@ -397,115 +415,74 @@ func Compact(dir string, opts ...CompactOption) (*CompactStats, error) {
 	if err != nil {
 		return nil, err
 	}
-	stats := &CompactStats{SegmentsBefore: len(man.segs)}
-	byShard := make(map[uint32][]segMeta)
-	var shards []uint32
 	windowSeconds := man.windowSeconds
 	if windowSeconds <= 0 {
 		windowSeconds = int64(DefaultWindow / time.Second)
 	}
+	stats := &CompactStats{SegmentsBefore: len(man.segs)}
+	// Every segment is read before any is written, so a read error
+	// leaves nothing to clean up. The manifest lists a shard's segments
+	// together, so a shard's sessions merge once its last one is read.
+	out := make(cells)
+	var faults [][]genFault
+	var sessions [][]eventlog.Session
+	for i, e := range man.segs {
+		p, err := readSegmentFile(context.Background(), o.fsys, filepath.Join(dir, e.name), fdlimit.Shared, iofault.DefaultRetry)
+		if err != nil {
+			return nil, err
+		}
+		stats.FaultsBefore += e.nFaults
+		if len(p.faults) > 0 {
+			gfs := make([]genFault, len(p.faults))
+			for j, f := range p.faults {
+				gfs[j] = genFault{gen: e.gen, shard: e.shard, Fault: f}
+			}
+			faults = append(faults, gfs)
+		}
+		if len(p.sessions) > 0 {
+			sessions = append(sessions, p.sessions)
+		}
+		if i+1 == len(man.segs) || man.segs[i+1].shard != e.shard {
+			kway.Each(sessions, eventlog.SessionKey, eventlog.CompareSessions, func(s *eventlog.Session) bool {
+				b := out.at(bucketKey{e.shard, windowOf(s.From, windowSeconds)})
+				b.sessions = append(b.sessions, *s)
+				return true
+			})
+			sessions = sessions[:0]
+		}
+	}
+	merged := collapseRuns(kway.Merge(faults, genFaultKey, compareGenFaults))
+	for i := range merged {
+		f := &merged[i]
+		b := out.at(bucketKey{f.shard, windowOf(f.FirstAt, windowSeconds)})
+		b.faults = append(b.faults, f.Fault)
+	}
+	stats.FaultsAfter = len(merged)
+
 	// All output segments share one generation, picked above every live
 	// one so their names never collide with files the current manifest
 	// references (the crash-consistency contract of the manifest swap).
-	outGen := man.nextGen()
-	for _, e := range man.segs {
-		if _, ok := byShard[e.shard]; !ok {
-			shards = append(shards, e.shard)
-		}
-		byShard[e.shard] = append(byShard[e.shard], e)
-		stats.FaultsBefore += e.nFaults
-	}
-	slices.Sort(shards)
-
 	next := &manifest{windowSeconds: windowSeconds}
-	var obsolete []string
-	// Output segments are provisional until the manifest swap: on any
-	// error the ones already written are deleted again (best-effort — a
-	// crash also kills the cleanup, leaving orphans for fsck).
-	var written []string
-	cleanup := func() {
-		for _, name := range written {
-			o.fsys.Remove(filepath.Join(dir, name))
-		}
-	}
-	for _, shard := range shards {
-		segs := byShard[shard]
-		faultStreams := make([][]genFault, 0, len(segs))
-		sessionStreams := make([][]eventlog.Session, 0, len(segs))
-		for _, e := range segs {
-			p, err := readSegmentFile(context.Background(), o.fsys, filepath.Join(dir, e.name), fdlimit.Shared, iofault.DefaultRetry)
-			if err != nil {
-				cleanup()
-				return nil, err
-			}
-			if len(p.faults) > 0 {
-				gfs := make([]genFault, len(p.faults))
-				for i, f := range p.faults {
-					gfs[i] = genFault{gen: e.gen, Fault: f}
-				}
-				faultStreams = append(faultStreams, gfs)
-			}
-			if len(p.sessions) > 0 {
-				sessionStreams = append(sessionStreams, p.sessions)
-			}
-			obsolete = append(obsolete, e.name)
-		}
-		faults := collapseRuns(kway.Merge(faultStreams, genFaultKey, compareGenFaults))
-		sessions := kway.Merge(sessionStreams, eventlog.SessionKey, eventlog.CompareSessions)
-		stats.FaultsAfter += len(faults)
-
-		buckets := make(map[int64]*bucket)
-		var windows []int64
-		cell := func(w int64) *bucket {
-			b, ok := buckets[w]
-			if !ok {
-				b = &bucket{}
-				buckets[w] = b
-				windows = append(windows, w)
-			}
-			return b
-		}
-		for _, f := range faults {
-			b := cell(windowOf(f.FirstAt, windowSeconds))
-			b.faults = append(b.faults, f)
-		}
-		for _, s := range sessions {
-			b := cell(windowOf(s.From, windowSeconds))
-			b.sessions = append(b.sessions, s)
-		}
-		slices.Sort(windows)
-		for _, w := range windows {
-			b := buckets[w]
-			meta, _, err := writeSegment(o.fsys, dir, shard, w, outGen, b.faults, b.sessions)
-			if err != nil {
-				cleanup()
-				return nil, err
-			}
-			written = append(written, meta.name)
-			next.segs = append(next.segs, meta)
-		}
-	}
-	stats.SegmentsAfter = len(next.segs)
-	if err := writeManifest(o.fsys, dir, next); err != nil {
-		if !errors.Is(err, errSyncAfterCommit) {
-			cleanup()
-		}
+	if _, err := commit(o.fsys, dir, next, man.nextGen(), out); err != nil {
 		return nil, err
 	}
-	// Superseded names can never collide with the output (outGen is fresh),
-	// so every pre-compact segment is safe to delete after the swap.
-	for _, name := range obsolete {
-		o.fsys.Remove(filepath.Join(dir, name))
+	stats.SegmentsAfter = len(next.segs)
+	// Superseded names can never collide with the output (its generation
+	// is fresh), so every pre-compact segment is safe to delete after the
+	// swap.
+	for _, e := range man.segs {
+		o.fsys.Remove(filepath.Join(dir, e.name))
 	}
 	return stats, nil
 }
 
-// genFault is a fault tagged with the generation of the segment it was
-// read from, so the compaction collapse can tell batch-split run halves
-// (different generations) from deliberately separate same-key runs
-// (same generation).
+// genFault is a fault tagged with the generation and shard of the
+// segment it was read from, so the compaction collapse can tell
+// batch-split run halves (different generations) from deliberately
+// separate same-key runs (same generation), and the compacted fault
+// returns to its shard.
 type genFault struct {
-	gen uint32
+	gen, shard uint32
 	extract.Fault
 }
 
@@ -522,39 +499,35 @@ func genFaultKey(g *genFault) int64 { return extract.Key(&g.Fault) }
 // observation falls within the collapse gap of that run's last one, AND
 // whose source generation differs from the run's is folded in — the
 // run's extent and raw-log weight grow, its identity (first observation,
-// temperature) stays, and the run adopts the continuation's generation
-// so a third batch can extend it again. Same-generation neighbours are
-// never merged: the original extraction already decided they are
-// independent faults (pre-collapsed lines map to runs verbatim), and
-// re-applying the gap heuristic to them would change the dataset. The
-// result is re-sorted because a grown run's LastAt participates in the
-// canonical order's tiebreaks.
-func collapseRuns(faults []genFault) []extract.Fault {
+// temperature) and its head's shard stay, and the run adopts the
+// continuation's generation so a third batch can extend it again.
+// Same-generation neighbours are never merged: the original extraction
+// already decided they are independent faults (pre-collapsed lines map
+// to runs verbatim), and re-applying the gap heuristic to them would
+// change the dataset. The result is re-sorted because a grown run's
+// LastAt participates in the canonical order's tiebreaks.
+func collapseRuns(faults []genFault) []genFault {
 	type key struct {
 		blade, soc int
 		addr       uint32
 	}
-	type run struct {
-		idx int // index in out
-		gen uint32
-	}
-	open := make(map[key]run) // key -> the open run for that address
-	out := make([]extract.Fault, 0, len(faults))
+	open := make(map[key]int) // key -> index in out of the open run for that address
+	out := make([]genFault, 0, len(faults))
 	for _, f := range faults {
 		k := key{f.Node.Blade, f.Node.SoC, uint32(f.Addr)}
-		if r, ok := open[k]; ok {
-			prev := &out[r.idx]
-			if f.gen != r.gen && prev.Expected == f.Expected && prev.Actual == f.Actual &&
+		if i, ok := open[k]; ok {
+			prev := &out[i]
+			if f.gen != prev.gen && prev.Expected == f.Expected && prev.Actual == f.Actual &&
 				f.FirstAt >= prev.LastAt && int64(f.FirstAt-prev.LastAt) <= extract.DefaultGap {
 				prev.LastAt = max(prev.LastAt, f.LastAt)
 				prev.Logs += f.Logs
-				open[k] = run{idx: r.idx, gen: f.gen}
+				prev.gen = f.gen
 				continue
 			}
 		}
-		out = append(out, f.Fault)
-		open[k] = run{idx: len(out) - 1, gen: f.gen}
+		out = append(out, f)
+		open[k] = len(out) - 1
 	}
-	extract.SortFaults(out)
+	sort.Slice(out, func(i, j int) bool { return compareGenFaults(&out[i], &out[j]) < 0 })
 	return out
 }

@@ -1,8 +1,6 @@
 package logstore
 
 import (
-	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -121,14 +119,15 @@ func FollowWithStats(st *FollowStats) FollowOption {
 //     order. Consumers that need canonical order re-establish it at
 //     snapshot time (extract.Compare is total, so sorting the same fault
 //     set always yields the same sequence).
-//   - A torn final line — bytes after the last complete '\n' — is never
+//   - Lines are cut by eventlog.Lines, the batch loader's line rule. A
+//     torn final line — bytes after the last complete '\n' — is never
 //     parsed and never held: a tail's offset stops at its last complete
 //     line, the torn bytes stay on disk, and the drain that finds the
 //     line finished reads it from there. While such a file does not
 //     change (same file, size and modification time as the last drain
 //     saw), a round costs it one Stat and no Open.
 //   - A line is at most eventlog.MaxLine bytes, '\n' included, as for
-//     the batch reader: an unterminated line that passes the limit ends
+//     the batch loader: an unterminated line that passes the limit ends
 //     the stream with an error naming the file and the line.
 //   - A file that was truncated, rotated or replaced after the follower
 //     consumed some of it is re-read from offset zero. Three signs give
@@ -232,8 +231,8 @@ type follower struct {
 	cfg   followCfg
 	dir   string
 	tails map[string]*tail
-	// buf is the one read buffer every drain reuses; deliver parses lines
-	// straight out of it. It holds 64 KiB and grows, up to
+	// buf is the one read buffer every drain reuses; eventlog.Lines
+	// parses lines straight out of it. It holds 64 KiB and grows, up to
 	// eventlog.MaxLine, only to fit a longer line.
 	buf []byte
 	// win holds the last checkLen bytes the current drain consumed, from
@@ -386,10 +385,6 @@ func (f *follower) drain(ctx context.Context, t *tail, yield func(stream.Event, 
 	n, check := 0, int(back)
 	for remain := size - t.off + back; remain > 0; {
 		if n == len(f.buf) {
-			if n >= eventlog.MaxLine {
-				yield(stream.Event{}, fmt.Errorf("logstore: follow %s: line %d: %w", t.path, t.lineNo+1, bufio.ErrTooLong))
-				return false
-			}
 			f.buf = append(f.buf, make([]byte, min(2*n, eventlog.MaxLine)-n)...)
 		}
 		rn, rerr := file.Read(f.buf[n : n+int(min(int64(len(f.buf)-n), remain))])
@@ -414,10 +409,21 @@ func (f *follower) drain(ctx context.Context, t *tail, yield func(stream.Event, 
 			check = 0
 		}
 		if check == 0 && rn > 0 {
-			done, ok := f.deliver(t, f.buf[:n], yield)
+			ok := true
+			done, err := eventlog.Lines(f.buf[:n], &t.lineNo, func(rec eventlog.Record) bool {
+				if f.cfg.stats != nil {
+					f.cfg.stats.Lines.Add(1)
+				}
+				ok = yield(stream.RecordEvent(rec), nil)
+				return ok
+			})
 			t.off += int64(done)
 			f.keep(f.buf[:done])
 			t.sum = fnv64a(f.win)
+			if err != nil {
+				yield(stream.Event{}, fmt.Errorf("logstore: follow %s: %w", t.path, err))
+				return false
+			}
 			if !ok {
 				return false
 			}
@@ -465,36 +471,4 @@ func fnv64a(b []byte) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// deliver yields every complete line of data as a KindRecord event and
-// returns how many bytes it consumed: data through its last '\n'. What
-// follows is an unfinished line, left to the caller. It mirrors
-// eventlog.Reader line handling exactly: blank lines are skipped, and a
-// malformed line ends the stream with a positioned error. ok is false
-// when the stream must stop.
-func (f *follower) deliver(t *tail, data []byte, yield func(stream.Event, error) bool) (consumed int, ok bool) {
-	for {
-		i := bytes.IndexByte(data[consumed:], '\n')
-		if i < 0 {
-			return consumed, true
-		}
-		line := bytes.TrimSpace(data[consumed : consumed+i])
-		consumed += i + 1
-		t.lineNo++
-		if len(line) == 0 {
-			continue
-		}
-		rec, err := eventlog.ParseBytes(line)
-		if err != nil {
-			yield(stream.Event{}, fmt.Errorf("logstore: follow %s: line %d: %w", t.path, t.lineNo, err))
-			return consumed, false
-		}
-		if f.cfg.stats != nil {
-			f.cfg.stats.Lines.Add(1)
-		}
-		if !yield(stream.RecordEvent(rec), nil) {
-			return consumed, false
-		}
-	}
 }

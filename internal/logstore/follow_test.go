@@ -245,7 +245,7 @@ func TestFollowTornTailRewrittenInOneRound(t *testing.T) {
 	}
 }
 
-// TestFollowLineLimit: the follower holds the batch reader's line limit.
+// TestFollowLineLimit: the follower holds the batch loader's line limit.
 // A line that fits eventlog.MaxLine, '\n' included, is delivered, however
 // many rounds it took to arrive; an unterminated line that passes the
 // limit ends the follow with an error naming the file and the line.
@@ -255,7 +255,7 @@ func TestFollowLineLimit(t *testing.T) {
 	path := filepath.Join(dir, FileName(a))
 	rec := line(errRec(a, 10, 1))
 	// Trailing blanks pad the record's line to exactly the limit; the
-	// reader trims them, so both readers parse the record.
+	// line rule trims them, so both readers parse the record.
 	long := rec[:len(rec)-1] + strings.Repeat(" ", eventlog.MaxLine-len(rec)) + "\n"
 	appendLines(t, path, rec+long[:100_000])
 
@@ -272,8 +272,8 @@ func TestFollowLineLimit(t *testing.T) {
 	if recs := drainRound(t, evs); len(recs) != 1 || recs[0].At != 10 {
 		t.Fatalf("round %+v, want the padded record", recs)
 	}
-	if recs, err := eventlog.ReadAll(strings.NewReader(rec + long)); err != nil || len(recs) != 2 {
-		t.Fatalf("batch reader: %d records, %v; want both", len(recs), err)
+	if p, err := Parts(context.Background(), dir, 1); err != nil || p.Stats.RawLogs != 2 {
+		t.Fatalf("batch loader: %+v, %v; want both records", p.Stats, err)
 	}
 
 	appendLines(t, path, strings.Repeat(" ", eventlog.MaxLine+1))
@@ -287,8 +287,45 @@ func TestFollowLineLimit(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("no error for an over-long line")
 	}
-	if _, err := eventlog.ReadAll(strings.NewReader(rec + long + strings.Repeat(" ", eventlog.MaxLine) + "\n")); !errors.Is(err, bufio.ErrTooLong) {
-		t.Fatalf("batch reader error %v, want ErrTooLong", err)
+	_, err := Parts(context.Background(), dir, 1)
+	if !errors.Is(err, bufio.ErrTooLong) || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "line 3") {
+		t.Fatalf("batch loader error %v, want ErrTooLong naming %s, line 3", err, path)
+	}
+}
+
+// TestFollowAndReplayAgreeOnUnterminatedLine: a scanner killed mid-write
+// leaves its log ending in a line with no '\n'. Neither the batch loader
+// nor the follower makes a record of it, so a replay and a tail of the
+// same file agree — even when the cut line would parse, here as a
+// pre-collapsed run whose count lost its last digit.
+func TestFollowAndReplayAgreeOnUnterminatedLine(t *testing.T) {
+	dir := t.TempDir()
+	a := cluster.NodeID{Blade: 6, SoC: 2}
+	cut := errRec(a, 40, 2)
+	cut.LastAt, cut.Logs = 90, 57
+	torn := strings.TrimSuffix(line(cut), "7\n")
+	if !strings.HasSuffix(torn, " logs=5") {
+		t.Fatalf("fixture %q does not end in logs=5", torn)
+	}
+	appendLines(t, filepath.Join(dir, FileName(a)),
+		line(eventlog.Record{Kind: eventlog.KindStart, At: 0, Host: a, AllocBytes: 1 << 30, TempC: thermal.NoReading})+
+			line(errRec(a, 10, 1))+torn)
+
+	p, err := Parts(context.Background(), dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Stats.RawLogs != 1 || p.Stats.Faults != 1 {
+		t.Fatalf("replay: %d raw logs, %d faults; want 1 and 1", p.Stats.RawLogs, p.Stats.Faults)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	_, evs, done := startFollow(ctx, dir)
+	defer func() { cancel(); <-done }()
+	recs := drainRound(t, evs)
+	if len(recs) != 2 || recs[0].Kind != eventlog.KindStart || recs[1].Kind != eventlog.KindError || recs[1].At != 10 {
+		t.Fatalf("follow round %+v, want the START and the finished ERROR", recs)
 	}
 }
 

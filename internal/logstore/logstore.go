@@ -33,7 +33,7 @@ func nodeOfFile(name string) (cluster.NodeID, bool) {
 	return id, err == nil
 }
 
-// Option configures the file I/O of Export and Events.
+// Option configures the file I/O of Export, Parts and Events.
 type Option func(*options) error
 
 // options is the resolved Option set.

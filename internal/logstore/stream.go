@@ -128,41 +128,66 @@ func Parts(ctx context.Context, dir string, workers int, opts ...Option) (stream
 	return p, nil
 }
 
-// collapserPool recycles per-file collapsers — and with them the
-// struct-of-arrays run columns and the open-run slab they carry — across
-// every file of a directory and across directories.
-var collapserPool = sync.Pool{New: func() any { return extract.NewCollapser() }}
+// loaderPool recycles loadNodeFile's per-file state across every file
+// of a directory and across directories: a collapser, with the
+// struct-of-arrays run columns and the open-run slab it carries, and the
+// read buffer eventlog.Lines parses out of — 64 KiB, grown only to fit a
+// line of up to eventlog.MaxLine.
+var loaderPool = sync.Pool{New: func() any {
+	return &loader{extract.NewCollapser(), make([]byte, 64*1024)}
+}}
+
+// loader is one pooled unit of loadNodeFile's state. Its Reset is the
+// collapser's: the buffer's stale bytes are never read.
+type loader struct {
+	*extract.Collapser
+	buf []byte
+}
 
 // loadNodeFile runs one file through the §II-C pipeline on the worker:
-// records are collapsed into runs and sessions as they are read, then
-// Finalize classifies and sorts the node locally so the caller only
-// merges.
+// records are collapsed into runs and sessions as eventlog.Lines cuts
+// them from the file, chunk by chunk, then Finalize classifies and sorts
+// the node locally so the caller only merges. An unfinished final line
+// is no record, as for the follower.
 func loadNodeFile(fsys iofault.FS, path string) (Part, error) {
 	f, err := fsys.Open(path)
 	if err != nil {
 		return Part{}, fmt.Errorf("logstore: %w", err)
 	}
 	defer f.Close()
-	collapser := collapserPool.Get().(*extract.Collapser)
+	ld := loaderPool.Get().(*loader)
 	defer func() {
 		// Close already resets on the success path; Reset again is a no-op
 		// there and cleans up after mid-file read errors.
-		collapser.Reset()
-		collapserPool.Put(collapser)
+		ld.Reset()
+		loaderPool.Put(ld)
 	}()
 	acct := eventlog.NewAccounting()
-	r := eventlog.NewReader(f)
+	visit := func(rec eventlog.Record) bool {
+		acct.Observe(rec)
+		ld.Observe(rec)
+		return true
+	}
+	// ld.buf[:n] holds an unfinished line, the bytes after the last '\n'.
+	line, n := 0, 0
 	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			break
+		if n == len(ld.buf) {
+			ld.buf = append(ld.buf, make([]byte, min(2*n, eventlog.MaxLine)-n)...)
 		}
+		rn, rerr := f.Read(ld.buf[n:])
+		n += rn
+		done, err := eventlog.Lines(ld.buf[:n], &line, visit)
 		if err != nil {
 			return Part{}, fmt.Errorf("logstore: %s: %w", path, err)
 		}
-		acct.Observe(rec)
-		collapser.Observe(rec)
+		n = copy(ld.buf, ld.buf[done:n])
+		if rerr == io.EOF {
+			break
+		}
+		if rerr != nil {
+			return Part{}, fmt.Errorf("logstore: %s: %w", path, rerr)
+		}
 	}
-	runs, raw := collapser.Close()
+	runs, raw := ld.Close()
 	return Finalize(runs, raw, acct.Finish()), nil
 }

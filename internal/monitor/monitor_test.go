@@ -179,7 +179,8 @@ func splitLines(raw []byte, frac float64) (head, tail []byte) {
 // (full fault set, every 6th session) staged into the live directory in
 // five epochs: a backlog, partial per-file appends cut mid-file,
 // late-arriving node files, a faulty node's file rotated in place to a
-// shorter one, and another faulty node's file removed.
+// shorter one, and another faulty node's file removed while the rotated
+// one gains an unterminated line.
 func TestMonitorQuiescenceEquivalence(t *testing.T) {
 	ds, err := core.Analyze(context.Background(), core.Simulate(campaign.DefaultConfig(7)))
 	if err != nil {
@@ -299,6 +300,22 @@ func TestMonitorQuiescenceEquivalence(t *testing.T) {
 		if err := os.Remove(filepath.Join(live, logstore.FileName(removed))); err != nil {
 			t.Fatal(err)
 		}
+		// A scanner killed mid-write: the rotated node's last ERROR line
+		// again, without its '\n'. It is no record for either reader.
+		raw, err := os.ReadFile(filepath.Join(staging, logstore.FileName(rotated)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var errLine []byte
+		for _, l := range bytes.Split(raw, []byte("\n")) {
+			if bytes.HasPrefix(l, []byte("ERROR ")) {
+				errLine = l
+			}
+		}
+		if errLine == nil {
+			t.Fatal("rotated node's log holds no ERROR line")
+		}
+		write(filepath.Join(live, logstore.FileName(rotated)), errLine, true)
 	})
 	if m.Stats().Truncations.Load() == 0 {
 		t.Fatal("rotation not detected as truncation")

@@ -1,9 +1,9 @@
 // Package poolreturn enforces the pool-ownership contract (DESIGN.md §9)
-// on every sync.Pool in the tree — in this repo: logstore's
-// extract.Collapser pool and the campaign nodeScratch pool. A pooled value is owned by exactly one
-// goroutine between Get and Put; breaking the discipline corrupts a
-// *later, unrelated* campaign, which is the hardest class of
-// nondeterminism to bisect.
+// on every sync.Pool in the tree — in this repo: logstore's loader pool
+// (a collapser and its read buffer) and the campaign nodeScratch pool.
+// A pooled value is owned by exactly one goroutine between Get and Put;
+// breaking the discipline corrupts a *later, unrelated* campaign, which
+// is the hardest class of nondeterminism to bisect.
 //
 // Within the function that calls Get or Put, the analyzer enforces:
 //
