@@ -184,6 +184,9 @@ func Simulate(cfg *Config) Source { return core.Simulate(cfg) }
 
 // Logs returns the Source that replays a directory of per-node log files
 // — the paper's actual workflow — through the parallel streaming loader.
+// A node's file is the one named exactly node-BB-SS.log in dir itself,
+// and a record whose host= names another node fails the replay with the
+// file and line.
 func Logs(dir string, opts ...Option) Source { return core.Logs(dir, opts...) }
 
 // Store returns the Source that reads a sharded, time-partitioned binary

@@ -24,7 +24,6 @@ const (
 	Racks            = 2
 	TotalBlades      = Racks * ChassisPerRack * BladesPerChassis // 72
 	TotalNodes       = TotalBlades * SoCsPerBlade                // 1080
-	NodeDRAMBytes    = 4 << 30                                   // 4 GB LPDDR per node
 	ScanTargetBytes  = 3 << 30                                   // scanner asks for 3 GB
 )
 

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"os"
 	"path/filepath"
 	"slices"
 	"sort"
@@ -13,7 +12,6 @@ import (
 	"unprotected/internal/analysis"
 	"unprotected/internal/campaign"
 	"unprotected/internal/cluster"
-	"unprotected/internal/dram"
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
 	"unprotected/internal/faultstore"
@@ -172,39 +170,6 @@ func replayCases(t *testing.T, seed uint64, sim diffCase) []diffCase {
 	}
 }
 
-// foreignHostCase: a log file carrying a foreign host's ERROR at the same
-// FirstAt as a fault in that host's own file. The two faults form one
-// simultaneity group that two parts hold, so a fold that cut faults at
-// part boundaries would split it.
-func foreignHostCase(t *testing.T) diffCase {
-	sessions, faults, controller := replayFixture()
-	dir := t.TempDir()
-	if err := logstore.Export(sessions, faults, dir); err != nil {
-		t.Fatal(err)
-	}
-	carrier := cluster.NodeID{Blade: 1, SoC: 1}
-	own := faults[len(faults)/2]
-	for i := len(faults) / 2; own.Node == carrier; i++ {
-		own = faults[i]
-	}
-	foreign := eventlog.Record{
-		Kind: eventlog.KindError, At: own.FirstAt, Host: own.Node,
-		VAddr: dram.VirtAddr(4000), Expected: 0xffffffff, Actual: 0xfffffffe,
-		TempC: thermal.NoReading, LastAt: own.FirstAt + 30, Logs: 4,
-	}
-	f, err := os.OpenFile(filepath.Join(dir, logstore.FileName(carrier)), os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(foreign.String() + "\n"); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return newDiffCase(t, "logs/foreign-host", func() stream.Source { return Logs(dir, WithController(controller)) })
-}
-
 // splitGenerationCase: a store built by two additive ingests that both
 // hold a fault of one node at the same FirstAt, read before any compaction.
 // The node's simultaneity group spans two segments, which are two parts.
@@ -249,7 +214,7 @@ var diffModes = []struct {
 // workers × dataset/observer mode, Analyze vs the reference, byte for
 // byte. Four simulated campaigns vary the cluster size and the
 // counter-mode share; the last also runs without its dataset, and the
-// Logs and Store cases replay it. Two small fixtures hold a
+// Logs and Store cases replay it. A small store fixture holds a
 // simultaneity group in two parts. A lean cell's Study carries no
 // dataset, so it renders with the observer's sequences (which must equal
 // the reference's element for element) or the reference's own in the
@@ -270,7 +235,7 @@ func TestDifferentialDeliveryMatrix(t *testing.T) {
 	sim := &cases[len(cases)-1]
 	sim.datasetOnly = false
 	cases = append(cases, replayCases(t, seed, *sim)...)
-	cases = append(cases, foreignHostCase(t), splitGenerationCase(t))
+	cases = append(cases, splitGenerationCase(t))
 	for _, c := range cases {
 		for _, workers := range []int{1, 2, 4} {
 			for _, m := range diffModes {

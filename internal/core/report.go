@@ -12,9 +12,8 @@ import (
 
 // ReportOptions selects report sections.
 type ReportOptions struct {
-	Heatmaps    bool
-	Charts      bool
-	Experiments bool // terse paper-vs-measured lines for EXPERIMENTS.md
+	Heatmaps bool
+	Charts   bool
 }
 
 // FullReport renders every figure and table of the paper from the study.

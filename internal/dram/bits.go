@@ -91,6 +91,3 @@ func (b BitSet) String() string {
 	}
 	return "{" + strings.Join(parts, ",") + "}"
 }
-
-// Diff returns the set of bit positions at which two words differ.
-func Diff(a, b uint32) BitSet { return BitSet(a ^ b) }

@@ -21,9 +21,6 @@ type Chipkill struct {
 // check symbols).
 func NewChipkill() *Chipkill { return &Chipkill{dataSymbols: 8} }
 
-// Symbols returns the total codeword length in symbols.
-func (c *Chipkill) Symbols() int { return c.dataSymbols + 3 }
-
 // encodeSymbols computes the three check symbols for data symbols d.
 func (c *Chipkill) encodeSymbols(d []byte) (s0, s1, s2 byte) {
 	for i, v := range d {

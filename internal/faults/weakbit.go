@@ -80,15 +80,3 @@ func (w *WeakBit) Emit(ctx *SessionCtx, out *[]extract.RawRun) int64 {
 	}
 	return raw
 }
-
-// ActiveDays returns the distinct study days covered by bursts; used by
-// calibration tests.
-func (w *WeakBit) ActiveDays() int {
-	days := make(map[int]bool)
-	for _, b := range w.Bursts {
-		for d := b.From; d < b.To; d += 86400 {
-			days[d.Day()] = true
-		}
-	}
-	return len(days)
-}

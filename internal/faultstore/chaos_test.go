@@ -10,9 +10,11 @@ import (
 	"testing"
 	"time"
 
+	"unprotected/internal/cluster"
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
 	"unprotected/internal/iofault"
+	"unprotected/internal/logstore"
 	"unprotected/internal/stream"
 )
 
@@ -24,10 +26,6 @@ import (
 // clean. Single-worker runs keep the injector's mutation numbering
 // deterministic, which is what makes "crash at mutation n" a complete
 // sweep rather than a sample.
-
-// fastRetry keeps injected-failure tests quick without changing the
-// retry semantics under test.
-var fastRetry = iofault.RetryPolicy{Attempts: 4, Base: 50 * time.Microsecond, Max: time.Millisecond}
 
 // chaosBatchA is the pre-existing store content: two nodes, one window.
 func chaosBatchA(t *testing.T) string {
@@ -369,7 +367,7 @@ func TestDegradedReadSkipsUnreadableSegment(t *testing.T) {
 
 	inj := iofault.NewInjector(nil)
 	inj.FailPath(victim, -1, nil)
-	s, err := Open(dir, WithStoreFS(inj), WithRetry(fastRetry))
+	s, err := Open(dir, WithStoreFS(inj))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +398,7 @@ func TestTransientReadRetryRecovers(t *testing.T) {
 
 	inj := iofault.NewInjector(nil)
 	inj.FailPath(victim, 2, nil)
-	s, err := Open(dir, WithStoreFS(inj), WithRetry(fastRetry))
+	s, err := Open(dir, WithStoreFS(inj))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,6 +412,36 @@ func TestTransientReadRetryRecovers(t *testing.T) {
 	}
 	if !h.Clean() {
 		t.Fatalf("health reports skips after a recovered read:\n%s", h)
+	}
+}
+
+// TestTransientStoreReads: the store reads its inputs under the one
+// open rule, so a transient EIO on a node log during Ingest, or on the
+// manifest during Open, is retried and changes nothing.
+func TestTransientStoreReads(t *testing.T) {
+	logs := chaosBatchA(t)
+	clean := t.TempDir()
+	if _, err := Ingest(context.Background(), logs, clean, WithShards(2), WithWindow(time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	inj := iofault.NewInjector(nil)
+	inj.FailPath(logstore.FileName(cluster.NodeID{Blade: 2, SoC: 4}), 1, nil)
+	dir := t.TempDir()
+	if _, err := Ingest(context.Background(), logs, dir, WithShards(2), WithWindow(time.Hour), WithIngestFS(inj)); err != nil {
+		t.Fatalf("Ingest after one transient EIO on a node log: %v", err)
+	}
+	if !equalFiles(readFiles(t, dir), readFiles(t, clean)) {
+		t.Fatal("Ingest after a transient EIO wrote other segments or another manifest than a clean ingest")
+	}
+
+	inj = iofault.NewInjector(nil)
+	inj.FailPath(ManifestName, 1, nil)
+	s, err := Open(dir, WithStoreFS(inj))
+	if err != nil {
+		t.Fatalf("Open after one transient EIO on the manifest: %v", err)
+	}
+	if got := s.Segments(); got != len(readFiles(t, dir))-1 {
+		t.Fatalf("opened store names %d segments, want every segment file", got)
 	}
 }
 
@@ -512,7 +540,7 @@ func TestFsckFindsAndRepairs(t *testing.T) {
 // healthy segment corrupt (which -repair would quarantine).
 func TestFsckRetriesTransientRead(t *testing.T) {
 	dir, _, _, _ := chaosStore(t)
-	man, err := readManifest(iofault.OS, dir)
+	man, err := readManifest(context.Background(), iofault.OS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}

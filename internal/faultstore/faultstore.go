@@ -39,8 +39,10 @@
 //     within the §II-C collapse gap) are re-collapsed, and every
 //     (shard, window) cell ends up with exactly one segment again.
 //
-// Segment reads are metered by the shared fdlimit budget, so store
-// queries and log writers draw descriptors from one pool.
+// Manifest and segment reads go through iofault.ReadFile, so store
+// queries share one descriptor ceiling with the log layer, and a
+// transient error is retried before a strict query fails or a degraded
+// one skips the segment.
 package faultstore
 
 import (

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,7 +17,6 @@ import (
 	"unprotected/internal/dram"
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
-	"unprotected/internal/fdlimit"
 	"unprotected/internal/iofault"
 	"unprotected/internal/logstore"
 	"unprotected/internal/stream"
@@ -468,7 +468,7 @@ func TestStoreCompactNeverReusesLiveSegmentNames(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before, err := readManifest(iofault.OS, storeDir)
+	before, err := readManifest(context.Background(), iofault.OS, storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestStoreCompactNeverReusesLiveSegmentNames(t *testing.T) {
 	if _, err := Compact(storeDir); err != nil {
 		t.Fatal(err)
 	}
-	after, err := readManifest(iofault.OS, storeDir)
+	after, err := readManifest(context.Background(), iofault.OS, storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -511,7 +511,7 @@ func TestStoreWindowPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	man, err := readManifest(iofault.OS, storeDir)
+	man, err := readManifest(context.Background(), iofault.OS, storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +533,7 @@ func TestStoreWindowPersistence(t *testing.T) {
 	if _, err := Ingest(ctx, exportDir(t, more, nil), storeDir, WithShards(1)); err != nil {
 		t.Fatal(err)
 	}
-	man, err = readManifest(iofault.OS, storeDir)
+	man, err = readManifest(context.Background(), iofault.OS, storeDir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -623,9 +623,50 @@ func TestStoreCodecCorruption(t *testing.T) {
 	}
 }
 
-// TestStoreThousandSegmentFDBudget is the shared-descriptor regression
-// test: a query fanning out over 1000 segments with more workers than
-// the budget allows must never hold more descriptors than the cap.
+// segmentReads wraps an FS and counts the segment reads in flight and
+// their high-water mark. Armed, it holds the segment reads until
+// iofault.MaxOpen of them are in flight, then a moment longer, so a
+// read that skipped the descriptor ceiling would be in flight beside
+// them.
+type segmentReads struct {
+	iofault.FS
+	mu             sync.Mutex
+	inFlight, peak int
+	release        chan struct{} // nil: reads are not held
+	once           sync.Once
+	onRead         func() // runs as each segment read starts, if set
+}
+
+func (c *segmentReads) ReadFile(name string) ([]byte, error) {
+	if !strings.HasSuffix(name, ".seg") {
+		return c.FS.ReadFile(name)
+	}
+	c.mu.Lock()
+	c.inFlight++
+	c.peak = max(c.peak, c.inFlight)
+	full := c.inFlight >= iofault.MaxOpen
+	c.mu.Unlock()
+	defer func() {
+		c.mu.Lock()
+		c.inFlight--
+		c.mu.Unlock()
+	}()
+	if c.onRead != nil {
+		c.onRead()
+	}
+	if c.release != nil {
+		if full {
+			c.once.Do(func() { time.AfterFunc(50*time.Millisecond, func() { close(c.release) }) })
+		}
+		<-c.release
+	}
+	return c.FS.ReadFile(name)
+}
+
+// TestStoreThousandSegmentFDBudget is the descriptor-ceiling regression
+// test: a query fanning out over 1000 segments on twice as many workers
+// as iofault.MaxOpen allows must hold MaxOpen segment reads at once, and
+// never more.
 func TestStoreThousandSegmentFDBudget(t *testing.T) {
 	dir := t.TempDir()
 	const segments = 1000
@@ -642,22 +683,20 @@ func TestStoreThousandSegmentFDBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := Open(dir)
+	reads := &segmentReads{FS: iofault.OS, release: make(chan struct{})}
+	s, err := Open(dir, WithStoreFS(reads))
 	if err != nil {
 		t.Fatal(err)
 	}
-	const cap = 16
-	budget := fdlimit.NewBudget(cap)
-	s.SetBudget(budget)
-	faults, _, _ := drain(t, s, Query{Workers: 64})
+	faults, _, _ := drain(t, s, Query{Workers: 2 * iofault.MaxOpen})
 	if len(faults) != segments {
 		t.Fatalf("query returned %d faults, want %d", len(faults), segments)
 	}
 	if !slices.IsSortedFunc(faults, func(a, b extract.Fault) int { return extract.Compare(&a, &b) }) {
 		t.Fatal("merged delivery is not in canonical order")
 	}
-	if got := budget.MaxInUse(); got > cap {
-		t.Fatalf("query held %d descriptors at once, budget caps at %d", got, cap)
+	if reads.peak != iofault.MaxOpen {
+		t.Fatalf("query held %d segment reads at once, want the ceiling %d", reads.peak, iofault.MaxOpen)
 	}
 	if opened := s.SegmentsOpened(); opened != segments {
 		t.Fatalf("opened %d segments, want all %d (no predicate)", opened, segments)
@@ -681,9 +720,9 @@ func TestStoreIngestOptionValidation(t *testing.T) {
 	}
 }
 
-// TestStoreQueryCancellation pins leak-free wind-down: cancelling the
-// context mid-stream must surface ctx.Err() and leave no goroutine
-// holding budget tokens.
+// TestStoreQueryCancellation pins leak-free wind-down: a context
+// cancelled as the first segment read starts must surface ctx.Err(), and
+// no segment read may still be in flight once the query returns.
 func TestStoreQueryCancellation(t *testing.T) {
 	var faults []extract.Fault
 	for i := 0; i < 50; i++ {
@@ -695,22 +734,24 @@ func TestStoreQueryCancellation(t *testing.T) {
 		WithShards(4), WithWindow(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
-	s, err := Open(storeDir)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	reads := &segmentReads{FS: iofault.OS, onRead: cancel}
+	s, err := Open(storeDir, WithStoreFS(reads))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
 	var last error
-	for _, err := range s.Events(ctx, Query{}) {
+	for _, err := range s.Events(ctx, Query{Workers: 4}) {
 		last = err
 	}
 	if last != context.Canceled {
 		t.Fatalf("cancelled query ended with %v, want context.Canceled", last)
 	}
-	budget := fdlimit.NewBudget(4)
-	s.SetBudget(budget)
-	if got := budget.InUse(); got != 0 {
-		t.Fatalf("%d descriptors still held after cancellation", got)
+	if reads.peak == 0 {
+		t.Fatal("no segment read started")
+	}
+	if reads.inFlight != 0 {
+		t.Fatalf("%d segment reads still in flight after the cancelled query returned", reads.inFlight)
 	}
 }

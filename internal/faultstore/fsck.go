@@ -9,7 +9,6 @@ import (
 	"slices"
 	"strings"
 
-	"unprotected/internal/fdlimit"
 	"unprotected/internal/iofault"
 )
 
@@ -112,7 +111,7 @@ func Fsck(dir string, opts ...FsckOption) (*FsckReport, error) {
 			return nil, err
 		}
 	}
-	man, err := readManifest(iofault.OS, dir)
+	man, err := readManifest(context.Background(), iofault.OS, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +188,7 @@ func Fsck(dir string, opts ...FsckOption) (*FsckReport, error) {
 // does, through readSegmentFile, so a transient error is retried before
 // it can mark a healthy segment corrupt.
 func verifySegment(fsys iofault.FS, dir string, e *segMeta) error {
-	p, err := readSegmentFile(context.Background(), fsys, filepath.Join(dir, e.name), fdlimit.Shared, iofault.DefaultRetry)
+	p, err := readSegmentFile(context.Background(), fsys, filepath.Join(dir, e.name))
 	if err != nil {
 		return err
 	}

@@ -10,7 +10,6 @@ import (
 	"unprotected/internal/cluster"
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
-	"unprotected/internal/fdlimit"
 	"unprotected/internal/iofault"
 	"unprotected/internal/stream"
 	"unprotected/internal/timebase"
@@ -23,8 +22,6 @@ type Store struct {
 	dir    string
 	man    *manifest
 	fs     iofault.FS
-	retry  iofault.RetryPolicy
-	budget *fdlimit.Budget
 	opened atomic.Int64
 	pruned atomic.Int64
 }
@@ -45,40 +42,21 @@ func WithStoreFS(fsys iofault.FS) StoreOption {
 	}
 }
 
-// WithRetry replaces the store's transient-read retry policy (default
-// iofault.DefaultRetry): segment reads failing with a transient error —
-// descriptor pressure, an EIO blip — are retried with backoff under the
-// query's context before the failure is surfaced (strict mode) or the
-// segment is skipped (degraded mode).
-func WithRetry(p iofault.RetryPolicy) StoreOption {
-	return func(s *Store) error {
-		if p.Attempts < 1 {
-			return fmt.Errorf("faultstore: retry attempts must be >= 1, got %d", p.Attempts)
-		}
-		s.retry = p
-		return nil
-	}
-}
-
 // Open reads the manifest of the store at dir.
 func Open(dir string, opts ...StoreOption) (*Store, error) {
-	s := &Store{dir: dir, fs: iofault.OS, retry: iofault.DefaultRetry, budget: fdlimit.Shared}
+	s := &Store{dir: dir, fs: iofault.OS}
 	for _, opt := range opts {
 		if err := opt(s); err != nil {
 			return nil, err
 		}
 	}
-	man, err := readManifest(s.fs, dir)
+	man, err := readManifest(context.Background(), s.fs, dir)
 	if err != nil {
 		return nil, err
 	}
 	s.man = man
 	return s, nil
 }
-
-// SetBudget makes the store meter its segment reads from b instead of
-// the shared fdlimit pool.
-func (s *Store) SetBudget(b *fdlimit.Budget) { s.budget = b }
 
 // Segments reports how many segments the manifest names.
 func (s *Store) Segments() int { return len(s.man.segs) }
@@ -149,24 +127,12 @@ func (q *Query) nodeSet() map[cluster.NodeID]bool {
 	return set
 }
 
-// readSegmentFile reads and decodes one segment, metering the open file
-// against the budget (the descriptor is held only for the read itself —
-// decode works on the in-memory image). Transient read errors are
-// retried with backoff under ctx; decode failures are deterministic and
-// never retried.
-func readSegmentFile(ctx context.Context, fsys iofault.FS, path string, budget *fdlimit.Budget, retry iofault.RetryPolicy) (*segPayload, error) {
-	var data []byte
-	err := retry.Do(ctx, func() error {
-		if budget != nil {
-			budget.Acquire()
-		}
-		var rerr error
-		data, rerr = fsys.ReadFile(path)
-		if budget != nil {
-			budget.Release()
-		}
-		return rerr
-	})
+// readSegmentFile reads one segment through iofault.ReadFile, which
+// holds a descriptor slot only for the read and retries a transient
+// error under ctx, and decodes the in-memory image. Decode failures are
+// deterministic and never retried.
+func readSegmentFile(ctx context.Context, fsys iofault.FS, path string) (*segPayload, error) {
+	data, err := iofault.ReadFile(ctx, fsys, path)
 	if err != nil {
 		return nil, fmt.Errorf("faultstore: %w", err)
 	}
@@ -200,7 +166,7 @@ type decoded struct {
 // Parts prunes, decodes and filters the matching segments and returns
 // their sorted streams, one per segment in manifest order, plus the exact
 // stats of what survived the predicates. Matching segments are decoded on
-// stream.Collect (descriptors metered by the store's budget); segments the
+// stream.Collect, each read under iofault's open rule; segments the
 // index rules out are never opened, and once a segment fails a strict
 // query starts no later one. A node's faults may span segments — additive
 // ingests write one generation each — so only a merge of the fault
@@ -218,7 +184,7 @@ func (s *Store) Parts(ctx context.Context, q Query) (stream.Parts, error) {
 
 	segs, err := stream.Collect(ctx, len(matched), q.Workers, func(i int) (decoded, error) {
 		e := matched[i]
-		p, err := readSegmentFile(ctx, s.fs, filepath.Join(s.dir, e.name), s.budget, s.retry)
+		p, err := readSegmentFile(ctx, s.fs, filepath.Join(s.dir, e.name))
 		s.opened.Add(1)
 		switch {
 		case err == nil:

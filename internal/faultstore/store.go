@@ -12,7 +12,6 @@ import (
 
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
-	"unprotected/internal/fdlimit"
 	"unprotected/internal/iofault"
 	"unprotected/internal/kway"
 	"unprotected/internal/logstore"
@@ -139,7 +138,7 @@ func Ingest(ctx context.Context, logDir, storeDir string, opts ...IngestOption) 
 	if err := o.fsys.MkdirAll(storeDir, 0o755); err != nil {
 		return nil, fmt.Errorf("faultstore: %w", err)
 	}
-	man, err := readManifest(o.fsys, storeDir)
+	man, err := readManifest(ctx, o.fsys, storeDir)
 	if errors.Is(err, fs.ErrNotExist) {
 		man = &manifest{windowSeconds: o.windowSeconds}
 	} else if err != nil {
@@ -262,11 +261,12 @@ func writeSegment(fsys iofault.FS, dir string, shard uint32, window int64, gen u
 	}, int64(len(data)), nil
 }
 
-// readManifest loads and decodes the store index. A missing file returns
-// fs.ErrNotExist so callers can distinguish "no store here" from
+// readManifest loads the store index through iofault.ReadFile, which
+// retries a transient error under ctx, and decodes it. A missing file
+// returns fs.ErrNotExist so callers can distinguish "no store here" from
 // corruption.
-func readManifest(fsys iofault.FS, dir string) (*manifest, error) {
-	data, err := fsys.ReadFile(filepath.Join(dir, ManifestName))
+func readManifest(ctx context.Context, fsys iofault.FS, dir string) (*manifest, error) {
+	data, err := iofault.ReadFile(ctx, fsys, filepath.Join(dir, ManifestName))
 	if err != nil {
 		return nil, fmt.Errorf("faultstore: %w", err)
 	}
@@ -411,7 +411,7 @@ func Compact(dir string, opts ...CompactOption) (*CompactStats, error) {
 			return nil, err
 		}
 	}
-	man, err := readManifest(o.fsys, dir)
+	man, err := readManifest(context.Background(), o.fsys, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -427,7 +427,7 @@ func Compact(dir string, opts ...CompactOption) (*CompactStats, error) {
 	var faults [][]genFault
 	var sessions [][]eventlog.Session
 	for i, e := range man.segs {
-		p, err := readSegmentFile(context.Background(), o.fsys, filepath.Join(dir, e.name), fdlimit.Shared, iofault.DefaultRetry)
+		p, err := readSegmentFile(context.Background(), o.fsys, filepath.Join(dir, e.name))
 		if err != nil {
 			return nil, err
 		}

@@ -7,10 +7,11 @@
 // halts operations on a deterministic schedule — so crash-consistency
 // and degraded-read behavior are provable, not aspirational.
 //
-// The package also hosts the retry policy the storage layers apply to
-// transient errors (an EMFILE blip must not kill a replay, an EIO blip
-// must not kill a query) and the Transient classifier that decides what
-// is worth retrying.
+// The package also hosts the storage layers' one open rule — Open,
+// OpenFile and ReadFile, which keep every log and segment file under one
+// descriptor ceiling and retry transient errors under DefaultRetry (an
+// EMFILE blip must not kill a replay, an EIO blip must not kill a query)
+// — and Transient, which decides what is worth retrying.
 package iofault
 
 import (

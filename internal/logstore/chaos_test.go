@@ -6,14 +6,16 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"syscall"
 	"testing"
 
 	"unprotected/internal/cluster"
 	"unprotected/internal/eventlog"
-	"unprotected/internal/fdlimit"
+	"unprotected/internal/extract"
 	"unprotected/internal/iofault"
 	"unprotected/internal/stream"
+	"unprotected/internal/thermal"
 )
 
 // chaosDataset is a one-session-per-node dataset over the given nodes.
@@ -61,22 +63,52 @@ func TestAppendRetriesTransientOpen(t *testing.T) {
 
 // TestAppendSurfacesPersistentOpenFailure is the other half: when the
 // failure does not clear within the retry budget, the export fails with
-// the cause intact and the descriptor token it claimed is released.
+// the cause intact and leaves no file open.
 func TestAppendSurfacesPersistentOpenFailure(t *testing.T) {
 	bad := cluster.NodeID{Blade: 2, SoC: 4}
 	inj := iofault.NewInjector(nil)
 	inj.FailPath(FileName(bad), -1, syscall.EMFILE)
 
-	before := fdlimit.Shared.InUse()
-	err := Export(chaosDataset(cluster.NodeID{Blade: 1, SoC: 1}, bad), nil, t.TempDir(), WithFS(inj))
+	tracker := &openTracker{FS: inj}
+	err := Export(chaosDataset(cluster.NodeID{Blade: 1, SoC: 1}, bad), nil, t.TempDir(), WithFS(tracker))
 	if err == nil {
 		t.Fatal("export to a persistently unopenable file must fail")
 	}
 	if !errors.Is(err, syscall.EMFILE) {
 		t.Fatalf("error lost its cause: %v", err)
 	}
-	if after := fdlimit.Shared.InUse(); after != before {
-		t.Fatalf("shared budget holds %d descriptors after the failed export, want %d", after, before)
+	if len(tracker.opened) != 1 || tracker.open != 0 {
+		t.Fatalf("export opened %v and left %d open, want the good node's file opened and closed", tracker.opened, tracker.open)
+	}
+}
+
+// TestTransientReplayOpen: the replay reads under the one open rule, so
+// one transient EIO on a node file's open, or on the directory listing,
+// is retried and the parts equal a fault-free replay's.
+func TestTransientReplayOpen(t *testing.T) {
+	dir := t.TempDir()
+	node := cluster.NodeID{Blade: 2, SoC: 4}
+	fault := extract.Classify(extract.RawRun{
+		Node: node, Addr: 7, FirstAt: 1200, LastAt: 1260, Logs: 3,
+		Expected: 0xffffffff, Actual: 0xfffffffe, TempC: thermal.NoReading,
+	})
+	if err := Export(chaosDataset(node), []extract.Fault{fault}, dir); err != nil {
+		t.Fatal(err)
+	}
+	want, err := Parts(context.Background(), dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{filepath.Join(dir, FileName(node)), dir} {
+		inj := iofault.NewInjector(nil)
+		inj.FailPath(path, 1, nil)
+		got, err := Parts(context.Background(), dir, 1, WithFS(inj))
+		if err != nil {
+			t.Fatalf("Parts after one transient EIO on %s: %v", path, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Parts after one transient EIO on %s:\n got %+v\nwant %+v", path, got, want)
+		}
 	}
 }
 

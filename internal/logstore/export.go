@@ -12,7 +12,6 @@ import (
 	"unprotected/internal/dram"
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
-	"unprotected/internal/fdlimit"
 	"unprotected/internal/iofault"
 	"unprotected/internal/thermal"
 )
@@ -59,11 +58,12 @@ func AppendSessionRecords(dst []eventlog.Record, s eventlog.Session) []eventlog.
 // Export is the layout's one writer. It writes one node at a time, in
 // node order: the node's records are built in a reused buffer and
 // stable-sorted by time (on equal instants session lines stay ahead of
-// ERROR lines), then appended to the node's file under one transient
-// fdlimit.Shared token, so an export holds a single descriptor whatever
-// the fleet size. A transient open failure backs off under
-// iofault.DefaultRetry. WithFS routes every file operation through an
-// iofault.FS.
+// ERROR lines), then appended to the node's file, which it opens through
+// iofault.OpenFile and closes before the next node, so an export holds a
+// single descriptor slot whatever the fleet size and rides out a
+// transient open failure. Every record goes to its own node's file, so
+// the directory keeps the node rule. WithFS routes every file operation
+// through an iofault.FS.
 func Export(sessions []eventlog.Session, faults []extract.Fault, dir string, opts ...Option) error {
 	o, err := resolve(opts)
 	if err != nil {
@@ -116,17 +116,9 @@ func Export(sessions []eventlog.Session, faults []extract.Fault, dir string, opt
 	return nil
 }
 
-// appendNodeFile appends recs to the node file at path, holding one
-// transient descriptor from the shared budget for the open-write-close.
+// appendNodeFile appends recs to the node file at path.
 func appendNodeFile(fsys iofault.FS, path string, recs []eventlog.Record) error {
-	fdlimit.Shared.Acquire()
-	defer fdlimit.Shared.Release()
-	var f iofault.File
-	err := iofault.DefaultRetry.Do(context.TODO(), func() error {
-		var oerr error
-		f, oerr = fsys.OpenFile(path, iofault.OpenAppendFlags, 0o644)
-		return oerr
-	})
+	f, err := iofault.OpenFile(context.TODO(), fsys, path, iofault.OpenAppendFlags, 0o644)
 	if err != nil {
 		return fmt.Errorf("logstore: %w", err)
 	}

@@ -14,7 +14,6 @@ import (
 
 	"unprotected/internal/cluster"
 	"unprotected/internal/eventlog"
-	"unprotected/internal/fdlimit"
 	"unprotected/internal/iofault"
 	"unprotected/internal/stream"
 )
@@ -145,9 +144,15 @@ func FollowWithStats(st *FollowStats) FollowOption {
 //     consumer must discard that node's accumulated state before the
 //     file's current content arrives as fresh records. A tailed file that
 //     vanishes after delivering records resets the same way.
-//   - No descriptor outlives a drain: a file that grew is opened, read
-//     to the size its Stat reported and closed under one transient
-//     fdlimit.Shared token, so the follower holds at most one
+//   - The node rule, as for the batch loader: the node files are the
+//     entries of dir itself named exactly FileName(node), and a record
+//     naming another host ends the stream with an error naming the file
+//     and the line, after the lines before it were delivered. So a
+//     node's records come from its one file, and a reset covers them
+//     all.
+//   - No descriptor outlives a drain: a file that grew is opened through
+//     iofault.Open, read to the size its Stat reported and closed,
+//     freeing its descriptor slot, so the follower holds at most one
 //     descriptor at a time. A drain reads only the file its Stat
 //     measured; a file renamed over the path in between waits for the
 //     next round, which resets the node.
@@ -245,12 +250,7 @@ type follower struct {
 // the stream must stop (consumer break, cancellation, or an error that
 // was already yielded).
 func (f *follower) poll(ctx context.Context, yield func(stream.Event, error) bool) bool {
-	var files []string
-	err := iofault.DefaultRetry.Do(ctx, func() error {
-		var lerr error
-		files, lerr = listNodeFiles(f.cfg.fsys, f.dir)
-		return lerr
-	})
+	files, err := listNodeFiles(ctx, f.cfg.fsys, f.dir)
 	if err != nil {
 		yield(stream.Event{}, err)
 		return false
@@ -348,14 +348,7 @@ func (f *follower) drain(ctx context.Context, t *tail, yield func(stream.Event, 
 		t.info = info
 		return true
 	}
-	fdlimit.Shared.Acquire()
-	defer fdlimit.Shared.Release()
-	var file iofault.File
-	err = iofault.DefaultRetry.Do(ctx, func() error {
-		var oerr error
-		file, oerr = f.cfg.fsys.Open(t.path)
-		return oerr
-	})
+	file, err := iofault.Open(ctx, f.cfg.fsys, t.path)
 	if err != nil {
 		yield(stream.Event{}, fmt.Errorf("logstore: follow %s: %w", t.path, err))
 		return false
@@ -410,7 +403,7 @@ func (f *follower) drain(ctx context.Context, t *tail, yield func(stream.Event, 
 		}
 		if check == 0 && rn > 0 {
 			ok := true
-			done, err := eventlog.Lines(f.buf[:n], &t.lineNo, func(rec eventlog.Record) bool {
+			done, err := lines(f.buf[:n], &t.lineNo, t.node, func(rec eventlog.Record) bool {
 				if f.cfg.stats != nil {
 					f.cfg.stats.Lines.Add(1)
 				}

@@ -16,7 +16,6 @@ import (
 	"unprotected/internal/cluster"
 	"unprotected/internal/dram"
 	"unprotected/internal/eventlog"
-	"unprotected/internal/fdlimit"
 	"unprotected/internal/iofault"
 	"unprotected/internal/stream"
 	"unprotected/internal/thermal"
@@ -326,6 +325,71 @@ func TestFollowAndReplayAgreeOnUnterminatedLine(t *testing.T) {
 	recs := drainRound(t, evs)
 	if len(recs) != 2 || recs[0].Kind != eventlog.KindStart || recs[1].Kind != eventlog.KindError || recs[1].At != 10 {
 		t.Fatalf("follow round %+v, want the START and the finished ERROR", recs)
+	}
+}
+
+// followOnce runs one Follow round over dir and returns the records it
+// delivered and the error that ended it, if any.
+func followOnce(dir string) ([]eventlog.Record, error) {
+	var recs []eventlog.Record
+	for ev, err := range Follow(context.Background(), dir, FollowWithTicker(func(context.Context) bool { return false })) {
+		if err != nil {
+			return recs, err
+		}
+		if ev.Kind == stream.KindRecord {
+			recs = append(recs, ev.Record)
+		}
+	}
+	return recs, nil
+}
+
+// TestFollowAndReplayOneFilePerNode: both readers hold the node rule. A
+// record naming another host in a node's file fails the replay and the
+// tail alike, with the file and the line, after the tail delivered the
+// lines before it; and a file in a subdirectory, or one whose name only
+// parses to a node, is no node's file.
+func TestFollowAndReplayOneFilePerNode(t *testing.T) {
+	a := cluster.NodeID{Blade: 1, SoC: 1}
+	start := eventlog.Record{Kind: eventlog.KindStart, At: 0, Host: a, AllocBytes: 1 << 30, TempC: thermal.NoReading}
+
+	dir := t.TempDir()
+	path := filepath.Join(dir, FileName(a))
+	appendLines(t, path, line(start)+line(errRec(cluster.NodeID{Blade: 2, SoC: 2}, 10, 1)))
+	_, err := Parts(context.Background(), dir, 1)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "line 2:") {
+		t.Fatalf("replay of a foreign line: %v, want an error naming %s and line 2", err, path)
+	}
+	recs, err := followOnce(dir)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "line 2:") {
+		t.Fatalf("tail of a foreign line: %v, want an error naming %s and line 2", err, path)
+	}
+	if len(recs) != 1 || recs[0] != start {
+		t.Fatalf("tail delivered %+v before the foreign line, want line 1", recs)
+	}
+
+	dir = t.TempDir()
+	appendLines(t, filepath.Join(dir, FileName(a)), line(start)+line(errRec(a, 10, 1)))
+	if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	appendLines(t, filepath.Join(dir, "sub", FileName(a)), line(errRec(a, 20, 2)))
+	appendLines(t, filepath.Join(dir, "node-1-1.log"), line(errRec(a, 30, 3)))
+	if files, err := ListNodeFiles(dir); err != nil || len(files) != 1 || files[0] != filepath.Join(dir, FileName(a)) {
+		t.Fatalf("node files %v, %v; want only %s", files, err, FileName(a))
+	}
+	p, err := Parts(context.Background(), dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Stats.RawLogs != 1 || p.Stats.Sessions != 1 {
+		t.Fatalf("replay read %d raw logs and %d sessions, want node-01-01.log's 1 and 1", p.Stats.RawLogs, p.Stats.Sessions)
+	}
+	recs, err = followOnce(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[1].At != 10 {
+		t.Fatalf("tail delivered %+v, want node-01-01.log's two records", recs)
 	}
 }
 
@@ -706,7 +770,7 @@ func (f *failingFile) Read(p []byte) (int, error) {
 
 // TestFollowDrainExitReleasesToken: however a drain ends — an open that
 // fails past the retry policy, a read that fails mid-file, a consumer
-// that stops mid-file — the shared budget's token is back before Follow
+// that stops mid-file — the file it opened is closed before Follow
 // returns, and a failure ends the stream with an error naming the file.
 func TestFollowDrainExitReleasesToken(t *testing.T) {
 	a := cluster.NodeID{Blade: 7, SoC: 2}
@@ -741,12 +805,17 @@ func TestFollowDrainExitReleasesToken(t *testing.T) {
 			dir := t.TempDir()
 			path := filepath.Join(dir, FileName(a))
 			appendLines(t, path, content)
-			opts := []FollowOption{FollowWithTicker(func(context.Context) bool { return false })}
+			tracker := &openTracker{FS: iofault.OS}
 			if tc.fsys != nil {
-				opts = append(opts, FollowWithFS(tc.fsys(path)))
+				tracker.FS = tc.fsys(path)
+			}
+			opts := []FollowOption{FollowWithTicker(func(context.Context) bool { return false }), FollowWithFS(tracker)}
+			open := func() int {
+				tracker.mu.Lock()
+				defer tracker.mu.Unlock()
+				return tracker.open
 			}
 
-			before := fdlimit.Shared.InUse()
 			recs := 0
 			var streamErr error
 			for ev, err := range Follow(context.Background(), dir, opts...) {
@@ -761,15 +830,15 @@ func TestFollowDrainExitReleasesToken(t *testing.T) {
 					continue
 				}
 				recs++
-				if held := fdlimit.Shared.InUse(); held != before+1 {
-					t.Fatalf("%d shared tokens held mid-drain, want %d", held, before+1)
+				if held := open(); held != 1 {
+					t.Fatalf("%d files open mid-drain, want 1", held)
 				}
 				if recs == tc.stopAt {
 					break
 				}
 			}
-			if after := fdlimit.Shared.InUse(); after != before {
-				t.Fatalf("shared budget holds %d tokens after Follow returned, want %d", after, before)
+			if after := open(); after != 0 {
+				t.Fatalf("%d files open after Follow returned, want 0", after)
 			}
 			if recs != tc.wantRecs {
 				t.Fatalf("%d records delivered, want %d", recs, tc.wantRecs)

@@ -7,13 +7,15 @@
 package logstore
 
 import (
+	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"path/filepath"
-	"sort"
 	"strings"
 
 	"unprotected/internal/cluster"
+	"unprotected/internal/eventlog"
 	"unprotected/internal/iofault"
 )
 
@@ -22,15 +24,16 @@ func FileName(id cluster.NodeID) string {
 	return "node-" + id.String() + ".log"
 }
 
-// nodeOfFile inverts FileName.
+// nodeOfFile inverts FileName: a file is a node's only when its base
+// name is exactly FileName(node), so "node-1-1.log" is no node's file.
 func nodeOfFile(name string) (cluster.NodeID, bool) {
-	base := strings.TrimSuffix(filepath.Base(name), ".log")
-	s, ok := strings.CutPrefix(base, "node-")
+	base := filepath.Base(name)
+	s, ok := strings.CutPrefix(strings.TrimSuffix(base, ".log"), "node-")
 	if !ok {
 		return cluster.NodeID{}, false
 	}
 	id, err := cluster.ParseNodeID(s)
-	return id, err == nil
+	return id, err == nil && FileName(id) == base
 }
 
 // Option configures the file I/O of Export, Parts and Events.
@@ -67,38 +70,50 @@ func resolve(opts []Option) (options, error) {
 	return o, nil
 }
 
-// ListNodeFiles returns the node log files under dir, sorted by node.
+// ListNodeFiles returns the node log files in dir, sorted by node.
 func ListNodeFiles(dir string) ([]string, error) {
-	return listNodeFiles(iofault.OS, dir)
+	return listNodeFiles(context.Background(), iofault.OS, dir)
 }
 
-// listNodeFiles walks dir through fsys (depth-first, directories
-// recursed) and returns the node log files, sorted.
-func listNodeFiles(fsys iofault.FS, dir string) ([]string, error) {
-	var out []string
-	var walk func(string) error
-	walk = func(d string) error {
-		entries, err := fsys.ReadDir(d)
-		if err != nil {
-			return err
-		}
-		for _, ent := range entries {
-			path := filepath.Join(d, ent.Name())
-			if ent.IsDir() {
-				if err := walk(path); err != nil {
-					return err
-				}
-				continue
-			}
-			if _, ok := nodeOfFile(path); ok {
-				out = append(out, path)
-			}
-		}
-		return nil
-	}
-	if err := walk(dir); err != nil {
+// listNodeFiles lists dir itself through fsys, retrying a transient
+// ReadDir failure under iofault.DefaultRetry, and returns its node log
+// files. A subdirectory is not read. ReadDir sorts by file name, and
+// FileName zero-pads both coordinates, so the files come in (Blade, SoC)
+// order.
+func listNodeFiles(ctx context.Context, fsys iofault.FS, dir string) ([]string, error) {
+	var entries []fs.DirEntry
+	err := iofault.DefaultRetry.Do(ctx, func() (err error) {
+		entries, err = fsys.ReadDir(dir)
+		return err
+	})
+	if err != nil {
 		return nil, fmt.Errorf("logstore: %w", err)
 	}
-	sort.Strings(out)
+	var out []string
+	for _, ent := range entries {
+		if _, ok := nodeOfFile(ent.Name()); ok && !ent.IsDir() {
+			out = append(out, filepath.Join(dir, ent.Name()))
+		}
+	}
 	return out, nil
+}
+
+// lines is eventlog.Lines under the node rule: every record of a node's
+// file names that node. A record whose host= names another node fails
+// with its line number, as a malformed line does, so both readers key
+// their state by one node per file.
+func lines(data []byte, line *int, node cluster.NodeID, visit func(eventlog.Record) bool) (int, error) {
+	var foreign cluster.NodeID
+	bad := false
+	done, err := eventlog.Lines(data, line, func(rec eventlog.Record) bool {
+		if rec.Host != node {
+			foreign, bad = rec.Host, true
+			return false
+		}
+		return visit(rec)
+	})
+	if err == nil && bad {
+		err = fmt.Errorf("line %d: host=%s in node %s's file", *line, foreign, node)
+	}
+	return done, err
 }

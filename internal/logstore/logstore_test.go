@@ -27,8 +27,10 @@ func TestFileNameRoundTrip(t *testing.T) {
 	if !ok || back != id {
 		t.Fatalf("inversion: %v %v", back, ok)
 	}
-	if _, ok := nodeOfFile("random.txt"); ok {
-		t.Fatal("non-log file accepted")
+	for _, name := range []string{"random.txt", "node-2-4.log", "node-02-04.log.1", "node-02-4.log"} {
+		if _, ok := nodeOfFile(name); ok {
+			t.Fatalf("%s accepted as a node file", name)
+		}
 	}
 }
 

@@ -47,7 +47,7 @@ func (p Part) Faults() []extract.Fault { return p.faults }
 // Sessions returns the part's sessions, in eventlog.CompareSessions order.
 func (p Part) Sessions() []eventlog.Session { return p.sessions }
 
-// Events reads every node file under dir and yields the extracted
+// Events reads every node file in dir and yields the extracted
 // dataset as an iterator honouring the internal/stream contract,
 // mirroring the campaign engine: it is Parts followed by stream.Deliver,
 // which interleaves the per-node streams into a stats prologue, faults in
@@ -77,27 +77,29 @@ func Events(ctx context.Context, dir string, workers int, opts ...Option) iter.S
 	}
 }
 
-// Parts reads every node file under dir on a stream.Collect pool and
+// Parts reads every node file in dir on a stream.Collect pool and
 // returns the per-node sorted streams, in file order, with the stats
 // they fold to: each worker collapses one file and Finalizes it, so §II-C
 // extraction parallelizes across files.
 //
-// workers bounds the pool (0 or negative means GOMAXPROCS). A corrupt or
-// unreadable file fails the replay with the lowest-indexed failing file's
-// error, and once it fails the pool starts no later file. Cancelling ctx
-// skips the unread files and returns ctx.Err() once the pool has exited.
-// WithFS routes every file operation through an iofault.FS.
+// workers bounds the pool (0 or negative means GOMAXPROCS). A transient
+// I/O error is retried (iofault.Open). A corrupt or unreadable file, or
+// one holding another node's record, fails the replay with the
+// lowest-indexed failing file's error, and once it fails the pool starts
+// no later file. Cancelling ctx skips the unread files and returns
+// ctx.Err() once the pool has exited. WithFS routes every file operation
+// through an iofault.FS.
 func Parts(ctx context.Context, dir string, workers int, opts ...Option) (stream.Parts, error) {
 	o, err := resolve(opts)
 	if err != nil {
 		return stream.Parts{}, fmt.Errorf("logstore: %w", err)
 	}
-	files, err := listNodeFiles(o.fsys, dir)
+	files, err := listNodeFiles(ctx, o.fsys, dir)
 	if err != nil {
 		return stream.Parts{}, err
 	}
 	parts, err := stream.Collect(ctx, len(files), workers, func(i int) (Part, error) {
-		return loadNodeFile(o.fsys, files[i])
+		return loadNodeFile(ctx, o.fsys, files[i])
 	})
 	if err != nil {
 		return stream.Parts{}, err
@@ -112,9 +114,8 @@ func Parts(ctx context.Context, dir string, workers int, opts ...Option) (stream
 		p.Stats.Sessions += len(part.sessions)
 		p.Stats.RawLogs += part.rawLogs
 		// Every ERROR record lands in exactly one run, so Σ Logs over a
-		// part's faults is its raw volume, split by the true host= of
-		// each run rather than by the file name — a file holding a
-		// foreign host's records credits that host, matching faults.
+		// part's faults is its raw volume; under the node rule every
+		// fault of a part is its file's node's.
 		for i := range part.faults {
 			p.Stats.RawLogsByNode[part.faults[i].Node] += int64(part.faults[i].Logs)
 		}
@@ -145,12 +146,14 @@ type loader struct {
 }
 
 // loadNodeFile runs one file through the §II-C pipeline on the worker:
-// records are collapsed into runs and sessions as eventlog.Lines cuts
-// them from the file, chunk by chunk, then Finalize classifies and sorts
-// the node locally so the caller only merges. An unfinished final line
-// is no record, as for the follower.
-func loadNodeFile(fsys iofault.FS, path string) (Part, error) {
-	f, err := fsys.Open(path)
+// it opens the file through iofault.Open, collapses records into runs
+// and sessions as lines cuts them from the file, chunk by chunk, then
+// Finalize classifies and sorts the node locally so the caller only
+// merges. An unfinished final line is no record, and a record of
+// another node fails the file, as for the follower.
+func loadNodeFile(ctx context.Context, fsys iofault.FS, path string) (Part, error) {
+	node, _ := nodeOfFile(path)
+	f, err := iofault.Open(ctx, fsys, path)
 	if err != nil {
 		return Part{}, fmt.Errorf("logstore: %w", err)
 	}
@@ -176,7 +179,7 @@ func loadNodeFile(fsys iofault.FS, path string) (Part, error) {
 		}
 		rn, rerr := f.Read(ld.buf[n:])
 		n += rn
-		done, err := eventlog.Lines(ld.buf[:n], &line, visit)
+		done, err := lines(ld.buf[:n], &line, node, visit)
 		if err != nil {
 			return Part{}, fmt.Errorf("logstore: %s: %w", path, err)
 		}

@@ -191,31 +191,6 @@ func (c *openCounter) Open(name string) (iofault.File, error) {
 	return c.FS.Open(name)
 }
 
-// TestStreamAttributesRawVolumeByRecordHost: a file holding records of a
-// foreign host (renamed or concatenated logs) must credit the raw volume
-// to the record's host= field, matching fault attribution — not to the
-// node the file name claims.
-func TestStreamAttributesRawVolumeByRecordHost(t *testing.T) {
-	dir := t.TempDir()
-	trueHost := cluster.NodeID{Blade: 2, SoC: 2}
-	rec := eventlog.Record{
-		Kind: eventlog.KindError, At: 100, Host: trueHost,
-		VAddr: dram.VirtAddr(5), Expected: 0xffffffff, Actual: 0xfffffffe,
-		TempC: thermal.NoReading, LastAt: 200, Logs: 9,
-	}
-	misnamed := filepath.Join(dir, FileName(cluster.NodeID{Blade: 1, SoC: 1}))
-	if err := os.WriteFile(misnamed, []byte(rec.String()+"\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	faults, _, st := collectStream(t, dir, 0)
-	if len(faults) != 1 || faults[0].Node != trueHost {
-		t.Fatalf("fault attribution: %+v", faults)
-	}
-	if st.RawLogsByNode[trueHost] != 9 || len(st.RawLogsByNode) != 1 {
-		t.Fatalf("raw volume credited to the wrong node: %v", st.RawLogsByNode)
-	}
-}
-
 // TestStreamCampaignEquivalence is the replay/campaign equivalence
 // contract: a campaign exported through the Store layout and re-read via
 // Stream yields the same faults (every field), the same sessions (modulo

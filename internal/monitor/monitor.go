@@ -208,8 +208,10 @@ func (m *Monitor) Run(ctx context.Context) error {
 }
 
 // ingest folds one record into its node's state. Records are keyed by
-// their host= field — under the store's one-file-per-node layout this is
-// exactly the per-file state the one-shot loader keeps (DESIGN.md §13).
+// their host= field, which under the node rule both readers hold is the
+// node of the file the record came from — the follower ends the stream
+// on a record of another host — so this is exactly the per-file state
+// the one-shot loader keeps (DESIGN.md §13.3).
 func (m *Monitor) ingest(rec eventlog.Record) {
 	i := rec.Host.Index()
 	ns := m.nodes[i]

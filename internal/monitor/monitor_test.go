@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -550,6 +551,84 @@ func TestMonitorRunSurfacesCorruptLine(t *testing.T) {
 	}
 	if err := m.Run(context.Background()); err == nil {
 		t.Fatal("corrupt line did not surface")
+	}
+}
+
+// TestMonitorOneFilePerNode: the monitor reads a directory by the
+// replay's node rule. A node's file that holds another host's line ends
+// Run with the file-and-line error a one-shot replay of the directory
+// returns, and files beside a node's own — in a subdirectory, or named
+// so their name only parses to the node — feed neither, so removing one
+// resets nothing and the monitor still equals the one-shot.
+func TestMonitorOneFilePerNode(t *testing.T) {
+	a := cluster.NodeID{Blade: 1, SoC: 1}
+	b := cluster.NodeID{Blade: 3, SoC: 9}
+	fleet := func(t *testing.T) string {
+		dir := t.TempDir()
+		for _, host := range []cluster.NodeID{a, b} {
+			appendRecord(t, dir, startRec(host, 0))
+			appendRecord(t, dir, errorRec(host, 100, 7, 0xFFFFFFFE))
+			appendRecord(t, dir, endRec(host, 3600))
+		}
+		return dir
+	}
+
+	t.Run("foreign line", func(t *testing.T) {
+		dir := fleet(t)
+		foreign := errorRec(b, 200, 9, 0xFFFFFFFE)
+		path := filepath.Join(dir, logstore.FileName(a))
+		f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(foreign.String() + "\n"); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		_, want := core.Analyze(context.Background(), core.Logs(dir))
+		if want == nil || !strings.Contains(want.Error(), path+": line 4: ") {
+			t.Fatalf("one-shot replay of a foreign line: %v, want an error naming %s and line 4", want, path)
+		}
+		m, err := New(dir, WithTicker(func(context.Context) bool { return false }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = m.Run(context.Background())
+		if err == nil {
+			t.Fatal("Run ingested a foreign line")
+		}
+		if at := want.Error()[strings.Index(want.Error(), "line 4: "):]; !strings.Contains(err.Error(), path) || !strings.HasSuffix(err.Error(), at) {
+			t.Fatalf("Run: %v, want %s's %q", err, path, at)
+		}
+	})
+
+	for _, extra := range []string{filepath.Join("sub", logstore.FileName(a)), "node-1-1.log"} {
+		t.Run(extra, func(t *testing.T) {
+			dir := fleet(t)
+			if err := os.Mkdir(filepath.Join(dir, "sub"), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			rec := errorRec(a, 300, 11, 0xFFFFFFFE)
+			if err := os.WriteFile(filepath.Join(dir, extra), append(rec.AppendText(nil), '\n'), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			m, step, cancel, _ := stepMonitor(t, dir)
+			checkEpoch(t, waitEpoch(t, m, 1), dir)
+
+			if err := os.Remove(filepath.Join(dir, extra)); err != nil {
+				t.Fatal(err)
+			}
+			appendRecord(t, dir, errorRec(a, 4000, 13, 0xFFFFFFFE))
+			step <- struct{}{}
+			snap := waitEpoch(t, m, 2)
+			cancel()
+			checkEpoch(t, snap, dir)
+			if v := snap.byNode[a.String()]; v == nil || v.Faults != 2 {
+				t.Fatalf("node %s verdict %+v, want its file's 2 faults", a, v)
+			}
+		})
 	}
 }
 

@@ -40,9 +40,6 @@ func Variance(xs []float64) float64 {
 	return ss / float64(n-1)
 }
 
-// StdDev returns the sample standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
-
 // Sum returns the total of xs.
 func Sum(xs []float64) float64 {
 	var s float64
