@@ -90,7 +90,7 @@ func runIngest(ctx context.Context, args []string) error {
 	fs := flag.NewFlagSet("ingest", flag.ExitOnError)
 	shards := fs.Int("shards", faultstore.DefaultShards, "node-hash shard count")
 	window := fs.Duration("window", faultstore.DefaultWindow, "time-partition window length (fixed at store creation)")
-	workers := fs.Int("workers", 0, "loader worker pool size (0 = GOMAXPROCS)")
+	workers := fs.Int("workers", 0, "loader and segment-build worker pool size (0 = GOMAXPROCS)")
 	fs.Parse(args)
 	if fs.NArg() != 2 {
 		usage()

@@ -23,9 +23,11 @@
 // # Semantics
 //
 //   - Ingest streams a text log directory through the §II-C replay
-//     pipeline (logstore.Parts) and buckets the extracted faults and
-//     sessions into segments. Ingest is additive: a second Ingest into
-//     the same store appends a new generation of segments.
+//     pipeline (logstore.Parts), cuts each node's sorted faults and
+//     sessions into runs by (shard, window) cell, and builds each cell's
+//     segment, the merge of its runs, on the worker pool. Ingest is
+//     additive: a second Ingest into the same store appends a new
+//     generation of segments.
 //   - Events replays the store as the standard stream contract — stats
 //     prologue, faults in extract.Compare order, sessions in
 //     eventlog.CompareSessions order — by k-way merging the per-segment
@@ -34,10 +36,11 @@
 //   - Export renders the store back to per-node text logs via
 //     logstore.Export. For a store ingested from a canonically exported
 //     directory the round trip is byte-identical.
-//   - Compact rewrites each shard: fault runs that one ingest batch
+//   - Compact rewrites the store: fault runs that one ingest batch
 //     boundary split in two (same node, address and corruption pattern,
 //     within the §II-C collapse gap) are re-collapsed, and every
-//     (shard, window) cell ends up with exactly one segment again.
+//     (shard, window) cell ends up with exactly one segment again, built
+//     on the pool like Ingest's.
 //
 // Manifest and segment reads go through iofault.ReadFile, so store
 // queries share one descriptor ceiling with the log layer, and a

@@ -3,9 +3,11 @@ package faultstore
 import (
 	"bytes"
 	"context"
+	"errors"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -670,16 +672,12 @@ func (c *segmentReads) ReadFile(name string) ([]byte, error) {
 func TestStoreThousandSegmentFDBudget(t *testing.T) {
 	dir := t.TempDir()
 	const segments = 1000
-	man := &manifest{}
+	out := make(cells)
 	for i := 0; i < segments; i++ {
 		f := synthFault(i%30+1, i%14+1, uint32(i), timebase.T(i*100), timebase.T(i*100), 1, 0xffffffff, 0xfffffffe)
-		meta, _, err := writeSegment(iofault.OS, dir, uint32(i%8), int64(i), 0, []extract.Fault{f}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		man.segs = append(man.segs, meta)
+		out[bucketKey{uint32(i % 8), int64(i)}] = &cell{faults: [][]extract.Fault{{f}}}
 	}
-	if err := writeManifest(iofault.OS, dir, man); err != nil {
+	if _, err := commit(context.Background(), iofault.OS, dir, &manifest{}, 0, out, 0); err != nil {
 		t.Fatal(err)
 	}
 
@@ -700,6 +698,33 @@ func TestStoreThousandSegmentFDBudget(t *testing.T) {
 	}
 	if opened := s.SegmentsOpened(); opened != segments {
 		t.Fatalf("opened %d segments, want all %d (no predicate)", opened, segments)
+	}
+}
+
+// TestCommitCancelled: a cancelled ctx stops commit's build pool before
+// it writes anything, and no worker outlives the call.
+func TestCommitCancelled(t *testing.T) {
+	dir := t.TempDir()
+	out := make(cells)
+	for i := 0; i < 4; i++ {
+		f := synthFault(1, i+1, uint32(i), timebase.T(i*100), timebase.T(i*100), 1, 0xffffffff, 0xfffffffe)
+		out[bucketKey{uint32(i), 0}] = &cell{faults: [][]extract.Fault{{f}}}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	baseline := runtime.NumGoroutine()
+	if _, err := commit(ctx, iofault.OS, dir, &manifest{}, 0, out, 3); !errors.Is(err, context.Canceled) {
+		t.Fatalf("commit returned %v, want context.Canceled", err)
+	}
+	if files := readFiles(t, dir); len(files) != 0 {
+		t.Fatalf("cancelled commit left %d files", len(files))
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines leaked: %d before, %d after", baseline, runtime.NumGoroutine())
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

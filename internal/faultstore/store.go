@@ -10,11 +10,14 @@ import (
 	"sort"
 	"time"
 
+	"unprotected/internal/cluster"
 	"unprotected/internal/eventlog"
 	"unprotected/internal/extract"
 	"unprotected/internal/iofault"
 	"unprotected/internal/kway"
 	"unprotected/internal/logstore"
+	"unprotected/internal/stream"
+	"unprotected/internal/timebase"
 )
 
 // IngestOption configures Ingest.
@@ -73,8 +76,9 @@ func WithWindow(d time.Duration) IngestOption {
 	}
 }
 
-// WithIngestWorkers bounds the text-replay loader pool feeding the
-// ingest (0 selects GOMAXPROCS).
+// WithIngestWorkers bounds the ingest's worker pool: the text-replay
+// loader and then the segment build (0 selects GOMAXPROCS). The bytes
+// written do not depend on it.
 func WithIngestWorkers(n int) IngestOption {
 	return func(o *ingestOptions) error {
 		if n < 0 {
@@ -100,34 +104,49 @@ type bucketKey struct {
 	window int64
 }
 
-// bucket accumulates one cell's payload.
-type bucket struct {
-	faults   []extract.Fault
-	sessions []eventlog.Session
+// cell is one (shard, window) cell's payload as sorted runs: each run is
+// a sub-slice of a stream in canonical order.
+type cell struct {
+	faults   [][]extract.Fault
+	sessions [][]eventlog.Session
 }
 
 // cells is the payload one Ingest or Compact writes, by (shard, window)
 // cell.
-type cells map[bucketKey]*bucket
+type cells map[bucketKey]*cell
 
-// at returns cell k's bucket, creating it empty.
-func (c cells) at(k bucketKey) *bucket {
-	b, ok := c[k]
-	if !ok {
-		b = &bucket{}
-		c[k] = b
+// plan cuts the sorted stream s wherever key, the cell of s[i], changes,
+// and appends each piece, a sub-slice of s with no copy, to the list of
+// runs that runs picks in the piece's cell. Planned stream by stream, in
+// order, a cell's runs break ties as the streams' merge does, so merging
+// them yields the cell's subsequence of that merge.
+func plan[T any](out cells, s []T, key func(i int) bucketKey, runs func(*cell) *[][]T) {
+	for lo := 0; lo < len(s); {
+		k, hi := key(lo), lo+1
+		for hi < len(s) && key(hi) == k {
+			hi++
+		}
+		c, ok := out[k]
+		if !ok {
+			c = &cell{}
+			out[k] = c
+		}
+		r := runs(c)
+		*r = append(*r, s[lo:hi])
+		lo = hi
 	}
-	return b
 }
+
+func faultRuns(c *cell) *[][]extract.Fault      { return &c.faults }
+func sessionRuns(c *cell) *[][]eventlog.Session { return &c.sessions }
 
 // Ingest reads the text log directory logDir through the replay loader's
 // parts and writes its extracted dataset into the store at storeDir,
 // creating the store if needed and appending a new segment generation if
-// it already exists. Two kway.Each walks bucket the per-node parts'
-// faults in canonical extract.Compare order and their sessions in
-// eventlog.CompareSessions order, so every bucket — an order-preserving
-// subsequence — is born sorted and segments never need a sort of their
-// own.
+// it already exists. plan cuts each node's sorted faults and sessions
+// into runs by (shard, window) cell, and commit builds every cell's
+// segment from its runs on the worker pool, so segments are born sorted
+// without a sort or a store-wide merge of their own.
 func Ingest(ctx context.Context, logDir, storeDir string, opts ...IngestOption) (*IngestStats, error) {
 	o := ingestOptions{shards: DefaultShards, windowSeconds: int64(DefaultWindow / time.Second), fsys: iofault.OS}
 	for _, opt := range opts {
@@ -157,61 +176,80 @@ func Ingest(ctx context.Context, logDir, storeDir string, opts ...IngestOption) 
 	}
 	gen := man.nextGen()
 
-	stats := &IngestStats{}
-	out := make(cells)
 	p, err := logstore.Parts(ctx, logDir, o.workers, logstore.WithFS(o.fsys))
 	if err != nil {
 		return nil, err
 	}
-	kway.Each(p.Faults, extract.Key, extract.Compare, func(f *extract.Fault) bool {
-		b := out.at(bucketKey{shardOf(f.Node, o.shards), windowOf(f.FirstAt, o.windowSeconds)})
-		b.faults = append(b.faults, *f)
-		stats.Faults++
-		stats.RawLogs += int64(f.Logs)
-		return true
-	})
-	kway.Each(p.Sessions, eventlog.SessionKey, eventlog.CompareSessions, func(s *eventlog.Session) bool {
-		b := out.at(bucketKey{shardOf(s.Host, o.shards), windowOf(s.From, o.windowSeconds)})
-		b.sessions = append(b.sessions, *s)
-		stats.Sessions++
-		return true
-	})
-	if err := ctx.Err(); err != nil {
+	cellOf := func(node cluster.NodeID, t timebase.T) bucketKey {
+		return bucketKey{shardOf(node, o.shards), windowOf(t, o.windowSeconds)}
+	}
+	out := make(cells)
+	for _, faults := range p.Faults {
+		plan(out, faults, func(i int) bucketKey { return cellOf(faults[i].Node, faults[i].FirstAt) }, faultRuns)
+	}
+	for _, sessions := range p.Sessions {
+		plan(out, sessions, func(i int) bucketKey { return cellOf(sessions[i].Host, sessions[i].From) }, sessionRuns)
+	}
+	stats := &IngestStats{Faults: p.Stats.Faults, Sessions: p.Stats.Sessions, RawLogs: p.Stats.RawLogs, Segments: len(out)}
+	if stats.Bytes, err = commit(ctx, o.fsys, storeDir, man, gen, out, o.workers); err != nil {
 		return nil, err
 	}
-	stats.Bytes, err = commit(o.fsys, storeDir, man, gen, out)
-	if err != nil {
-		return nil, err
-	}
-	stats.Segments = len(out)
 	return stats, nil
 }
 
-// commit is the one write path of the store: it writes one segment per
-// cell, in key order, under generation gen, appends their index entries
-// to man and commits man. The manifest rename is the commit point. Until
-// it lands every segment commit wrote is provisional, and a failure
-// removes them again (best-effort — a crash also kills the cleanup,
-// which is exactly the orphan case fsck exists for). It returns the
-// bytes of the segments written.
-func commit(fsys iofault.FS, dir string, man *manifest, gen uint32, out cells) (int64, error) {
+// commit is the one write path of the store. It builds one segment per
+// cell, the merge of the cell's runs, on a stream.Collect pool of
+// workers (0 selects GOMAXPROCS), and empties each cell as its segment
+// is built, so the streams the runs cut can be collected before the
+// writes; a cancelled ctx stops the pool before anything is written.
+// The calling goroutine then writes and fsyncs the segments in key order
+// under generation gen, so the sequence of mutations does not depend on
+// the worker count, appends their index entries to man and commits man.
+// The manifest rename is the commit point. Until it lands every segment
+// commit wrote is provisional, and a failure removes them again
+// (best-effort — a crash also kills the cleanup, which is exactly the
+// orphan case fsck exists for). It returns the bytes of the segments
+// written.
+func commit(ctx context.Context, fsys iofault.FS, dir string, man *manifest, gen uint32, out cells, workers int) (int64, error) {
 	keys := make([]bucketKey, 0, len(out))
 	for k := range out {
 		keys = append(keys, k)
 	}
 	slices.SortFunc(keys, compareBucketKeys)
+	type segment struct {
+		meta segMeta
+		data []byte
+	}
+	segs, err := stream.Collect(ctx, len(keys), workers, func(i int) (segment, error) {
+		k, c := keys[i], out[keys[i]]
+		faults := kway.Merge(c.faults, extract.Key, extract.Compare)
+		sessions := kway.Merge(c.sessions, eventlog.SessionKey, eventlog.CompareSessions)
+		*c = cell{}
+		lo, hi := segBounds(faults, sessions)
+		return segment{
+			meta: segMeta{
+				name: segmentName(k.shard, k.window, gen), shard: k.shard, window: k.window, gen: gen,
+				nFaults: len(faults), nSessions: len(sessions),
+				minAt: lo, maxAt: hi,
+				nodes: nodeSetOf(faults, sessions),
+			},
+			data: encodeSegment(k.shard, k.window, faults, sessions),
+		}, nil
+	})
+	if err != nil {
+		return 0, err
+	}
 	var written []string
 	var size int64
-	var err error
-	for _, k := range keys {
-		var meta segMeta
-		var n int64
-		if meta, n, err = writeSegment(fsys, dir, k.shard, k.window, gen, out[k].faults, out[k].sessions); err != nil {
+	for i := range segs {
+		s := &segs[i]
+		if err = writeSegment(fsys, filepath.Join(dir, s.meta.name), s.data); err != nil {
 			break
 		}
-		written = append(written, meta.name)
-		man.segs = append(man.segs, meta)
-		size += n
+		written = append(written, s.meta.name)
+		man.segs = append(man.segs, s.meta)
+		size += int64(len(s.data))
+		s.data = nil // hold no segment's bytes past its write
 	}
 	if err == nil {
 		err = writeManifest(fsys, dir, man)
@@ -237,28 +275,18 @@ func compareBucketKeys(a, b bucketKey) int {
 	}
 }
 
-// writeSegment encodes, writes and fsyncs one segment file, returning
-// its index entry and byte size. The fsync matters: the manifest rename
-// is the commit point, and a manifest must never become durable while a
-// segment it references can still evaporate from the page cache.
-func writeSegment(fsys iofault.FS, dir string, shard uint32, window int64, gen uint32,
-	faults []extract.Fault, sessions []eventlog.Session) (segMeta, int64, error) {
-	name := segmentName(shard, window, gen)
-	path := filepath.Join(dir, name)
-	data := encodeSegment(shard, window, faults, sessions)
+// writeSegment writes and fsyncs one encoded segment file. The fsync
+// matters: the manifest rename is the commit point, and a manifest must
+// never become durable while a segment it references can still evaporate
+// from the page cache.
+func writeSegment(fsys iofault.FS, path string, data []byte) error {
 	if err := fsys.WriteFile(path, data, 0o644); err != nil {
-		return segMeta{}, 0, fmt.Errorf("faultstore: %w", err)
+		return fmt.Errorf("faultstore: %w", err)
 	}
 	if err := fsys.Sync(path); err != nil {
-		return segMeta{}, 0, fmt.Errorf("faultstore: %w", err)
+		return fmt.Errorf("faultstore: %w", err)
 	}
-	lo, hi := segBounds(faults, sessions)
-	return segMeta{
-		name: name, shard: shard, window: window, gen: gen,
-		nFaults: len(faults), nSessions: len(sessions),
-		minAt: lo, maxAt: hi,
-		nodes: nodeSetOf(faults, sessions),
-	}, int64(len(data)), nil
+	return nil
 }
 
 // readManifest loads the store index through iofault.ReadFile, which
@@ -375,19 +403,20 @@ func WithCompactFS(fsys iofault.FS) CompactOption {
 	}
 }
 
-// Compact rewrites the store: every segment is decoded, the fault
-// streams of all of them are k-way merged back into the canonical order,
-// runs that ingest-batch boundaries split in two are re-collapsed (same
-// node, address, expected and actual word, next run starting within the
-// §II-C gap of the previous run's end, and — the batch-boundary
-// signature — coming from a different ingest generation than the run it
-// continues), and every fault returns to its segment's shard, a
-// collapsed run to its head's. The merge is store-wide because ingests
-// with different shard counts put one node's runs in different shards.
-// Sessions are merged per shard, order-preservingly, and never
-// coalesced. commit then re-buckets the lot — using the window length
-// the manifest persists — into one segment per (shard, window) cell
-// under a single fresh generation the current manifest does not
+// Compact rewrites the store. Every segment is decoded on a pool of
+// GOMAXPROCS workers, the fault streams of all of them are k-way merged
+// back into the canonical order, runs that ingest-batch boundaries split
+// in two are re-collapsed (same node, address, expected and actual word,
+// next run starting within the §II-C gap of the previous run's end, and
+// — the batch-boundary signature — coming from a different ingest
+// generation than the run it continues), and every fault returns to its
+// segment's shard, a collapsed run to its head's. The merge is
+// store-wide because ingests with different shard counts put one node's
+// runs in different shards. plan then cuts that order, and each
+// segment's sessions, which are never coalesced, into runs by (shard,
+// window) cell — using the window length the manifest persists — and
+// commit builds one segment per cell from its runs, on the same size of
+// pool, under a single fresh generation the current manifest does not
 // reference. No live segment file is ever overwritten, so the manifest
 // swap at the end stays the commit point: a crash mid-compact leaves the
 // old manifest pointing at the old, untouched files (plus unreferenced
@@ -411,7 +440,8 @@ func Compact(dir string, opts ...CompactOption) (*CompactStats, error) {
 			return nil, err
 		}
 	}
-	man, err := readManifest(context.Background(), o.fsys, dir)
+	ctx := context.Background()
+	man, err := readManifest(ctx, o.fsys, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -420,50 +450,43 @@ func Compact(dir string, opts ...CompactOption) (*CompactStats, error) {
 		windowSeconds = int64(DefaultWindow / time.Second)
 	}
 	stats := &CompactStats{SegmentsBefore: len(man.segs)}
-	// Every segment is read before any is written, so a read error
-	// leaves nothing to clean up. The manifest lists a shard's segments
-	// together, so a shard's sessions merge once its last one is read.
+	// Every segment is read, on the pool, before any is written, so a
+	// read error leaves nothing to clean up.
+	segs, err := stream.Collect(ctx, len(man.segs), 0, func(i int) (*segPayload, error) {
+		return readSegmentFile(ctx, o.fsys, filepath.Join(dir, man.segs[i].name))
+	})
+	if err != nil {
+		return nil, err
+	}
 	out := make(cells)
-	var faults [][]genFault
-	var sessions [][]eventlog.Session
-	for i, e := range man.segs {
-		p, err := readSegmentFile(context.Background(), o.fsys, filepath.Join(dir, e.name))
-		if err != nil {
-			return nil, err
-		}
+	faults := make([][]genFault, 0, len(segs))
+	for i, p := range segs {
+		e := &man.segs[i]
 		stats.FaultsBefore += e.nFaults
-		if len(p.faults) > 0 {
-			gfs := make([]genFault, len(p.faults))
-			for j, f := range p.faults {
-				gfs[j] = genFault{gen: e.gen, shard: e.shard, Fault: f}
-			}
-			faults = append(faults, gfs)
+		gfs := make([]genFault, len(p.faults))
+		for j, f := range p.faults {
+			gfs[j] = genFault{gen: e.gen, shard: e.shard, Fault: f}
 		}
-		if len(p.sessions) > 0 {
-			sessions = append(sessions, p.sessions)
-		}
-		if i+1 == len(man.segs) || man.segs[i+1].shard != e.shard {
-			kway.Each(sessions, eventlog.SessionKey, eventlog.CompareSessions, func(s *eventlog.Session) bool {
-				b := out.at(bucketKey{e.shard, windowOf(s.From, windowSeconds)})
-				b.sessions = append(b.sessions, *s)
-				return true
-			})
-			sessions = sessions[:0]
-		}
+		faults = append(faults, gfs)
+		plan(out, p.sessions, func(j int) bucketKey {
+			return bucketKey{e.shard, windowOf(p.sessions[j].From, windowSeconds)}
+		}, sessionRuns)
 	}
 	merged := collapseRuns(kway.Merge(faults, genFaultKey, compareGenFaults))
+	flat := make([]extract.Fault, len(merged))
 	for i := range merged {
-		f := &merged[i]
-		b := out.at(bucketKey{f.shard, windowOf(f.FirstAt, windowSeconds)})
-		b.faults = append(b.faults, f.Fault)
+		flat[i] = merged[i].Fault
 	}
+	plan(out, flat, func(i int) bucketKey {
+		return bucketKey{merged[i].shard, windowOf(merged[i].FirstAt, windowSeconds)}
+	}, faultRuns)
 	stats.FaultsAfter = len(merged)
 
 	// All output segments share one generation, picked above every live
 	// one so their names never collide with files the current manifest
 	// references (the crash-consistency contract of the manifest swap).
 	next := &manifest{windowSeconds: windowSeconds}
-	if _, err := commit(o.fsys, dir, next, man.nextGen(), out); err != nil {
+	if _, err := commit(ctx, o.fsys, dir, next, man.nextGen(), out, 0); err != nil {
 		return nil, err
 	}
 	stats.SegmentsAfter = len(next.segs)
